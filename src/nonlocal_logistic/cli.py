@@ -39,6 +39,7 @@ from .steady import maximal_harvest, scan_cstar, small_branch, solve_logistic, s
 from .stochastic import SubordinatorSampler, mc_green, survival_lambda1
 
 ENV_OUTDIR = "NONLOCAL_LOGISTIC_OUTDIR"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SUBCOMMANDS = (
     "validate-kernel", "eigen", "steady", "bifurcate",
@@ -71,6 +72,7 @@ class RunOutput:
         self.jsons: dict[str, dict] = {}
         self.csvs: dict[str, tuple[list[str], list[tuple]]] = {}
         self.texts: dict[str, str] = {}
+        self.solvers: dict[str, int] = {}  # solver work counts for the manifest
 
     def write(self, outdir: Path):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -130,8 +132,8 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
     r_grid = np.logspace(0, 6, 40)
     scaling = check_scaling(cfg.symbol, r_grid)
     b2 = cfg.kernel.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
-    h = float(cfg.solver.get("moment_h", 0.01))
-    big_r = float(cfg.solver.get("moment_R", 10.0))
+    h = float(cfg.solver["moment_h"])
+    big_r = float(cfg.solver["moment_R"])
     mom = kernel_moments(cfg.kernel, h, big_r)
     rs = np.logspace(-3, 2, 100)
     out.csvs["kernel_density.csv"] = (
@@ -231,16 +233,20 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
     spec = cfg.reaction(pair.lam)
     if spec.h is None:
         raise ConfigurationError("bifurcate needs a harvest term in the problem block")
-    c_max = cfg.scan.get("c_max")
+    c_max = cfg.scan["c_max"]
     if c_max is None:
         raise ConfigurationError("bifurcate needs scan.c_max")
     scan = scan_cstar(
         op, spec, float(c_max),
-        bisect_rel_tol=float(cfg.scan.get("rel_tol", 1e-3)),
-        sample_ladder=int(cfg.scan.get("ladder", 4)),
+        bisect_rel_tol=float(cfg.scan["rel_tol"]),
+        sample_ladder=int(cfg.scan["ladder"]),
         tol=cfg.tol, eigenpair=pair,
     )
     rows = []
+    # samples come in increasing c: continue the small branch from the last
+    # sample it was solved at
+    start = None
+    continuation_steps = 0
     for s in scan.samples:
         sup_u1 = float(s.state.u.max()) if s.exists else float("nan")
         lam_star = float("nan")
@@ -249,12 +255,21 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
             spec_c = replace(spec, c=s.c)
             lam_star = stability_index(op, spec_c, s.state, tol=cfg.tol).lambda_star
             try:
-                u2 = small_branch(op, spec_c, tol=cfg.tol)
+                u2 = small_branch(op, spec_c, tol=cfg.tol, start=start)
+                start = (s.c, u2.u)
+                continuation_steps += u2.iterations
                 if u2.branch == "small":
                     sup_u2 = float(u2.u.max())
             except NumericError:
                 pass
         rows.append((s.c, s.exists, sup_u1, sup_u2, lam_star))
+    out.solvers = {
+        "scan_probes": len(scan.samples),
+        "descent_newton_steps": sum(s.state.newton_steps for s in scan.samples),
+        "descent_relaxation_steps": sum(
+            s.state.iterations - s.state.newton_steps for s in scan.samples),
+        "small_branch_steps": continuation_steps,
+    }
     out.csvs["bifurcation.csv"] = (
         ["c", "exists", "sup_u1", "sup_u2", "lambda_star"], rows
     )
@@ -272,9 +287,8 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
 
 
 def _initial_field(cfg: RunConfig, op, pair, spec):
-    u0_block = cfg.parabolic.get("u0", {"kind": "eigenfunction", "scale": 0.01})
-    kind = u0_block.get("kind", "eigenfunction")
-    scale = float(u0_block.get("scale", 1.0))
+    kind = cfg.parabolic["u0"]["kind"]
+    scale = float(cfg.parabolic["u0"]["scale"])
     steady = None
     if kind == "steady":
         base = solve_logistic(op, replace(spec, c=0.0, h=None), tol=cfg.tol, eigenpair=pair)
@@ -289,9 +303,9 @@ def run_evolve(cfg: RunConfig, args) -> RunOutput:
     op = _assemble_from(cfg)
     pair = principal_eigenpair(op, tol=cfg.tol)
     spec = cfg.reaction(pair.lam)
-    dt = float(cfg.parabolic.get("dt", 0.01))
-    horizon = float(cfg.parabolic.get("horizon", 1.0))
-    snaps = cfg.parabolic.get("snapshot_times")
+    dt = float(cfg.parabolic["dt"])
+    horizon = float(cfg.parabolic["horizon"])
+    snaps = cfg.parabolic["snapshot_times"]
     u0 = _initial_field(cfg, op, pair, spec)
     run = evolve(op, spec, u0, dt, horizon, snapshot_times=snaps)
     rows = [
@@ -330,9 +344,9 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
     op = _assemble_from(cfg)
     pair = principal_eigenpair(op, tol=cfg.tol)
     spec = cfg.reaction(pair.lam)
-    dt = float(cfg.parabolic.get("dt", 0.01))
-    s_max = float(cfg.parabolic.get("s_max", 100.0))
-    verdict_tol = float(cfg.parabolic.get("verdict_tol", 1e-4))
+    dt = float(cfg.parabolic["dt"])
+    s_max = float(cfg.parabolic["s_max"])
+    verdict_tol = float(cfg.parabolic["verdict_tol"])
     u0 = _initial_field(cfg, op, pair, spec)
     res = longtime_classify(op, spec, u0, dt, s_max, verdict_tol, eigenpair=pair)
     stride = max(1, res.times.size // 2000)
@@ -357,10 +371,10 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
 def run_mc_check(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
     st = cfg.stochastic
-    n_paths = int(st.get("n_paths", 20000))
-    dt_path = float(st.get("dt_path", 0.01))
-    seed = int(st.get("seed", 0))
-    x0 = float(st.get("x0", 0.0))
+    n_paths = int(st["n_paths"])
+    dt_path = float(st["dt_path"])
+    seed = int(st["seed"])
+    x0 = float(st["x0"])
     sampler = SubordinatorSampler(cfg.symbol)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -382,12 +396,12 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         est = mc_green(
             sampler, op.grid.interval, lambda x: np.ones_like(x), x0,
             n_paths, dt_path, seed + 1,
-            horizon=float(st.get("horizon", 64.0)), n_workers=args.workers,
+            horizon=float(st["horizon"]), n_workers=args.workers,
         )
         summary["green_mc"] = est.as_dict()
         summary["green_deterministic"] = float(det[node])
-        t_max = float(st.get("t_max", 3.0))
-        n_t = int(st.get("n_t", 12))
+        t_max = float(st["t_max"])
+        n_t = int(st["n_t"])
         t_grid = np.linspace(t_max / n_t, t_max, n_t)
         fit = survival_lambda1(
             sampler, op.grid.interval, x0, t_grid, n_paths, dt_path, seed + 2,
@@ -409,7 +423,7 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         rows = []
         for p in range(min(1000, n_paths)):
             path = simulate_killed_path(tracer, x0, dt_path,
-                                        float(st.get("horizon", 64.0)),
+                                        float(st["horizon"]),
                                         (cfg.grid.x_left, cfg.grid.x_right)
                                         if cfg.grid else (-1.0, 1.0))
             for k, pos in enumerate(path.positions):
@@ -513,8 +527,11 @@ def main(argv=None) -> int:
             "package_version": __version__,
             "numpy_version": np.__version__,
             "scipy_version": scipy.__version__,
-            "seed": cfg.stochastic.get("seed"),
+            "seed": cfg.raw.get("stochastic", {}).get("seed"),
             "workers": args.workers,
+            # data bytes repeat exactly only at a fixed BLAS thread count
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "solvers": out.solvers,
             "elapsed_seconds": round(time.time() - started, 3),
             "created_unix": round(started, 3),
         }

@@ -260,6 +260,21 @@ def build_reaction(block: dict, lam1: float | None = None) -> ReactionSpec:
     return ReactionSpec(a=a, c=c, f=f, h=h)
 
 
+# The keys of the blocks that only the subcommands read, with their defaults:
+# load_config rejects any other key and fills in the defaults, so a key is
+# declared here once and read as ``cfg.<block>[key]``.
+BLOCK_DEFAULTS = {
+    "solver": {"tol": 1e-10, "moment_h": 0.01, "moment_R": 10.0},
+    "scan": {"c_max": None, "rel_tol": 1e-3, "ladder": 4},
+    "parabolic": {"dt": 0.01, "horizon": 1.0, "snapshot_times": None, "s_max": 100.0,
+                  "verdict_tol": 1e-4, "u0": {"kind": "eigenfunction", "scale": 0.01}},
+    "stochastic": {"n_paths": 20000, "dt_path": 0.01, "seed": 0, "x0": 0.0,
+                   "horizon": 64.0, "t_max": 3.0, "n_t": 12},
+}
+# an explicit u0 table defaults to unit scale
+U0_DEFAULTS = {"kind": "eigenfunction", "scale": 1.0}
+
+
 @dataclass
 class RunConfig:
     """Validated configuration for one CLI run."""
@@ -270,12 +285,11 @@ class RunConfig:
     far_cutoff: float | None = None
     kernel: LevyKernel | None = None
     problem: dict | None = None
-    solver: dict = field(default_factory=dict)
-    parabolic: dict = field(default_factory=dict)
-    stochastic: dict = field(default_factory=dict)
-    scan: dict = field(default_factory=dict)
+    solver: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["solver"]))
+    parabolic: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["parabolic"]))
+    stochastic: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["stochastic"]))
+    scan: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["scan"]))
     output_dir: str = "out"
-    formats: tuple = ("csv", "json")
 
     @property
     def digest(self) -> str:
@@ -283,7 +297,7 @@ class RunConfig:
 
     @property
     def tol(self) -> float:
-        return float(self.solver.get("tol", 1e-10))
+        return float(self.solver["tol"])
 
     def reaction(self, lam1: float | None = None) -> ReactionSpec:
         if self.problem is None:
@@ -291,19 +305,44 @@ class RunConfig:
         return build_reaction(self.problem, lam1)
 
 
-_KNOWN_BLOCKS = {
-    "symbol", "domain", "discretization", "kernel", "problem", "solver",
-    "parabolic", "stochastic", "scan", "output",
+# The keys of the blocks read above by the build_* functions.
+_BUILT_KEYS = {
+    "symbol": {"kind", "alpha", "beta", "m"},
+    "domain": {"left", "right", "n"},
+    "discretization": {"n", "far_cutoff"},
+    "kernel": {"mode", "normalization"},
+    "problem": {"a", "a_rel", "c", "f", "h"},
+    "output": {"directory"},
 }
+_NESTED_KEYS = {
+    ("problem", "f"): {"kind", "b", "p"},
+    ("problem", "h"): {"kind", "h0", "q"},
+    ("parabolic", "u0"): set(U0_DEFAULTS),
+}
+
+
+def _reject_unknown_keys(block: dict, allowed, where: str):
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def load_config(text: str) -> RunConfig:
     raw = parse_config_text(text)
-    unknown = set(raw) - _KNOWN_BLOCKS
+    known = {**_BUILT_KEYS, **BLOCK_DEFAULTS}
+    unknown = set(raw) - set(known)
     if unknown:
         raise ConfigurationError(f"unknown config blocks: {sorted(unknown)}")
     if "symbol" not in raw:
         raise ConfigurationError("config needs a symbol block")
+    for name, block in raw.items():
+        if not isinstance(block, dict):
+            raise ConfigurationError(f"{name} block must be a table")
+        _reject_unknown_keys(block, known[name], f"the {name} block")
+    for (name, key), allowed in _NESTED_KEYS.items():
+        inner = raw.get(name, {}).get(key)
+        if isinstance(inner, dict):
+            _reject_unknown_keys(inner, allowed, f"{name}.{key}")
     symbol = build_symbol(raw["symbol"])
     kernel = build_kernel(symbol, raw.get("kernel"))
     grid = None
@@ -313,12 +352,13 @@ def load_config(text: str) -> RunConfig:
     problem = raw.get("problem")
     if problem is not None:
         build_reaction(problem, lam1=1.0)  # validate shape now; a_rel resolved later
-    out = raw.get("output", {})
-    solver = raw.get("solver", {})
-    for key, block in (("solver", solver), ("parabolic", raw.get("parabolic", {})),
-                       ("stochastic", raw.get("stochastic", {})), ("scan", raw.get("scan", {}))):
-        if not isinstance(block, dict):
-            raise ConfigurationError(f"{key} block must be a table")
+    blocks = {name: {**defaults, **raw.get(name, {})}
+              for name, defaults in BLOCK_DEFAULTS.items()}
+    u0 = raw.get("parabolic", {}).get("u0")
+    if u0 is not None:
+        if not isinstance(u0, dict):
+            raise ConfigurationError("parabolic.u0 must be a table")
+        blocks["parabolic"]["u0"] = {**U0_DEFAULTS, **u0}
     return RunConfig(
         raw=raw,
         symbol=symbol,
@@ -326,12 +366,8 @@ def load_config(text: str) -> RunConfig:
         far_cutoff=far,
         kernel=kernel,
         problem=problem,
-        solver=solver,
-        parabolic=raw.get("parabolic", {}),
-        stochastic=raw.get("stochastic", {}),
-        scan=raw.get("scan", {}),
-        output_dir=str(out.get("directory", "out")),
-        formats=tuple(out.get("formats", ["csv", "json"])),
+        output_dir=str(raw.get("output", {}).get("directory", "out")),
+        **blocks,
     )
 
 

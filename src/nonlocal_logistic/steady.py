@@ -3,9 +3,11 @@
 Solves ``A u = a u - f(x, u) - c h(x, u)`` on the interior nodes (zero
 exterior), where f is a crowding term from a catalog and h a harvesting
 term.  Provides the monotone sub/supersolution iteration, the pure
-logistic solve, the maximal harvested branch by downward iteration, the
-small branch by Newton continuation in c, the critical-harvest scan, and
-linearized stability indices.
+logistic solve, the maximal harvested branch by monotone Newton descent
+from the harvest-free state (Ortega & Rheinboldt 1970, sec. 13.3) with the
+shifted relaxation as its fallback near the fold, the small branch by
+Newton continuation in c (from zero, or from an earlier point of the
+branch), the critical-harvest scan, and linearized stability indices.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .operator import OperatorMatrix, green_solve
 from .spectral import EigenPair, principal_eigenpair
 
 BRANCHES = ("logistic", "maximal", "small", "none")
+
+# Newton steps of the maximal descent before the relaxation takes over; away
+# from the fold the descent converges in well under this many
+NEWTON_DESCENT_CAP = 50
 
 
 def _field(v) -> np.ndarray | float:
@@ -198,17 +204,22 @@ class SteadyState:
 
     ``branch`` is one of ``logistic``, ``maximal``, ``small`` (strictly
     positive solutions) or ``none`` (no positive solution accepted; u is
-    then the zero placeholder and the residual may be NaN).
+    then the zero placeholder and the residual may be NaN).  ``iterations``
+    counts all solver steps; ``newton_steps`` the Newton steps among them
+    of the maximal descent.
     """
 
     u: np.ndarray
     residual: float
     branch: str
     iterations: int
+    newton_steps: int = 0
 
 
-def _none_state(n: int, iterations: int = 0, residual: float = float("nan")) -> SteadyState:
-    return SteadyState(u=np.zeros(n), residual=residual, branch="none", iterations=iterations)
+def _none_state(n: int, iterations: int = 0, residual: float = float("nan"),
+                newton_steps: int = 0) -> SteadyState:
+    return SteadyState(u=np.zeros(n), residual=residual, branch="none", iterations=iterations,
+                       newton_steps=newton_steps)
 
 
 def _relax(
@@ -356,6 +367,51 @@ def solve_logistic(
     )
 
 
+def _newton_descent(
+    op: OperatorMatrix,
+    spec: ReactionSpec,
+    upper: np.ndarray,
+    tol: float,
+    maxiter: int,
+):
+    """Monotone Newton descent from the supersolution ``upper``.
+
+    Steps u <- u - J(u)^{-1} (A u - F(u)) with J(u) = A - diag(a - f_s(u) - c L_h),
+    L_h the harvest slope bound.  A successful Cholesky factor proves J(u)
+    an SPD Z-matrix, whose inverse is nonnegative; with f convex and the
+    harvest slope at most L_h, the step then keeps the iterate a
+    supersolution above every solution below ``upper``.  Returns
+    (u, residual, steps, outcome) with outcome ``converged``, ``negative``
+    (a node went negative: no positive solution) or ``handoff`` (the factor
+    failed near the fold, or the cap was reached).
+    """
+    harvest_bound = spec.c * spec.h.deriv_bound() if spec.c > 0 else 0.0
+    # the same noise allowance as the relaxation descent from the same start
+    slack = max(1e-12 * max(1.0, float(np.abs(upper).max())), 100.0 * tol)
+    u = upper.copy()
+    for it in range(1, maxiter + 1):
+        jac = op.matrix - np.diag(spec.a - spec.f.deriv(u) - harvest_bound)
+        try:
+            factor = cho_factor(jac)
+        except np.linalg.LinAlgError:
+            return u, float("nan"), it - 1, "handoff"
+        u_next = u - cho_solve(factor, op.matrix @ u - spec.reaction(u))
+        drift = u_next - u
+        if drift.max() > slack:
+            raise MonotonicityError(
+                f"Newton descent lost monotonicity at step {it} (worst rise {drift.max():.3e})"
+            )
+        if (u_next - upper).max() > slack:
+            raise MonotonicityError(f"Newton iterate exceeded the upper bracket at step {it}")
+        if u_next.min() < -1e3 * slack:
+            return u_next, float("nan"), it, "negative"
+        u = u_next
+        if float(np.abs(drift).max()) <= tol:
+            residual = float(np.abs(op.matrix @ u - spec.reaction(u)).max())
+            return u, residual, it, "converged"
+    return u, float("nan"), maxiter, "handoff"
+
+
 def maximal_harvest(
     op: OperatorMatrix,
     spec: ReactionSpec,
@@ -364,13 +420,20 @@ def maximal_harvest(
     eigenpair: EigenPair | None = None,
     maxiter: int = 200_000,
 ) -> SteadyState:
-    """Maximal harvested solution by downward iteration from the logistic state.
+    """Maximal harvested solution by monotone descent from the logistic state.
 
-    The harvest-free solution dominates every harvested solution, and the
-    relaxation map preserves that ordering, so the decreasing sequence
-    started there converges to the maximal fixed point.  Any iterate with
-    a negative node certifies nonexistence (the limit would dominate
-    every solution), so the descent exits early with branch ``none``.
+    The harvest-free solution dominates every harvested solution.  The
+    descent from it is monotone Newton (see :func:`_newton_descent`): exact
+    Newton for constant yield, a chord step with the harvest slope bound
+    for saturating harvest, each step keeping the iterate a supersolution
+    above every solution.  When the Jacobian factor fails (only near or past
+    the fold) or after ``NEWTON_DESCENT_CAP`` steps, the Lipschitz-shifted
+    relaxation continues from the current iterate; it preserves the same
+    ordering, so either way the decreasing sequence converges to the
+    maximal fixed point.  Any iterate with a negative node certifies
+    nonexistence (the limit would dominate every solution), so the descent
+    exits early with branch ``none``.  ``iterations`` counts Newton and
+    relaxation steps together; ``newton_steps`` the former.
     """
     pair = eigenpair if eigenpair is not None else principal_eigenpair(op)
     if v_a is None:
@@ -378,14 +441,21 @@ def maximal_harvest(
                              eigenpair=pair, maxiter=maxiter)
     if v_a.branch == "none":
         return _none_state(op.n)
-    theta = spec.theta_for(float(v_a.u.max()))
-    u, residual, it, went_negative = _relax(
-        op, spec, v_a.u, theta, tol, maxiter, direction=-1,
-        lower=None, upper=v_a.u, stop_on_negative=True,
+    u, residual, newton, outcome = _newton_descent(
+        op, spec, v_a.u, tol, min(NEWTON_DESCENT_CAP, maxiter - 1)
     )
+    relaxed, went_negative = 0, outcome == "negative"
+    if outcome == "handoff":
+        theta = spec.theta_for(float(v_a.u.max()))
+        u, residual, relaxed, went_negative = _relax(
+            op, spec, u, theta, tol, maxiter - newton, direction=-1,
+            lower=None, upper=v_a.u, stop_on_negative=True,
+        )
+    it = newton + relaxed
     if went_negative or u.min() <= 0:
-        return _none_state(op.n, iterations=it)
-    return SteadyState(u=u, residual=residual, branch="maximal", iterations=it)
+        return _none_state(op.n, iterations=it, newton_steps=newton)
+    return SteadyState(u=u, residual=residual, branch="maximal", iterations=it,
+                       newton_steps=newton)
 
 
 def _newton(
@@ -430,21 +500,28 @@ def small_branch(
     tol: float = 1e-10,
     n_steps: int = 20,
     newton_cap: int = 40,
+    start: tuple[float, np.ndarray] | None = None,
 ) -> SteadyState:
-    """Small-amplitude branch by Newton continuation in c from (0, 0).
+    """Small-amplitude branch by Newton continuation in c.
 
-    Steps the harvest intensity from 0 to spec.c in ``n_steps`` increments,
-    re-solving with the previous solution as predictor; a failed or
-    singular Newton solve halves the increment.  The result is labeled
-    ``small`` only when strictly positive.  The continuation naturally
-    stops at the branch fold: past it the Jacobian degenerates and the
-    step collapses, raising :class:`ContinuationError`.
+    Continues from ``start = (c0, u0)``, a solved point of the branch with
+    ``c0 <= spec.c`` (default ``(0, 0)``), to spec.c, re-solving with the
+    previous solution as predictor.  From zero the increment is
+    ``spec.c / n_steps``; from ``c0 > 0`` the first try is the whole gap,
+    which bridges consecutive samples of a scan in one step (near the fold
+    they lie close together, and further down the branch is nearly
+    linear).  A failed or singular Newton solve halves the increment.  The
+    result is labeled ``small`` only when strictly positive; ``iterations``
+    counts accepted continuation steps.  The continuation naturally stops
+    at the branch fold: past it the Jacobian degenerates and the step
+    collapses, raising :class:`ContinuationError`.
     """
     if spec.c == 0:
         return _none_state(op.n, residual=0.0)
-    u = np.zeros(op.n)
-    cur = 0.0
-    step = spec.c / n_steps
+    cur, u = (0.0, np.zeros(op.n)) if start is None else start
+    if not 0.0 <= cur <= spec.c:
+        raise ConfigurationError("small_branch start must lie in [0, c]")
+    step = spec.c / n_steps if cur == 0.0 else spec.c - cur
     total_newton = 0
     while cur < spec.c - 1e-15 * spec.c:
         c_try = min(cur + step, spec.c)

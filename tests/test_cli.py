@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_logistic.cli import main
+from nonlocal_logistic.cli import SUBCOMMANDS, main
 
 BASE = """
 symbol = {{ kind = "fractional", alpha = 1.0 }}
@@ -94,6 +94,16 @@ class TestValidation:
         assert (override / "eigen.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_misspelled_block_key_exits_2_with_error_log_only(self, tmp_path):
+        extra = "stochastic = { n_paths = 2000, dt_paht = 0.05, seed = 3 }"
+        code, outdir = run_cli(tmp_path, "mc-check", extra=extra, name="typo",
+                               args=("--output", str(tmp_path / "typo")))
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1
+        assert "ConfigurationError" in log[0] and "dt_paht" in log[0]
+
     def test_scan_error_exits_3(self, tmp_path):
         # c_max inside the existence region: the scan reports it numerically
         extra = (
@@ -136,6 +146,28 @@ class TestBifurcate:
         assert all(not flags[i + 1] or flags[i] for i in range(len(flags) - 1))
         summary = json.loads((outdir / "bifurcation.json").read_text())
         assert summary["bracket_lo"] < summary["c_star"] < summary["bracket_hi"]
+
+    def test_manifest_records_solver_work(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        extra = (
+            'problem = { a_rel = 1.05, c = 1.0, f = { kind = "quadratic" }, '
+            'h = { kind = "constant_yield", h0 = 1.0 } }\n'
+            'scan = { c_max = 0.2, rel_tol = 0.01, ladder = 2 }'
+        )
+        code, outdir = run_cli(tmp_path, "bifurcate", extra=extra)
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["blas_threads"]["MKL_NUM_THREADS"] is None
+        solvers = manifest["solvers"]
+        rows = (outdir / "bifurcation.csv").read_text().splitlines()[1:]
+        assert solvers["scan_probes"] == len(rows)
+        assert solvers["descent_newton_steps"] > 0
+        assert solvers["descent_relaxation_steps"] >= 0
+        # one 20-step continuation from zero, then a few steps per further sample
+        existing = sum(r.split(",")[1] == "true" for r in rows)
+        assert 20 <= solvers["small_branch_steps"] < 20 * existing
 
 
 class TestParabolicCommands:
@@ -221,3 +253,26 @@ class TestOtherCommands:
         assert summary["phi1_ratio_min"] > 0
         assert summary["steady_ratio_min"] > 0
         assert summary["torsion_v_modulus"] > 0
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _claimed_runs():
+    """(config, subcommand) for every subcommand a shipped config's header names."""
+    runs = []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        claims = [line.split(":", 1)[1] for line in path.read_text().splitlines()
+                  if line.startswith("# Subcommands:")]
+        assert len(claims) == 1, f"{path.name} names no subcommands in its header"
+        runs += [(path.name, sub.strip()) for sub in claims[0].split(",")]
+    return runs
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("config, subcommand", _claimed_runs())
+    def test_runs_every_claimed_subcommand(self, tmp_path, config, subcommand):
+        assert subcommand in SUBCOMMANDS
+        code = main([subcommand, "--config", str(CONFIGS / config),
+                     "--output", str(tmp_path / "out"), "--workers", "1"])
+        assert code == 0

@@ -2,6 +2,7 @@ import pytest
 
 from nonlocal_logistic import ConfigurationError
 from nonlocal_logistic.config import (
+    BLOCK_DEFAULTS,
     build_initial_field,
     config_digest,
     load_config,
@@ -16,7 +17,8 @@ domain = { left = -1.0, right = 1.0, n = 63 }
 discretization = { far_cutoff = 4.0 }
 problem = { a_rel = 2.0, c = 0.0, f = { kind = "quadratic", b = 1.0 } }
 solver = { tol = 1e-10 }
-output = { directory = "out", formats = ["csv", "json"] }
+parabolic = { snapshot_times = [0.0, 1.0] }
+output = { directory = "out" }
 """
 
 
@@ -24,7 +26,7 @@ def test_parse_sample():
     cfg = parse_config_text(SAMPLE)
     assert cfg["symbol"]["kind"] == "fractional"
     assert cfg["domain"]["n"] == 63
-    assert cfg["output"]["formats"] == ["csv", "json"]
+    assert cfg["parabolic"]["snapshot_times"] == [0.0, 1.0]
     assert cfg["solver"]["tol"] == 1e-10
 
 
@@ -100,3 +102,51 @@ def test_initial_field_catalog(op99, eig99):
     assert bump.max() == pytest.approx(2.0, rel=1e-2)
     with pytest.raises(ConfigurationError):
         build_initial_field("vortex", 1.0, grid)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "solver = { tol = 1e-10, tolerance = 1e-8 }",
+        "scan = { c_max = 0.2, reltol = 1e-3 }",
+        "parabolic = { dt = 0.01, horizn = 1.0 }",
+        "stochastic = { n_paths = 1000, dt_paht = 0.05 }",
+        'output = { directory = "out", dir = "elsewhere" }',
+        'output = { directory = "out", formats = ["csv", "json"] }',
+        'problem = { a_rel = 2.0, cc = 0.1 }',
+        'problem = { a_rel = 2.0, h = { kind = "saturating", qq = 0.3 } }',
+        'parabolic = { u0 = { kind = "bump", scal = 0.1 } }',
+    ],
+)
+def test_unknown_key_inside_block_rejected(block):
+    with pytest.raises(ConfigurationError, match="unknown keys"):
+        load_config('symbol = { kind = "fractional", alpha = 1.0 }\n' + block)
+
+
+def test_every_documented_key_accepted():
+    cfg = load_config(
+        SAMPLE.replace('solver = { tol = 1e-10 }',
+                       'solver = { tol = 1e-10, moment_h = 0.01, moment_R = 10.0 }')
+        .replace('parabolic = { snapshot_times = [0.0, 1.0] }',
+                 'parabolic = { dt = 0.01, horizon = 1.0, s_max = 100.0, verdict_tol = 1e-4, '
+                 'snapshot_times = [0.0, 1.0], u0 = { kind = "eigenfunction", scale = 0.01 } }')
+        + 'scan = { c_max = 0.2, rel_tol = 1e-3, ladder = 4 }\n'
+        + 'stochastic = { n_paths = 1000, dt_path = 0.01, seed = 0, x0 = 0.0, '
+          'horizon = 64.0, t_max = 3.0, n_t = 12 }\n'
+    )
+    assert cfg.scan["ladder"] == 4
+
+
+def test_block_defaults_filled_in():
+    cfg = load_config(SAMPLE)
+    assert cfg.tol == 1e-10
+    assert cfg.solver["moment_R"] == BLOCK_DEFAULTS["solver"]["moment_R"]
+    assert cfg.stochastic == BLOCK_DEFAULTS["stochastic"]
+    assert cfg.scan["c_max"] is None
+    assert cfg.parabolic["snapshot_times"] == [0.0, 1.0]
+    assert cfg.parabolic["u0"] == {"kind": "eigenfunction", "scale": 0.01}
+    assert cfg.raw["solver"] == {"tol": 1e-10}  # the digest sees only what was written
+    bump = load_config(SAMPLE.replace("snapshot_times = [0.0, 1.0]", 'u0 = { kind = "bump" }'))
+    assert bump.parabolic["u0"] == {"kind": "bump", "scale": 1.0}
+    with pytest.raises(ConfigurationError, match="u0 must be a table"):
+        load_config(SAMPLE.replace("snapshot_times = [0.0, 1.0]", 'u0 = "bump"'))

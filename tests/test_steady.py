@@ -13,11 +13,13 @@ from nonlocal_logistic import (
     maximal_harvest,
     monotone_iterate,
     newton_multistart,
+    newton_polish,
     scan_cstar,
     small_branch,
     solve_logistic,
     stability_index,
 )
+from nonlocal_logistic.steady import NEWTON_DESCENT_CAP, SteadyState, _relax
 
 
 class TestCatalog:
@@ -326,3 +328,97 @@ class TestMultistart:
             near_u1 = np.abs(u - u1.u).max() <= 1e-8
             near_u2 = np.abs(u - u2.u).max() <= 1e-8
             assert near_u1 or near_u2
+
+
+def _relaxation_only(op, spec, va, tol=1e-10):
+    """The maximal descent by Lipschitz-shifted relaxation alone, from the logistic state."""
+    theta = spec.theta_for(float(va.u.max()))
+    u, residual, it, went_negative = _relax(op, spec, va.u, theta, tol, 200_000, direction=-1,
+                                            lower=None, upper=va.u, stop_on_negative=True)
+    assert not went_negative
+    return SteadyState(u=u, residual=residual, branch="maximal", iterations=it)
+
+
+@pytest.fixture(scope="module")
+def saturating_scan(op199, eig199):
+    # at a = 2 lambda_1 the fold sits at c ~ 0.47, where c L_h makes the chord step
+    # differ visibly from exact Newton
+    spec = ReactionSpec(a=2.0 * eig199.lam, c=1.0, f=CrowdingTerm(),
+                        h=HarvestTerm("saturating", h0=1.0, q=0.5))
+    scan = scan_cstar(op199, spec, c_max=5.0, bisect_rel_tol=1e-3, sample_ladder=0,
+                      eigenpair=eig199)
+    return spec, scan
+
+
+class TestNewtonDescent:
+    def _compare(self, op, pair, spec):
+        va = solve_logistic(op, replace(spec, c=0.0, h=None), eigenpair=pair)
+        relaxed = _relaxation_only(op, spec, va)
+        reference = newton_polish(op, spec, relaxed)
+        state = maximal_harvest(op, spec, v_a=va, eigenpair=pair)
+        assert state.branch == "maximal"
+        assert np.abs(state.u - reference.u).max() <= 1e-7
+        return state, relaxed
+
+    def test_near_fold_constant_yield(self, op199, eig199, window_spec, scan):
+        spec = replace(window_spec, c=0.999 * scan.bracket[0])
+        state, relaxed = self._compare(op199, eig199, spec)
+        assert relaxed.iterations > 5_000
+        # exact Newton: quadratic convergence, no relaxation needed
+        assert state.iterations == state.newton_steps < 20
+
+    def test_saturating_chord(self, op199, eig199, saturating_scan):
+        spec, scan = saturating_scan
+        state, relaxed = self._compare(op199, eig199, replace(spec, c=0.98 * scan.bracket[0]))
+        assert state.iterations == state.newton_steps
+        assert state.iterations < relaxed.iterations / 10
+
+    def test_relaxation_takes_over_at_the_cap(self, op199, eig199, saturating_scan):
+        spec, scan = saturating_scan
+        state, relaxed = self._compare(op199, eig199, replace(spec, c=0.999 * scan.bracket[0]))
+        assert state.newton_steps == NEWTON_DESCENT_CAP
+        assert state.newton_steps < state.iterations < relaxed.iterations
+
+    def test_double_critical_none_without_monotonicity_error(self, op199, eig199, window_spec,
+                                                              scan, saturating_scan):
+        # a negative iterate, of Newton or of the relaxation after it, certifies nonexistence
+        sat_spec, sat_scan = saturating_scan
+        for spec, c_star in ((window_spec, scan.c_star), (sat_spec, sat_scan.c_star)):
+            state = maximal_harvest(op199, replace(spec, c=2.0 * c_star), eigenpair=eig199)
+            assert state.branch == "none"
+            assert np.all(state.u == 0)
+            assert 0 < state.newton_steps <= state.iterations
+
+
+class TestContinuedSmallBranch:
+    # Near the fold the Jacobian is nearly singular and a solve's error is its
+    # residual over the smallest singular value: at 1e-13 the two paths agree
+    # within 1e-9, at the shipped solver.tol = 1e-10 only within about 1e-5.
+    @pytest.mark.parametrize("tol, bound", [(1e-13, 1e-9), (1e-10, 1e-5)])
+    def test_matches_from_scratch(self, op199, window_spec, scan, tol, bound):
+        samples = [s for s in scan.samples if s.c <= 1.05 * scan.bracket[1]]
+        start, outcomes = None, []
+        for sample in samples:
+            spec = replace(window_spec, c=sample.c)
+            try:
+                scratch = small_branch(op199, spec, tol=tol)
+            except ContinuationError:
+                scratch = None
+            try:
+                continued = small_branch(op199, spec, tol=tol, start=start)
+                start = (sample.c, continued.u)
+            except ContinuationError:
+                continued = None
+            ok = [s is not None and s.branch == "small" for s in (scratch, continued)]
+            assert ok[0] == ok[1], f"c = {sample.c}"
+            outcomes.append(ok[0])
+            if ok[0]:
+                err = np.abs(continued.u - scratch.u).max() / np.abs(scratch.u).max()
+                assert err <= bound, f"c = {sample.c}"
+                if sample.c > samples[0].c:
+                    assert continued.iterations < scratch.iterations
+        assert any(outcomes) and not all(outcomes)
+
+    def test_start_outside_range_rejected(self, op199, window_spec):
+        with pytest.raises(ConfigurationError):
+            small_branch(op199, replace(window_spec, c=1e-4), start=(2e-4, np.zeros(op199.n)))
