@@ -16,8 +16,6 @@ from .bernstein import (
     ScalingReport,
     check_scaling,
     kernel_moments,
-    levy_density,
-    psi_eval,
     v_profile,
 )
 from .boundary import BoundaryBounds, RatioField, hopf_ratio, parabolic_boundary_bounds, v_modulus
@@ -38,7 +36,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .grid import Grid1D, build_grid
-from .operator import OperatorMatrix, PeriodicBox, apply, assemble, green_solve, multiplier_oracle, oracle_on_grid
+from .operator import OperatorMatrix, PeriodicBox, assemble, green_solve, multiplier_oracle, oracle_on_grid
 from .parabolic import LongtimeResult, ParabolicRun, evolve, longtime_classify, max_stable_dt
 from .spectral import EigenPair, ResolventProfile, antimaximum_profile, antimaximum_window, principal_eigenpair
 from .steady import (
@@ -68,7 +66,6 @@ from .stochastic import (
     SurvivalFit,
     feynman_kac,
     mc_green,
-    sample_increment,
     simulate_killed_path,
     survival_lambda1,
 )

@@ -181,11 +181,6 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def psi_eval(symbol: BernsteinSymbol, x) -> float:
-    """Catalog evaluation of psi(x); psi(0) = 0 for every symbol."""
-    return symbol.psi(x)
-
-
 @dataclass(frozen=True)
 class ScalingReport:
     kappa1_emp: float
@@ -387,11 +382,6 @@ class LevyKernel:
                 f"(value={val}, err={err})"
             )
         return val
-
-
-def levy_density(kernel: LevyKernel, r):
-    """Module-level alias for :meth:`LevyKernel.density`."""
-    return kernel.density(r)
 
 
 @dataclass(frozen=True)

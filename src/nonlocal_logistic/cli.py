@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .bernstein import check_scaling, kernel_moments
 from .boundary import hopf_ratio, v_modulus
-from .config import RunConfig, build_initial_field, load_config
+from .config import RunConfig, build_initial_field, load_config, parse_config_text
 from .errors import (
     ConfigurationError,
     NonlocalLogisticError,
@@ -501,15 +501,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_outdir(args, cfg: RunConfig | None) -> Path:
+def _resolve_outdir(args, config_dir: str | None) -> Path:
     if args.output:
         return Path(args.output)
     env = os.environ.get(ENV_OUTDIR)
     if env:
         return Path(env)
-    if cfg is not None:
-        return Path(cfg.output_dir)
-    return Path("out")
+    return Path(config_dir or "out")
+
+
+def _declared_outdir(text: str) -> str | None:
+    """``output.directory`` of config text that parses, if it is a string."""
+    try:
+        output = parse_config_text(text).get("output")
+    except ConfigurationError:
+        return None
+    directory = output.get("directory") if isinstance(output, dict) else None
+    return directory if isinstance(directory, str) else None
 
 
 def main(argv=None) -> int:
@@ -518,7 +526,7 @@ def main(argv=None) -> int:
     try:
         text = Path(args.config).read_text()
         cfg = load_config(text)
-        outdir = _resolve_outdir(args, cfg)
+        outdir = _resolve_outdir(args, cfg.output_dir)
         started = time.time()
         out = _HANDLERS[args.subcommand](cfg, args)
         out.jsons["manifest.json"] = {
@@ -544,7 +552,9 @@ def main(argv=None) -> int:
     except NonlocalLogisticError as exc:
         reason = f"error: {type(exc).__name__}: {exc}"
         print(reason, file=sys.stderr)
-        outdir = _resolve_outdir(args, cfg)
+        # a config that parses but fails validation still names its directory
+        outdir = _resolve_outdir(
+            args, cfg.output_dir if cfg is not None else _declared_outdir(text))
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             (outdir / "error.log").write_text(reason + "\n")

@@ -112,13 +112,6 @@ def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMat
     )
 
 
-def apply(op: OperatorMatrix, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.n,):
-        raise DimensionError(f"expected vector of length {op.n}, got shape {u.shape}")
-    return op.matrix @ u
-
-
 def green_solve(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     """Solve A u = f: the discrete Green operator.
 

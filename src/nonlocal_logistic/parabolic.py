@@ -53,6 +53,49 @@ def max_stable_dt(spec: ReactionSpec, u0_max: float) -> float:
     return 1.0 / (spec.a + spec.f.lipschitz_on(s_max))
 
 
+def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, n_steps: int,
+                caller: str):
+    """Check the inputs, then return a generator of the IMEX states.
+
+    The generator yields ``(k, w)`` for k = 0..n_steps, w the state at time
+    k dt and a fresh array every step; ``caller`` names the solver in the
+    c = 0 error.  The checks run here, before the caller's own work, and
+    the factor of I + dt A only once stepping starts.
+    """
+    if spec.c != 0:
+        raise ConfigurationError(f"{caller} requires c = 0")
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (op.n,):
+        raise DimensionError(f"u0 must have length {op.n}")
+    if np.any(u0 < 0):
+        raise ConfigurationError("u0 must be nonnegative")
+    dt_max = max_stable_dt(spec, float(u0.max()))
+    if dt > dt_max:
+        raise ConfigurationError(
+            f"dt={dt} exceeds the positivity-preserving bound {dt_max:.6g}"
+        )
+
+    def steps():
+        factor = cho_factor(np.eye(op.n) + dt * op.matrix)
+        scale = max(1.0, float(u0.max()), spec.apriori_bound())
+        w = u0.copy()
+        yield 0, w
+        for k in range(1, n_steps + 1):
+            w = cho_solve(factor, w + dt * spec.reaction(w))
+            if w.min() < -1e-12 * scale:
+                raise NumericError(
+                    f"positivity lost at step {k} (min {w.min():.3e}); internal invariant"
+                )
+            np.maximum(w, 0.0, out=w)
+            yield k, w
+
+    return steps()
+
+
+def _step_count(horizon: float, dt: float) -> int:
+    return int(np.ceil(horizon / dt - 1e-12))
+
+
 def evolve(
     op: OperatorMatrix,
     spec: ReactionSpec,
@@ -67,19 +110,8 @@ def evolve(
     within half a step of one.  The harvest term is not part of the
     parabolic suite, so the spec must carry c = 0.
     """
-    if spec.c != 0:
-        raise ConfigurationError("parabolic evolution requires c = 0")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (op.n,):
-        raise DimensionError(f"u0 must have length {op.n}")
-    if np.any(u0 < 0):
-        raise ConfigurationError("u0 must be nonnegative")
-    dt_max = max_stable_dt(spec, float(u0.max()))
-    if dt > dt_max:
-        raise ConfigurationError(
-            f"dt={dt} exceeds the positivity-preserving bound {dt_max:.6g}"
-        )
-    n_steps = int(np.ceil(horizon / dt - 1e-12))
+    n_steps = _step_count(horizon, dt)
+    steps = _imex_steps(op, spec, u0, dt, n_steps, "parabolic evolution")
     if snapshot_times is None:
         snapshot_times = [0.0, n_steps * dt]
     wanted = {}
@@ -89,29 +121,17 @@ def evolve(
             raise ConfigurationError(f"snapshot time {s} is not on the step grid")
         wanted[k] = k * dt
 
-    factor = cho_factor(np.eye(op.n) + dt * op.matrix)
-    scale = max(1.0, float(u0.max()), spec.apriori_bound())
-    w = u0.copy()
     times, snaps = [], []
-    if 0 in wanted:
-        times.append(0.0)
-        snaps.append(w.copy())
-    for k in range(1, n_steps + 1):
-        w = cho_solve(factor, w + dt * spec.reaction(w))
-        if w.min() < -1e-12 * scale:
-            raise NumericError(
-                f"positivity lost at step {k} (min {w.min():.3e}); internal invariant"
-            )
-        np.maximum(w, 0.0, out=w)
+    for k, w in steps:
         if k in wanted:
             times.append(wanted[k])
-            snaps.append(w.copy())
+            snaps.append(w)
     return ParabolicRun(
         grid=op.grid,
         spec=spec,
         dt=dt,
         horizon=n_steps * dt,
-        u0=u0,
+        u0=np.asarray(u0, dtype=float),
         times=np.array(times),
         snapshots=np.array(snaps),
     )
@@ -146,18 +166,8 @@ def longtime_classify(
     tolerance; the internal steady solve is run ten times tighter to
     avoid chattering.
     """
-    if spec.c != 0:
-        raise ConfigurationError("longtime classification requires c = 0")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (op.n,):
-        raise DimensionError(f"u0 must have length {op.n}")
-    if np.any(u0 < 0):
-        raise ConfigurationError("u0 must be nonnegative")
-    dt_max = max_stable_dt(spec, float(u0.max()))
-    if dt > dt_max:
-        raise ConfigurationError(
-            f"dt={dt} exceeds the positivity-preserving bound {dt_max:.6g}"
-        )
+    n_steps = _step_count(s_max, dt)
+    steps = _imex_steps(op, spec, u0, dt, n_steps, "longtime classification")
     pair = eigenpair if eigenpair is not None else principal_eigenpair(op)
     supercritical = spec.a > pair.lam * (1.0 + 1e-12)
     steady = None
@@ -167,15 +177,11 @@ def longtime_classify(
         # solve at least two orders tighter
         steady = solve_logistic(op, spec, tol=min(1e-9, tol / 100.0), eigenpair=pair)
 
-    factor = cho_factor(np.eye(op.n) + dt * op.matrix)
-    n_steps = int(np.ceil(s_max / dt - 1e-12))
-    w = u0.copy()
     times = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
     dists = np.empty(n_steps + 1) if supercritical else None
     verdict = "undecided"
-    last = 0
-    for k in range(n_steps + 1):
+    for k, w in steps:
         times[k] = k * dt
         norms[k] = np.abs(w).max()
         if supercritical:
@@ -187,9 +193,6 @@ def longtime_classify(
         if norms[k] <= tol:
             verdict = "to_zero"
             break
-        if k < n_steps:
-            w = cho_solve(factor, w + dt * spec.reaction(w))
-            np.maximum(w, 0.0, out=w)
     sl = slice(0, last + 1)
     final = float(dists[last]) if verdict == "to_positive_steady" else float(norms[last])
     return LongtimeResult(

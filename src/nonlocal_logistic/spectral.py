@@ -61,17 +61,20 @@ def principal_eigenpair(
     eigenvector.  Stops once the residual is below ``tol`` (default
     1e-10 * ||M||_inf) and the eigenvalue increment is below 1e-12.
     """
-    m = _with_potential(op, c)
-    norm_inf = np.abs(m).sum(axis=1).max()
+    m = op.matrix if c is None else _with_potential(op, c)
+    abs_rows = np.abs(m).sum(axis=1)
     if tol is None:
-        tol = 1e-10 * norm_inf
+        tol = 1e-10 * abs_rows.max()
     diag = np.diag(m)
-    radii = np.abs(m).sum(axis=1) - np.abs(diag)
+    radii = abs_rows - np.abs(diag)
     lo = float(np.min(diag - radii))
     hi = float(np.max(diag + radii))
     shift = lo - max(1e-8, 1e-3 * (hi - lo))
-    shifted = m - shift * np.eye(op.n)
-    factor = cho_factor(shifted)
+    # one Fortran-ordered copy, factored in place: LAPACK's layout, no
+    # further n x n temporaries
+    shifted = np.array(m, order="F")
+    shifted[np.diag_indices_from(shifted)] -= shift
+    factor = cho_factor(shifted, overwrite_a=True)
 
     v = np.ones(op.n)
     v /= np.linalg.norm(v)

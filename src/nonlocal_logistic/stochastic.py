@@ -7,10 +7,13 @@ variance 2 dS.  Killing happens at the first grid time the position
 leaves the interval; the jump that overshoots is kept, sub-step
 excursions are missed, giving a documented O(dt) bias.
 
-Estimates are computed chunk by chunk with independent substreams spawned
-from the master seed and combined in fixed chunk order, so results are
-byte-identical for any worker count and fully reproducible from
-(seed, config).
+All three estimators (``mc_green``, ``feynman_kac``, ``survival_lambda1``)
+reduce over one step-major engine, :func:`_killed_steps`, that advances a
+chunk of paths together and compacts away the killed ones.  Chunks use
+independent substreams spawned from the master seed and are combined in
+fixed chunk order, so results are byte-identical for any worker count and
+fully reproducible from (seed, config).  ``simulate_killed_path`` traces a
+single path on its own and stays outside the engine (see its docstring).
 """
 
 from __future__ import annotations
@@ -27,11 +30,7 @@ from .errors import ConfigurationError, SamplerError, StatisticalPowerError
 CHUNK = 8192
 REJECTION_CAP = 1_000_000
 
-_SAMPLER_METHODS = {
-    "fractional": "stable",
-    "sum_fractional": "stable_sum",
-    "relativistic": "tilted_stable",
-}
+_SAMPLER_KINDS = {"fractional", "sum_fractional", "relativistic"}
 
 
 def _stable_oneside(rho: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -63,15 +62,11 @@ class SubordinatorSampler:
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
     def __post_init__(self):
-        if self.symbol.kind not in _SAMPLER_METHODS:
+        if self.symbol.kind not in _SAMPLER_KINDS:
             raise SamplerError(
                 f"no increment sampler for symbol kind {self.symbol.kind!r}; "
                 "use the deterministic solvers"
             )
-
-    @property
-    def method(self) -> str:
-        return _SAMPLER_METHODS[self.symbol.kind]
 
     def with_rng(self, rng: np.random.Generator) -> "SubordinatorSampler":
         return SubordinatorSampler(self.symbol, rng)
@@ -113,11 +108,6 @@ class SubordinatorSampler:
         return out
 
 
-def sample_increment(sampler: SubordinatorSampler, dt: float) -> float:
-    """One draw of the subordinator increment over dt."""
-    return float(sampler.increments(dt, 1)[0])
-
-
 @dataclass
 class KilledPath:
     """One discretized trajectory stopped on leaving the interval.
@@ -142,6 +132,17 @@ def simulate_killed_path(
     horizon: float,
     domain: tuple[float, float],
 ) -> KilledPath:
+    """Trace one path from x0 until it leaves the domain or reaches the horizon.
+
+    The draws alternate increment, Gaussian move, increment, ... along the
+    path, so consecutive calls on one sampler lay the paths out one after
+    the other in its stream.  The step-major engine draws all increments of
+    a step before all Gaussian moves and would reproduce these traces only
+    at one path per call, which costs 7 to 11 us more per step (1,000
+    alpha = 1 traces at dt_path = 0.01, 98,385 steps, on 2 cores: 2.4 to
+    2.8 s instead of 1.7 to 1.9 s); the tracer therefore keeps its own
+    scalar loop.
+    """
     xl, xr = domain
     if dt_path <= 0:
         raise ConfigurationError("dt_path must be positive")
@@ -213,6 +214,36 @@ def _combine(moments: list[tuple[float, float, int]], n_paths, seed, dt_path) ->
     )
 
 
+def _moments(vals: np.ndarray) -> tuple[float, float, int]:
+    return float(vals.sum()), float((vals ** 2).sum()), vals.size
+
+
+def _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
+    """Advance m paths from x0 together, killing each on leaving the domain.
+
+    Yields ``(k, idx, pos)`` for k = 0..n_steps while any path is alive:
+    ``idx`` holds the paths alive at time k dt and ``pos`` each path's last
+    position (for a killed path, its first position outside).  Each step
+    draws the alive paths' subordinator increments, then their Gaussian
+    moves, both from ``rng``.  Consumers read ``idx`` and ``pos`` only.
+    """
+    xl, xr = domain
+    if not (xl < x0 < xr):
+        return
+    samp = sampler.with_rng(rng)
+    pos = np.full(m, float(x0))
+    idx = np.arange(m)
+    yield 0, idx, pos
+    for k in range(1, n_steps + 1):
+        ds = samp.increments(dt, idx.size)
+        x = pos[idx] + rng.standard_normal(idx.size) * np.sqrt(2.0 * ds)
+        pos[idx] = x
+        idx = idx[(x > xl) & (x < xr)]
+        if idx.size == 0:
+            return
+        yield k, idx, pos
+
+
 def feynman_kac(
     sampler: SubordinatorSampler,
     domain: tuple[float, float],
@@ -243,35 +274,25 @@ def feynman_kac(
         raise ConfigurationError("feynman_kac requires n_paths >= 100")
     if not t < T:
         raise ConfigurationError("feynman_kac requires t < T")
-    xl, xr = domain
     span = T - t
     n_steps = max(1, int(round(span / dt_path)))
     dt = span / n_steps
 
     def chunk(rng: np.random.Generator, m: int):
-        samp = sampler.with_rng(rng)
         vals = np.zeros(m)
-        if not (xl < x0 < xr):
-            return float(vals.sum()), float((vals ** 2).sum()), m
-        pos = np.full(m, float(x0))
         exp_pot = np.ones(m)
-        idx = np.arange(m)
-        for k in range(n_steps):
-            s_k = k * dt
+        for k, idx, pos in _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
             x = pos[idx]
+            if k == n_steps:  # alive at the horizon: terminal datum
+                if g is not None:
+                    vals[idx] += exp_pot[idx] * np.asarray(g(x), dtype=float)
+                continue
+            s_k = t + k * dt
             if ell is not None:
-                vals[idx] += exp_pot[idx] * np.asarray(ell(x, t + s_k), dtype=float) * dt
+                vals[idx] += exp_pot[idx] * np.asarray(ell(x, s_k), dtype=float) * dt
             if vpot is not None:
-                exp_pot[idx] *= np.exp(np.asarray(vpot(x, t + s_k), dtype=float) * dt)
-            ds = samp.increments(dt, idx.size)
-            x = x + rng.standard_normal(idx.size) * np.sqrt(2.0 * ds)
-            pos[idx] = x
-            idx = idx[(x > xl) & (x < xr)]
-            if idx.size == 0:
-                break
-        if g is not None and idx.size:
-            vals[idx] += exp_pot[idx] * np.asarray(g(pos[idx]), dtype=float)
-        return float(vals.sum()), float((vals ** 2).sum()), m
+                exp_pot[idx] *= np.exp(np.asarray(vpot(x, s_k), dtype=float) * dt)
+        return _moments(vals)
 
     moments = _run_chunks(chunk, n_paths, seed, n_workers)
     return _combine(moments, n_paths, seed, dt_path)
@@ -296,26 +317,14 @@ def mc_green(
     """
     if n_paths < 100:
         raise ConfigurationError("mc_green requires n_paths >= 100")
-    xl, xr = domain
     n_steps = int(round(horizon / dt_path))
 
     def chunk(rng: np.random.Generator, m: int):
-        samp = sampler.with_rng(rng)
         vals = np.zeros(m)
-        if not (xl < x0 < xr):
-            return float(vals.sum()), float((vals ** 2).sum()), m
-        pos = np.full(m, float(x0))
-        idx = np.arange(m)
-        for _ in range(n_steps):
-            x = pos[idx]
-            vals[idx] += np.asarray(f(x), dtype=float) * dt_path
-            ds = samp.increments(dt_path, idx.size)
-            x = x + rng.standard_normal(idx.size) * np.sqrt(2.0 * ds)
-            pos[idx] = x
-            idx = idx[(x > xl) & (x < xr)]
-            if idx.size == 0:
-                break
-        return float(vals.sum()), float((vals ** 2).sum()), m
+        for k, idx, pos in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
+            if k < n_steps:
+                vals[idx] += np.asarray(f(pos[idx]), dtype=float) * dt_path
+        return _moments(vals)
 
     moments = _run_chunks(chunk, n_paths, seed, n_workers)
     return _combine(moments, n_paths, seed, dt_path)
@@ -354,31 +363,15 @@ def survival_lambda1(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 4 or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise ConfigurationError("t_grid must be increasing, positive, with >= 4 points")
-    xl, xr = domain
     check_steps = np.round(t_grid / dt_path).astype(int)
     if np.any(np.abs(check_steps * dt_path - t_grid) > dt_path / 2 + 1e-12):
         raise ConfigurationError("t_grid points must sit on the dt_path grid")
     n_steps = int(check_steps[-1])
 
     def chunk(rng: np.random.Generator, m: int):
-        samp = sampler.with_rng(rng)
         counts = np.zeros(t_grid.size, dtype=np.int64)
-        if not (xl < x0 < xr):
-            return counts
-        pos = np.full(m, float(x0))
-        idx = np.arange(m)
-        mark = 0
-        for k in range(1, n_steps + 1):
-            ds = samp.increments(dt_path, idx.size)
-            x = pos[idx] + rng.standard_normal(idx.size) * np.sqrt(2.0 * ds)
-            pos[idx] = x
-            idx = idx[(x > xl) & (x < xr)]
-            while mark < t_grid.size and check_steps[mark] == k:
-                counts[mark] = idx.size
-                mark += 1
-            if idx.size == 0:
-                counts[mark:] = 0
-                break
+        for k, idx, _ in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
+            counts[check_steps == k] = idx.size
         return counts
 
     counts = sum(_run_chunks(chunk, n_paths, seed, n_workers))

@@ -10,8 +10,6 @@ from nonlocal_logistic import (
     UnsupportedKernelError,
     check_scaling,
     kernel_moments,
-    levy_density,
-    psi_eval,
     v_profile,
 )
 from nonlocal_logistic.bernstein import fractional_density_constant
@@ -31,19 +29,19 @@ CATALOG = [
 
 class TestPsiEval:
     def test_fractional_sqrt(self):
-        assert psi_eval(BernsteinSymbol("fractional", 1.0), 4.0) == pytest.approx(2.0)
+        assert BernsteinSymbol("fractional", 1.0).psi(4.0) == pytest.approx(2.0)
 
     def test_relativistic(self):
         sym = BernsteinSymbol("relativistic", 1.0, m=1.0)
-        assert psi_eval(sym, 3.0) == pytest.approx(1.0)
+        assert sym.psi(3.0) == pytest.approx(1.0)
 
     def test_sum_fractional(self):
         sym = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
-        assert psi_eval(sym, 16.0) == pytest.approx(12.0)
+        assert sym.psi(16.0) == pytest.approx(12.0)
 
     @pytest.mark.parametrize("sym", CATALOG, ids=lambda s: s.kind + str(s.alpha))
     def test_zero_at_origin(self, sym):
-        assert psi_eval(sym, 0.0) == 0.0
+        assert sym.psi(0.0) == 0.0
 
     @pytest.mark.parametrize("sym", CATALOG, ids=lambda s: s.kind + str(s.alpha))
     def test_increasing_and_concave(self, sym):
@@ -65,7 +63,7 @@ class TestPsiEval:
 
     def test_negative_x_rejected(self):
         with pytest.raises(ConfigurationError):
-            psi_eval(BernsteinSymbol("fractional", 1.0), -1.0)
+            BernsteinSymbol("fractional", 1.0).psi(-1.0)
 
 
 class TestParameterRanges:
@@ -120,16 +118,16 @@ class TestScaling:
 class TestLevyDensity:
     def test_cauchy_value(self):
         kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
-        assert levy_density(kern, 2.0) == pytest.approx(1.0 / (math.pi * 4.0), rel=1e-12)
+        assert kern.density(2.0) == pytest.approx(1.0 / (math.pi * 4.0), rel=1e-12)
 
     def test_scaled_profile_value(self):
         kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "scaled_profile")
-        assert levy_density(kern, 2.0) == pytest.approx(0.25)
+        assert kern.density(2.0) == pytest.approx(0.25)
 
     def test_sum_is_sum_of_constants(self):
         kern = LevyKernel(BernsteinSymbol("sum_fractional", 1.0, beta=1.5), "exact")
         expect = fractional_density_constant(1.0) + fractional_density_constant(1.5)
-        assert levy_density(kern, 1.0) == pytest.approx(expect, rel=1e-12)
+        assert kern.density(1.0) == pytest.approx(expect, rel=1e-12)
 
     def test_exact_unavailable_points_to_profile(self):
         with pytest.raises(UnsupportedKernelError, match="scaled_profile"):

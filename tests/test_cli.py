@@ -104,6 +104,23 @@ class TestValidation:
         assert len(log) == 1
         assert "ConfigurationError" in log[0] and "dt_paht" in log[0]
 
+    def test_rejected_config_logs_to_its_output_directory(self, tmp_path, monkeypatch):
+        # the config parses but fails validation: error.log goes to the
+        # directory it names, unless the environment variable overrides it
+        import nonlocal_logistic.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUTDIR, raising=False)
+        extra = "stochastic = { n_paths = 2000, dt_paht = 0.05, seed = 3 }"
+        Path("typo.cfg").write_text(BASE.format(extra=extra, outdir="mine"))
+        assert main(["mc-check", "--config", "typo.cfg"]) == 2
+        assert [p.name for p in Path("mine").iterdir()] == ["error.log"]
+        assert "dt_paht" in Path("mine/error.log").read_text()
+        assert not Path("out").exists()
+        monkeypatch.setenv(cli.ENV_OUTDIR, "env_out")
+        assert main(["mc-check", "--config", "typo.cfg"]) == 2
+        assert [p.name for p in Path("env_out").iterdir()] == ["error.log"]
+
     def test_scan_error_exits_3(self, tmp_path):
         # c_max inside the existence region: the scan reports it numerically
         extra = (

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import nonlocal_logistic.parabolic as parabolic
 from nonlocal_logistic import (
     ConfigurationError,
     CrowdingTerm,
+    DimensionError,
     HarvestTerm,
     ReactionSpec,
     evolve,
@@ -67,20 +69,6 @@ class TestEvolve:
         d2 = np.abs(finals[0.01] - finals[0.005]).max()
         assert 1.5 <= d1 / d2 <= 3.0
 
-    def test_dt_guard(self, op199, spec2):
-        dt_max = max_stable_dt(spec2, 1.0)
-        with pytest.raises(ConfigurationError, match="positivity"):
-            evolve(op199, spec2, np.ones(op199.n), dt=2.0 * dt_max, horizon=1.0)
-
-    def test_rejects_harvest_term(self, op199, eig199):
-        spec = ReactionSpec(a=2.0 * eig199.lam, c=0.1, f=CrowdingTerm(), h=HarvestTerm())
-        with pytest.raises(ConfigurationError):
-            evolve(op199, spec, np.zeros(op199.n), dt=0.01, horizon=0.1)
-
-    def test_negative_u0_rejected(self, op199, spec2):
-        with pytest.raises(ConfigurationError):
-            evolve(op199, spec2, -np.ones(op199.n), dt=0.01, horizon=0.1)
-
     def test_snapshot_lookup(self, op199, spec2):
         run = evolve(op199, spec2, np.zeros(op199.n), dt=0.01, horizon=0.1,
                      snapshot_times=[0.0, 0.1])
@@ -93,6 +81,44 @@ class TestEvolve:
         r1 = evolve(op199, spec2, u0, dt=0.01, horizon=0.5, snapshot_times=[0.5])
         r2 = evolve(op199, spec2, u0, dt=0.01, horizon=0.5, snapshot_times=[0.5])
         assert np.array_equal(r1.snapshots, r2.snapshots)
+
+
+def _evolve(op, spec, u0, dt):
+    return evolve(op, spec, u0, dt=dt, horizon=1.0)
+
+
+def _longtime(op, spec, u0, dt):
+    return longtime_classify(op, spec, u0, dt=dt, s_max=1.0, tol=1e-8)
+
+
+@pytest.mark.parametrize("run", [_evolve, _longtime], ids=["evolve", "longtime"])
+class TestInputGuards:
+    @pytest.fixture(autouse=True)
+    def no_solves(self, monkeypatch):
+        # every input check must fire before the eigen or steady solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver called before the input checks")
+
+        monkeypatch.setattr(parabolic, "principal_eigenpair", refuse)
+        monkeypatch.setattr(parabolic, "solve_logistic", refuse)
+
+    def test_dt_guard(self, run, op199, spec2):
+        dt_max = max_stable_dt(spec2, 1.0)
+        with pytest.raises(ConfigurationError, match="positivity"):
+            run(op199, spec2, np.ones(op199.n), 2.0 * dt_max)
+
+    def test_rejects_harvest_term(self, run, op199, eig199):
+        spec = ReactionSpec(a=2.0 * eig199.lam, c=0.1, f=CrowdingTerm(), h=HarvestTerm())
+        with pytest.raises(ConfigurationError, match="requires c = 0"):
+            run(op199, spec, np.zeros(op199.n), 0.01)
+
+    def test_negative_u0_rejected(self, run, op199, spec2):
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            run(op199, spec2, -np.ones(op199.n), 0.01)
+
+    def test_wrong_shape_rejected(self, run, op199, spec2):
+        with pytest.raises(DimensionError):
+            run(op199, spec2, np.zeros(op199.n - 1), 0.01)
 
 
 class TestLongtime:
@@ -129,3 +155,12 @@ class TestLongtime:
         res = longtime_classify(op99, spec, 0.5 * eig99.phi, dt=0.01,
                                 s_max=1.0, tol=1e-8, eigenpair=eig99)
         assert res.verdict == "undecided"
+
+    def test_follows_the_evolve_states(self, op99, eig99):
+        # both entry points step the same IMEX scheme from the same datum
+        spec = ReactionSpec(a=0.99 * eig99.lam)
+        u0 = 0.5 * eig99.phi
+        res = longtime_classify(op99, spec, u0, dt=0.01, s_max=1.0, tol=1e-8,
+                                eigenpair=eig99)
+        run = evolve(op99, spec, u0, dt=0.01, horizon=1.0, snapshot_times=[0.0, 0.5, 1.0])
+        assert np.array_equal(res.sup_norms[[0, 50, 100]], run.snapshots.max(axis=1))

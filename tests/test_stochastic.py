@@ -16,7 +16,6 @@ from nonlocal_logistic import (
     feynman_kac,
     green_solve,
     mc_green,
-    sample_increment,
     simulate_killed_path,
     survival_lambda1,
 )
@@ -33,7 +32,8 @@ class TestIncrements:
         s = sampler_for("fractional", alpha=1.0)
         draws = s.increments(0.5, 1000)
         assert np.all(draws >= 0)
-        assert sample_increment(s, 0.5) >= 0
+        one = s.increments(0.5, 1)
+        assert one.shape == (1,) and one[0] >= 0
 
     def test_stable_scaling_law(self):
         # S_{2 dt} has the law of 2^(2/alpha) S_dt
@@ -216,6 +216,21 @@ class TestCrossRepresentation:
                               0.0, span, x0, 20_000, 0.01, seed=40 + k)
             allowance = 3.0 * est.std_error + 3.0 * (0.01 + dt)
             assert abs(est.value - w[node]) <= allowance
+
+
+class TestEngineIdentity:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_green_occupation_is_summed_survival(self, frac_sampler, workers):
+        # same seed and step: mc_green with f = 1 adds dt for every grid time
+        # k dt < 2.5 a path is alive, survival_lambda1 counts the paths alive
+        # at k dt for k >= 1; both reduce the same killed paths
+        n, dt, seed = 20_000, 0.02, 31
+        est = mc_green(frac_sampler, DOMAIN, lambda x: np.ones_like(x), 0.0,
+                       n, dt, seed, horizon=2.5, n_workers=workers)
+        fit = survival_lambda1(frac_sampler, DOMAIN, 0.0, dt * np.arange(1, 125),
+                               n, dt, seed, n_workers=workers)
+        counts = np.rint(fit.survival * n)
+        assert est.value * n == pytest.approx(dt * (n + counts.sum()), rel=1e-12)
 
 
 class TestSurvival:
