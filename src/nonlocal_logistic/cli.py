@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -368,7 +369,20 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
     return out
 
 
+def _survival_window(lam1: float, n_t: int, dt_path: float) -> float:
+    """``t_max`` when the config leaves it out: 1.5 times ``ln(10 C) / lambda_1``.
+
+    ``C = 1.2`` is the survival's prefactor at the centre of the interval, so
+    the survival ends near 0.03, below the 0.1 gate.  The window is rounded
+    up to a multiple of ``n_t * dt_path`` so every grid time is a path step.
+    """
+    blocks = math.ceil(1.5 * math.log(12.0) / lam1 / (n_t * dt_path))
+    return blocks * n_t * dt_path
+
+
 def run_mc_check(cfg: RunConfig, args) -> RunOutput:
+    if args.trace_paths and cfg.grid is None:
+        raise ConfigurationError("--trace-paths needs a domain block")
     out = RunOutput()
     st = cfg.stochastic
     n_paths = int(st["n_paths"])
@@ -400,14 +414,17 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         )
         summary["green_mc"] = est.as_dict()
         summary["green_deterministic"] = float(det[node])
-        t_max = float(st["t_max"])
+        pair = principal_eigenpair(op, tol=cfg.tol)
         n_t = int(st["n_t"])
+        if st["t_max"] is None:
+            t_max = summary["t_max_derived"] = _survival_window(pair.lam, n_t, dt_path)
+        else:
+            t_max = float(st["t_max"])
         t_grid = np.linspace(t_max / n_t, t_max, n_t)
         fit = survival_lambda1(
             sampler, op.grid.interval, x0, t_grid, n_paths, dt_path, seed + 2,
             n_workers=args.workers,
         )
-        pair = principal_eigenpair(op, tol=cfg.tol)
         summary["lambda1_hat"] = fit.lambda1_hat
         summary["lambda1_spectral"] = pair.lam
         out.csvs["survival.csv"] = (
@@ -422,10 +439,8 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         )
         rows = []
         for p in range(min(1000, n_paths)):
-            path = simulate_killed_path(tracer, x0, dt_path,
-                                        float(st["horizon"]),
-                                        (cfg.grid.x_left, cfg.grid.x_right)
-                                        if cfg.grid else (-1.0, 1.0))
+            path = simulate_killed_path(tracer, x0, dt_path, float(st["horizon"]),
+                                        cfg.grid.interval)
             for k, pos in enumerate(path.positions):
                 rows.append((p, k * dt_path, pos))
         out.csvs["path_traces.csv"] = (["path", "t", "x"], rows)
@@ -488,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="config file (key/table grammar or JSON)")
+        p.add_argument("--config", required=True, help="config file (TOML or JSON)")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="worker count for Monte Carlo chunks; results are "

@@ -1,27 +1,27 @@
-"""Run configuration: plain-text grammar, JSON fallback, validation, builders.
+"""Run configuration: TOML with a JSON fallback, validation, builders.
 
-Grammar (one assignment per line, ``#`` starts a comment)::
-
-    key = value
-    value := number | "string" | true | false
-           | [ value, value, ... ]
-           | { key = value, key = value, ... }
-
-Example::
+Configs are TOML, read by the standard library's ``tomllib`` (Python 3.11
+or later).  Blocks are tables, written inline or under a header::
 
     symbol = { kind = "fractional", alpha = 1.0 }
     domain = { left = -1.0, right = 1.0, n = 199 }
 
-Files whose first non-blank character is ``{`` are parsed as JSON with
-the same block structure.  Every block is validated before any
-computation starts; invalid configs never produce partial outputs.
+    [stochastic]
+    n_paths = 20000
+    dt_path = 0.01
+
+A repeated key or block is a syntax error.  Files whose first non-blank
+character is ``{`` are parsed as JSON with the same block structure.
+Every block is validated before any computation starts; invalid configs
+never produce partial outputs.  ``stochastic.t_max``, when absent, is
+derived by ``mc-check`` from the principal eigenvalue.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
+import tomllib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,119 +31,9 @@ from .errors import ConfigurationError
 from .grid import Grid1D, build_grid
 from .steady import CrowdingTerm, HarvestTerm, ReactionSpec
 
-_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<bool>true|false)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_-]*)
-      | (?P<punct>[=\[\]{},])
-    )""",
-    re.VERBOSE,
-)
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    prev = ""
-    for ch in line:
-        if ch == '"' and prev != "\\":
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-        prev = ch
-    return "".join(out)
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN.match(line, pos)
-            if m is None:
-                raise ConfigurationError(f"config syntax error near: {line[pos:pos+40]!r}")
-            tokens.append(m.group(0).strip())
-            pos = m.end()
-        tokens.append("\n")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = [t for t in tokens]
-        self.i = 0
-
-    def peek(self):
-        while self.i < len(self.toks) and self.toks[self.i] == "\n":
-            self.i += 1
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ConfigurationError("unexpected end of config")
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.next()
-        if got != t:
-            raise ConfigurationError(f"expected {t!r}, got {got!r}")
-
-    def parse_document(self) -> dict:
-        out = {}
-        while self.peek() is not None:
-            key = self.next()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", key):
-                raise ConfigurationError(f"invalid key {key!r}")
-            self.expect("=")
-            out[key] = self.parse_value()
-        return out
-
-    def parse_value(self):
-        t = self.next()
-        if t == "{":
-            table = {}
-            if self.peek() == "}":
-                self.next()
-                return table
-            while True:
-                key = self.next()
-                self.expect("=")
-                table[key] = self.parse_value()
-                sep = self.next()
-                if sep == "}":
-                    return table
-                if sep != ",":
-                    raise ConfigurationError(f"expected ',' or '}}' in table, got {sep!r}")
-        if t == "[":
-            items = []
-            if self.peek() == "]":
-                self.next()
-                return items
-            while True:
-                items.append(self.parse_value())
-                sep = self.next()
-                if sep == "]":
-                    return items
-                if sep != ",":
-                    raise ConfigurationError(f"expected ',' or ']' in list, got {sep!r}")
-        if t.startswith('"'):
-            return json.loads(t)
-        if t in ("true", "false"):
-            return t == "true"
-        try:
-            return int(t) if re.fullmatch(r"[+-]?\d+", t) else float(t)
-        except ValueError:
-            raise ConfigurationError(f"invalid value {t!r}") from None
-
 
 def parse_config_text(text: str) -> dict:
-    """Parse the key/table grammar, or JSON when the text starts with '{'."""
+    """Parse TOML, or JSON when the text starts with '{'."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -153,7 +43,10 @@ def parse_config_text(text: str) -> dict:
         if not isinstance(out, dict):
             raise ConfigurationError("JSON config must be an object")
         return out
-    return _Parser(_tokenize(text)).parse_document()
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigurationError(f"config syntax error: {exc}") from exc
 
 
 def config_digest(cfg: dict) -> str:
@@ -269,7 +162,7 @@ BLOCK_DEFAULTS = {
     "parabolic": {"dt": 0.01, "horizon": 1.0, "snapshot_times": None, "s_max": 100.0,
                   "verdict_tol": 1e-4, "u0": {"kind": "eigenfunction", "scale": 0.01}},
     "stochastic": {"n_paths": 20000, "dt_path": 0.01, "seed": 0, "x0": 0.0,
-                   "horizon": 64.0, "t_max": 3.0, "n_t": 12},
+                   "horizon": 64.0, "t_max": None, "n_t": 12},
 }
 # an explicit u0 table defaults to unit scale
 U0_DEFAULTS = {"kind": "eigenfunction", "scale": 1.0}

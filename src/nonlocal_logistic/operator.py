@@ -44,16 +44,11 @@ from .grid import Grid1D
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Assembled operator with its audit data; treat as immutable."""
+    """Assembled operator on its grid; treat as immutable."""
 
     grid: Grid1D
     kernel: LevyKernel
     matrix: np.ndarray = field(repr=False)
-    far_cutoff: float
-    tail_radius: float
-    sigma2_local: float
-    tail_mass: float
-    cell_weights: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -90,8 +85,7 @@ def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMat
     edges = (np.arange(n_cells + 1) + 0.5) * h
     weights = kernel.cell_second_moments(edges) / (k * h) ** 2
     sigma2 = kernel.sigma2_local(h / 2.0)
-    tail_radius = edges[-1]
-    tail = kernel.tail_mass(tail_radius)
+    tail = kernel.tail_mass(edges[-1])
 
     s = sigma2 / (2.0 * h * h)
     col = np.zeros(n)
@@ -99,17 +93,7 @@ def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMat
     m = min(n_cells, n - 1)
     col[1 : m + 1] = -weights[:m]
     col[1] -= s
-    matrix = toeplitz(col)
-    return OperatorMatrix(
-        grid=grid,
-        kernel=kernel,
-        matrix=matrix,
-        far_cutoff=far_cutoff,
-        tail_radius=tail_radius,
-        sigma2_local=sigma2,
-        tail_mass=tail,
-        cell_weights=weights,
-    )
+    return OperatorMatrix(grid=grid, kernel=kernel, matrix=toeplitz(col))
 
 
 def green_solve(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:

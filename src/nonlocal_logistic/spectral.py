@@ -22,6 +22,8 @@ from .errors import (
 )
 from .operator import OperatorMatrix
 
+STALL_ITERS = 100  # iterations without a new best residual before giving up
+
 
 @dataclass
 class EigenPair:
@@ -79,6 +81,7 @@ def principal_eigenpair(
     v = np.ones(op.n)
     v /= np.linalg.norm(v)
     lam_prev = np.inf
+    best, best_it = np.inf, 0
     for it in range(1, maxiter + 1):
         w = cho_solve(factor, v)
         w /= np.linalg.norm(w)
@@ -88,6 +91,13 @@ def principal_eigenpair(
         if residual <= tol and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
             break
         lam_prev = lam
+        if residual < best:
+            best, best_it = residual, it
+        elif it - best_it >= STALL_ITERS:
+            raise ConvergenceError(
+                f"inverse iteration stalled at its rounding floor: best residual "
+                f"{best:.3e} against tol {tol:.3e}, no decrease in {STALL_ITERS} iterations"
+            )
     else:
         raise ConvergenceError(
             f"inverse iteration hit the cap {maxiter} (last residual {residual:.3e})"

@@ -1,4 +1,6 @@
 import json
+import math
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +233,7 @@ class TestMcCheck:
         summary = json.loads((outdir / "mc_check.json").read_text())
         assert summary["green_mc"]["n_paths"] == 4000
         assert summary["lambda1_spectral"] > 0
+        assert "t_max_derived" not in summary  # t_max was set
         assert (outdir / "laplace_check.csv").exists()
         assert (outdir / "survival.csv").exists()
 
@@ -252,6 +255,19 @@ class TestMcCheck:
             ts = np.array([t for t, _ in trace])
             assert trace[0] == (0.0, 0.0)
             assert np.diff(ts) == pytest.approx(0.05, rel=1e-12)
+
+    def test_trace_paths_needs_domain(self, tmp_path):
+        outdir = tmp_path / "nodomain"
+        cfg = tmp_path / "nodomain.cfg"
+        cfg.write_text(
+            'symbol = { kind = "fractional", alpha = 1.0 }\n'
+            "stochastic = { n_paths = 200, dt_path = 0.05, seed = 9, x0 = 0.5 }\n"
+        )
+        code = main(["mc-check", "--config", str(cfg), "--output", str(outdir),
+                     "--trace-paths"])
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        assert "--trace-paths needs a domain block" in (outdir / "error.log").read_text()
 
 
 class TestOtherCommands:
@@ -293,3 +309,26 @@ class TestShippedConfigs:
         code = main([subcommand, "--config", str(CONFIGS / config),
                      "--output", str(tmp_path / "out"), "--workers", "1"])
         assert code == 0
+
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+    def test_derived_survival_window(self, tmp_path, config):
+        # the shipped symbol and stochastic block without t_max, on fewer
+        # paths and a coarser grid: mc-check derives the window from lambda_1
+        raw = tomllib.loads((CONFIGS / config).read_text())
+        del raw["stochastic"]["t_max"]
+        raw["stochastic"]["n_paths"] = 4000
+        raw["domain"]["n"] = 63
+        path = tmp_path / "derived.json"
+        path.write_text(json.dumps(raw))
+        outdir = tmp_path / "out"
+        code = main(["mc-check", "--config", str(path), "--output", str(outdir),
+                     "--workers", "1"])
+        assert code == 0  # the 0.1 and 50-survivor gates passed
+        summary = json.loads((outdir / "mc_check.json").read_text())
+        t_max = summary["t_max_derived"]
+        block = raw["stochastic"]["n_t"] * raw["stochastic"]["dt_path"]
+        rule = 1.5 * math.log(12.0) / summary["lambda1_spectral"]
+        assert rule <= t_max < rule + block
+        assert t_max / block == pytest.approx(round(t_max / block), abs=1e-9)
+        last = (outdir / "survival.csv").read_text().splitlines()[-1].split(",")
+        assert float(last[0]) == pytest.approx(t_max, rel=1e-12)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from nonlocal_logistic import ConfigurationError
@@ -50,11 +53,36 @@ def test_digest_stable_under_key_order():
         "symbol { kind = \"fractional\" }",  # missing equals
         "symbol = [1, ",  # unterminated list
         "= 3",
+        "solver = { tol = 1e-10, tol = 1e-6 }",  # repeated key
+        "solver = { tol = 1e-10 }\nsolver = { tol = 1e-6 }",  # repeated block
     ],
 )
 def test_syntax_errors(bad):
     with pytest.raises(ConfigurationError):
         parse_config_text(bad)
+
+
+def test_syntax_error_names_line_and_column():
+    with pytest.raises(ConfigurationError, match=r"line 2, column"):
+        parse_config_text('symbol = { kind = "fractional" }\nsolver { tol = 1e-10 }')
+
+
+def test_string_ending_in_backslash_before_comment():
+    assert parse_config_text('output = { directory = "a\\\\" }  # c') == {
+        "output": {"directory": "a\\"}
+    }
+
+
+def test_readme_example_loads():
+    # the documented example is the one fenced toml block of the README
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```toml\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    cfg = load_config(blocks[0])
+    assert cfg.grid.n_interior == 199
+    assert cfg.reaction(lam1=1.0).h.kind == "constant_yield"
+    assert cfg.parabolic["u0"] == {"kind": "eigenfunction", "scale": 0.01}
+    assert cfg.stochastic["n_t"] == 12
 
 
 def test_load_config_validates_blocks():

@@ -5,6 +5,7 @@ from scipy.linalg import eigh
 from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
+    ConvergenceError,
     LevyKernel,
     SpectralProximityError,
     antimaximum_profile,
@@ -75,6 +76,12 @@ class TestPrincipalEigenpair:
 
     def test_even_symmetry(self, eig199):
         assert np.abs(eig199.phi - eig199.phi[::-1]).max() < 1e-8
+
+    def test_tolerance_below_rounding_floor_fails_fast(self, op399):
+        # the residual bottoms out near 3e-13 at n = 399: a stalled run must
+        # raise well before the iteration cap, naming the floor it reached
+        with pytest.raises(ConvergenceError, match=r"rounding floor: best residual \d"):
+            principal_eigenpair(op399, tol=1e-13, maxiter=500)
 
 
 class TestAntimaximum:
