@@ -232,8 +232,6 @@ def v_profile(symbol: BernsteinSymbol, r):
 # Levy kernels
 # ---------------------------------------------------------------------------
 
-_EXACT_KINDS = ("fractional", "sum_fractional", "relativistic")
-
 
 @dataclass(frozen=True)
 class LevyKernel:

@@ -37,7 +37,7 @@ from .operator import assemble, green_solve
 from .parabolic import evolve, longtime_classify
 from .spectral import principal_eigenpair
 from .steady import maximal_harvest, scan_cstar, small_branch, solve_logistic, stability_index
-from .stochastic import SubordinatorSampler, mc_green, survival_lambda1
+from .stochastic import SubordinatorSampler, mc_green, survival_lambda1, survival_steps
 
 ENV_OUTDIR = "NONLOCAL_LOGISTIC_OUTDIR"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -133,8 +133,8 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
     r_grid = np.logspace(0, 6, 40)
     scaling = check_scaling(cfg.symbol, r_grid)
     b2 = cfg.kernel.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
-    h = float(cfg.solver["moment_h"])
-    big_r = float(cfg.solver["moment_R"])
+    h = cfg.solver["moment_h"]
+    big_r = cfg.solver["moment_R"]
     mom = kernel_moments(cfg.kernel, h, big_r)
     rs = np.logspace(-3, 2, 100)
     out.csvs["kernel_density.csv"] = (
@@ -238,9 +238,9 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
     if c_max is None:
         raise ConfigurationError("bifurcate needs scan.c_max")
     scan = scan_cstar(
-        op, spec, float(c_max),
-        bisect_rel_tol=float(cfg.scan["rel_tol"]),
-        sample_ladder=int(cfg.scan["ladder"]),
+        op, spec, c_max,
+        bisect_rel_tol=cfg.scan["rel_tol"],
+        sample_ladder=cfg.scan["ladder"],
         tol=cfg.tol, eigenpair=pair,
     )
     rows = []
@@ -289,7 +289,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
 
 def _initial_field(cfg: RunConfig, op, pair, spec):
     kind = cfg.parabolic["u0"]["kind"]
-    scale = float(cfg.parabolic["u0"]["scale"])
+    scale = cfg.parabolic["u0"]["scale"]
     steady = None
     if kind == "steady":
         base = solve_logistic(op, replace(spec, c=0.0, h=None), tol=cfg.tol, eigenpair=pair)
@@ -304,8 +304,8 @@ def run_evolve(cfg: RunConfig, args) -> RunOutput:
     op = _assemble_from(cfg)
     pair = principal_eigenpair(op, tol=cfg.tol)
     spec = cfg.reaction(pair.lam)
-    dt = float(cfg.parabolic["dt"])
-    horizon = float(cfg.parabolic["horizon"])
+    dt = cfg.parabolic["dt"]
+    horizon = cfg.parabolic["horizon"]
     snaps = cfg.parabolic["snapshot_times"]
     u0 = _initial_field(cfg, op, pair, spec)
     run = evolve(op, spec, u0, dt, horizon, snapshot_times=snaps)
@@ -345,9 +345,9 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
     op = _assemble_from(cfg)
     pair = principal_eigenpair(op, tol=cfg.tol)
     spec = cfg.reaction(pair.lam)
-    dt = float(cfg.parabolic["dt"])
-    s_max = float(cfg.parabolic["s_max"])
-    verdict_tol = float(cfg.parabolic["verdict_tol"])
+    dt = cfg.parabolic["dt"]
+    s_max = cfg.parabolic["s_max"]
+    verdict_tol = cfg.parabolic["verdict_tol"]
     u0 = _initial_field(cfg, op, pair, spec)
     res = longtime_classify(op, spec, u0, dt, s_max, verdict_tol, eigenpair=pair)
     stride = max(1, res.times.size // 2000)
@@ -385,10 +385,18 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         raise ConfigurationError("--trace-paths needs a domain block")
     out = RunOutput()
     st = cfg.stochastic
-    n_paths = int(st["n_paths"])
-    dt_path = float(st["dt_path"])
-    seed = int(st["seed"])
-    x0 = float(st["x0"])
+    n_paths, dt_path, seed, x0 = st["n_paths"], st["dt_path"], st["seed"], st["x0"]
+    summary = {"n_paths": n_paths, "dt_path": dt_path, "seed": seed, "x0": x0}
+    if cfg.grid is not None:
+        # the survival window is checked before any path is drawn
+        op = _assemble_from(cfg)
+        pair = principal_eigenpair(op, tol=cfg.tol)
+        n_t = st["n_t"]
+        t_max = st["t_max"]
+        if t_max is None:
+            t_max = summary["t_max_derived"] = _survival_window(pair.lam, n_t, dt_path)
+        t_grid = np.linspace(t_max / n_t, t_max, n_t)
+        survival_steps(t_grid, dt_path)
     sampler = SubordinatorSampler(cfg.symbol)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -402,25 +410,16 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         )
     out.csvs["laplace_check.csv"] = (["x", "mc", "std_error", "exact"], laplace_rows)
 
-    summary = {"n_paths": n_paths, "dt_path": dt_path, "seed": seed, "x0": x0}
     if cfg.grid is not None:
-        op = _assemble_from(cfg)
         det = green_solve(op, np.ones(op.n))
         node = int(np.argmin(np.abs(op.grid.nodes - x0)))
         est = mc_green(
             sampler, op.grid.interval, lambda x: np.ones_like(x), x0,
             n_paths, dt_path, seed + 1,
-            horizon=float(st["horizon"]), n_workers=args.workers,
+            horizon=st["horizon"], n_workers=args.workers,
         )
         summary["green_mc"] = est.as_dict()
         summary["green_deterministic"] = float(det[node])
-        pair = principal_eigenpair(op, tol=cfg.tol)
-        n_t = int(st["n_t"])
-        if st["t_max"] is None:
-            t_max = summary["t_max_derived"] = _survival_window(pair.lam, n_t, dt_path)
-        else:
-            t_max = float(st["t_max"])
-        t_grid = np.linspace(t_max / n_t, t_max, n_t)
         fit = survival_lambda1(
             sampler, op.grid.interval, x0, t_grid, n_paths, dt_path, seed + 2,
             n_workers=args.workers,
@@ -439,8 +438,7 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         )
         rows = []
         for p in range(min(1000, n_paths)):
-            path = simulate_killed_path(tracer, x0, dt_path, float(st["horizon"]),
-                                        cfg.grid.interval)
+            path = simulate_killed_path(tracer, x0, dt_path, st["horizon"], cfg.grid.interval)
             for k, pos in enumerate(path.positions):
                 rows.append((p, k * dt_path, pos))
         out.csvs["path_traces.csv"] = (["path", "t", "x"], rows)

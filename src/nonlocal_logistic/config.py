@@ -12,9 +12,10 @@ or later).  Blocks are tables, written inline or under a header::
 
 A repeated key or block is a syntax error.  Files whose first non-blank
 character is ``{`` are parsed as JSON with the same block structure.
-Every block is validated before any computation starts; invalid configs
-never produce partial outputs.  ``stochastic.t_max``, when absent, is
-derived by ``mc-check`` from the principal eigenvalue.
+``SCHEMA`` declares every block and key with its type and default;
+``load_config`` rejects unknown blocks and keys, type-checks every value
+and fills in the defaults before any computation starts, so invalid
+configs never produce partial outputs.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import BernsteinSymbol, LevyKernel, _EXACT_KINDS
-from .errors import ConfigurationError
+from .bernstein import BernsteinSymbol, LevyKernel
+from .errors import ConfigurationError, UnsupportedKernelError
 from .grid import Grid1D, build_grid
 from .steady import CrowdingTerm, HarvestTerm, ReactionSpec
 
@@ -56,133 +57,114 @@ def config_digest(cfg: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Block builders
+# Schema and block builders
 # ---------------------------------------------------------------------------
 
-
-def _get(block: dict, key: str, kind, default=None, required: bool = False):
-    if key not in block:
-        if required:
-            raise ConfigurationError(f"missing required key {key!r}")
-        return default
-    val = block[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
-        raise ConfigurationError(f"key {key!r} has wrong type {type(val).__name__}")
-    return val
-
-
-def build_symbol(block: dict) -> BernsteinSymbol:
-    if not isinstance(block, dict):
-        raise ConfigurationError("symbol block must be a table")
-    kind = _get(block, "kind", str, required=True)
-    return BernsteinSymbol(
-        kind=kind,
-        alpha=_get(block, "alpha", float, required=True),
-        beta=_get(block, "beta", float),
-        m=_get(block, "m", float),
-    )
-
-
-def symbol_to_text(symbol: BernsteinSymbol) -> str:
-    parts = [f'kind = "{symbol.kind}"', f"alpha = {symbol.alpha!r}"]
-    if symbol.beta is not None:
-        parts.append(f"beta = {symbol.beta!r}")
-    if symbol.m is not None:
-        parts.append(f"m = {symbol.m!r}")
-    return "symbol = { " + ", ".join(parts) + " }"
+# Every config key, declared once.  The config is a table of blocks; a table
+# maps each key to (type, default), where the default may be REQUIRED or None
+# (left out).  A nested table is a key whose type is a table and whose
+# default is the table used when the key is absent, filled in like a written
+# one.  A float accepts an integer, an int rejects 2.5, a number rejects a
+# boolean, and a list is a list of numbers.
+REQUIRED = object()
+SCHEMA = {
+    "symbol": ({"kind": (str, REQUIRED), "alpha": (float, REQUIRED),
+                "beta": (float, None), "m": (float, None)}, REQUIRED),
+    "domain": ({"left": (float, REQUIRED), "right": (float, REQUIRED),
+                "n": (int, REQUIRED)}, None),
+    # no far_cutoff: twice the interval width
+    "discretization": ({"far_cutoff": (float, None)}, {}),
+    "kernel": ({"mode": (str, "auto"), "normalization": (float, 1.0)}, {}),
+    "problem": ({"a": (float, None), "a_rel": (float, None), "c": (float, 0.0),
+                 "f": ({"kind": (str, "quadratic"), "b": (float, 1.0), "p": (float, 2.0)}, {}),
+                 "h": ({"kind": (str, "constant_yield"), "h0": (float, 1.0),
+                        "q": (float, 0.5)}, None)}, None),
+    "solver": ({"tol": (float, 1e-10), "moment_h": (float, 0.01), "moment_R": (float, 10.0)}, {}),
+    "scan": ({"c_max": (float, None), "rel_tol": (float, 1e-3), "ladder": (int, 4)}, {}),
+    "parabolic": ({"dt": (float, 0.01), "horizon": (float, 1.0), "snapshot_times": (list, None),
+                   "s_max": (float, 100.0), "verdict_tol": (float, 1e-4),
+                   # no u0: a small multiple of phi_1; a u0 table has unit scale
+                   "u0": ({"kind": (str, "eigenfunction"), "scale": (float, 1.0)},
+                          {"scale": 0.01})}, {}),
+    # no t_max: mc-check derives it from lambda_1
+    "stochastic": ({"n_paths": (int, 20000), "dt_path": (float, 0.01), "seed": (int, 0),
+                    "x0": (float, 0.0), "horizon": (float, 64.0), "t_max": (float, None),
+                    "n_t": (int, 12)}, {}),
+    "output": ({"directory": (str, "out")}, {}),
+}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
 
 
-def build_kernel(symbol: BernsteinSymbol, block: dict | None) -> LevyKernel:
-    block = block or {}
-    mode = _get(block, "mode", str, default="auto")
-    norm = _get(block, "normalization", float, default=1.0)
-    if mode == "auto":
-        exact_ok = symbol.kind in _EXACT_KINDS and (
-            symbol.kind != "fractional" or symbol.alpha < 2.0
-        ) and (
-            symbol.kind != "sum_fractional" or max(symbol.alpha, symbol.beta) < 2.0
-        )
-        mode = "exact" if exact_ok else "scaled_profile"
-    return LevyKernel(symbol=symbol, mode=mode, normalization=norm)
+def _typed(value, kind, name: str):
+    if kind is list:
+        if isinstance(value, list):
+            return [_typed(v, float, f"{name}[{i}]") for i, v in enumerate(value)]
+    elif isinstance(value, bool):  # a bool is an int to Python, never to a config
+        pass
+    elif isinstance(value, kind) or kind is float and isinstance(value, int):
+        return kind(value)
+    raise ConfigurationError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
-def build_grid_block(domain: dict, discretization: dict | None) -> tuple[Grid1D, float]:
-    if not isinstance(domain, dict):
-        raise ConfigurationError("domain block must be a table")
-    disc = discretization or {}
-    left = _get(domain, "left", float, required=True)
-    right = _get(domain, "right", float, required=True)
-    n = _get(disc, "n", int, default=_get(domain, "n", int))
-    if n is None:
-        raise ConfigurationError("grid size n missing (domain.n or discretization.n)")
-    grid = build_grid(left, right, n)
-    far = _get(disc, "far_cutoff", float, default=2.0 * grid.width)
-    return grid, far
+def _fill(table: dict, raw, where: str) -> dict:
+    """``raw`` checked against ``table``, with the defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where} must be a table")
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown keys in {where}: {unknown}" if where else f"unknown config blocks: {unknown}")
+    out = {}
+    for key, (kind, default) in table.items():
+        name = f"{where}.{key}" if where else key
+        if key in raw or default not in (REQUIRED, None):
+            value = raw.get(key, default)
+            out[key] = _fill(kind, value, name) if isinstance(kind, dict) else _typed(value, kind, name)
+        elif default is REQUIRED:
+            raise ConfigurationError(f"missing required key {name}")
+        else:
+            out[key] = None
+    return out
+
+
+def build_kernel(symbol: BernsteinSymbol, block: dict) -> LevyKernel:
+    """The kernel of a filled kernel block; ``auto`` is exact where a closed form exists."""
+    if block["mode"] != "auto":
+        return LevyKernel(symbol, block["mode"], block["normalization"])
+    try:
+        return LevyKernel(symbol, "exact", block["normalization"])
+    except UnsupportedKernelError:
+        return LevyKernel(symbol, "scaled_profile", block["normalization"])
 
 
 def build_reaction(block: dict, lam1: float | None = None) -> ReactionSpec:
-    if not isinstance(block, dict):
-        raise ConfigurationError("problem block must be a table")
-    a = _get(block, "a", float)
-    a_rel = _get(block, "a_rel", float)
+    """The reaction of a filled problem block; ``a_rel`` is in units of ``lam1``."""
+    a, a_rel = block["a"], block["a_rel"]
     if (a is None) == (a_rel is None):
         raise ConfigurationError("problem block needs exactly one of 'a' or 'a_rel'")
     if a is None:
         if lam1 is None:
             raise ConfigurationError("a_rel requires the principal eigenvalue")
         a = a_rel * lam1
-    c = _get(block, "c", float, default=0.0)
-    fb = _get(block, "f", dict, default={"kind": "quadratic"})
-    f = CrowdingTerm(
-        kind=_get(fb, "kind", str, default="quadratic"),
-        b=_get(fb, "b", float, default=1.0),
-        p=_get(fb, "p", float, default=2.0),
-    )
-    hb = _get(block, "h", dict)
-    h = None
-    if hb is not None:
-        h = HarvestTerm(
-            kind=_get(hb, "kind", str, default="constant_yield"),
-            h0=_get(hb, "h0", float, default=1.0),
-            q=_get(hb, "q", float, default=0.5),
-        )
-    return ReactionSpec(a=a, c=c, f=f, h=h)
-
-
-# The keys of the blocks that only the subcommands read, with their defaults:
-# load_config rejects any other key and fills in the defaults, so a key is
-# declared here once and read as ``cfg.<block>[key]``.
-BLOCK_DEFAULTS = {
-    "solver": {"tol": 1e-10, "moment_h": 0.01, "moment_R": 10.0},
-    "scan": {"c_max": None, "rel_tol": 1e-3, "ladder": 4},
-    "parabolic": {"dt": 0.01, "horizon": 1.0, "snapshot_times": None, "s_max": 100.0,
-                  "verdict_tol": 1e-4, "u0": {"kind": "eigenfunction", "scale": 0.01}},
-    "stochastic": {"n_paths": 20000, "dt_path": 0.01, "seed": 0, "x0": 0.0,
-                   "horizon": 64.0, "t_max": None, "n_t": 12},
-}
-# an explicit u0 table defaults to unit scale
-U0_DEFAULTS = {"kind": "eigenfunction", "scale": 1.0}
+    h = None if block["h"] is None else HarvestTerm(**block["h"])
+    return ReactionSpec(a=a, c=block["c"], f=CrowdingTerm(**block["f"]), h=h)
 
 
 @dataclass
 class RunConfig:
-    """Validated configuration for one CLI run."""
+    """Validated configuration for one CLI run: every block filled and typed."""
 
     raw: dict
     symbol: BernsteinSymbol
-    grid: Grid1D | None = None
-    far_cutoff: float | None = None
-    kernel: LevyKernel | None = None
-    problem: dict | None = None
-    solver: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["solver"]))
-    parabolic: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["parabolic"]))
-    stochastic: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["stochastic"]))
-    scan: dict = field(default_factory=lambda: dict(BLOCK_DEFAULTS["scan"]))
-    output_dir: str = "out"
+    grid: Grid1D | None
+    far_cutoff: float | None
+    kernel: LevyKernel
+    problem: dict | None
+    solver: dict
+    scan: dict
+    parabolic: dict
+    stochastic: dict
+    output_dir: str
 
     @property
     def digest(self) -> str:
@@ -190,7 +172,7 @@ class RunConfig:
 
     @property
     def tol(self) -> float:
-        return float(self.solver["tol"])
+        return self.solver["tol"]
 
     def reaction(self, lam1: float | None = None) -> ReactionSpec:
         if self.problem is None:
@@ -198,70 +180,40 @@ class RunConfig:
         return build_reaction(self.problem, lam1)
 
 
-# The keys of the blocks read above by the build_* functions.
-_BUILT_KEYS = {
-    "symbol": {"kind", "alpha", "beta", "m"},
-    "domain": {"left", "right", "n"},
-    "discretization": {"n", "far_cutoff"},
-    "kernel": {"mode", "normalization"},
-    "problem": {"a", "a_rel", "c", "f", "h"},
-    "output": {"directory"},
-}
-_NESTED_KEYS = {
-    ("problem", "f"): {"kind", "b", "p"},
-    ("problem", "h"): {"kind", "h0", "q"},
-    ("parabolic", "u0"): set(U0_DEFAULTS),
-}
-
-
-def _reject_unknown_keys(block: dict, allowed, where: str):
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
 def load_config(text: str) -> RunConfig:
     raw = parse_config_text(text)
-    known = {**_BUILT_KEYS, **BLOCK_DEFAULTS}
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ConfigurationError(f"unknown config blocks: {sorted(unknown)}")
-    if "symbol" not in raw:
-        raise ConfigurationError("config needs a symbol block")
-    for name, block in raw.items():
-        if not isinstance(block, dict):
-            raise ConfigurationError(f"{name} block must be a table")
-        _reject_unknown_keys(block, known[name], f"the {name} block")
-    for (name, key), allowed in _NESTED_KEYS.items():
-        inner = raw.get(name, {}).get(key)
-        if isinstance(inner, dict):
-            _reject_unknown_keys(inner, allowed, f"{name}.{key}")
-    symbol = build_symbol(raw["symbol"])
-    kernel = build_kernel(symbol, raw.get("kernel"))
-    grid = None
-    far = None
-    if "domain" in raw:
-        grid, far = build_grid_block(raw["domain"], raw.get("discretization"))
-    problem = raw.get("problem")
-    if problem is not None:
-        build_reaction(problem, lam1=1.0)  # validate shape now; a_rel resolved later
-    blocks = {name: {**defaults, **raw.get(name, {})}
-              for name, defaults in BLOCK_DEFAULTS.items()}
-    u0 = raw.get("parabolic", {}).get("u0")
-    if u0 is not None:
-        if not isinstance(u0, dict):
-            raise ConfigurationError("parabolic.u0 must be a table")
-        blocks["parabolic"]["u0"] = {**U0_DEFAULTS, **u0}
+    blocks = _fill(SCHEMA, raw, "")
+    symbol = BernsteinSymbol(**blocks["symbol"])
+    kernel = build_kernel(symbol, blocks["kernel"])
+    grid = far = None
+    if blocks["domain"] is not None:
+        domain = blocks["domain"]
+        grid = build_grid(domain["left"], domain["right"], domain["n"])
+        far = blocks["discretization"]["far_cutoff"]
+        if far is None:
+            far = 2.0 * grid.width
+    if blocks["problem"] is not None:
+        build_reaction(blocks["problem"], lam1=1.0)  # validate now; a_rel resolved later
+    u0_kind = blocks["parabolic"]["u0"]["kind"]
+    if u0_kind not in INITIAL_FIELDS:
+        raise ConfigurationError(f"unknown initial field kind {u0_kind!r}")
     return RunConfig(
         raw=raw,
         symbol=symbol,
         grid=grid,
         far_cutoff=far,
         kernel=kernel,
-        problem=problem,
-        output_dir=str(raw.get("output", {}).get("directory", "out")),
-        **blocks,
+        problem=blocks["problem"],
+        solver=blocks["solver"],
+        scan=blocks["scan"],
+        parabolic=blocks["parabolic"],
+        stochastic=blocks["stochastic"],
+        output_dir=blocks["output"]["directory"],
     )
+
+
+# The initial data build_initial_field knows
+INITIAL_FIELDS = ("zero", "eigenfunction", "steady", "bump")
 
 
 def build_initial_field(kind: str, scale: float, grid: Grid1D, phi1=None, steady=None):

@@ -44,7 +44,7 @@ def _field(v) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class CrowdingTerm:
-    """Crowding nonlinearity b(x) * s^p with p > 1 (``quadratic`` fixes p=2).
+    """Crowding nonlinearity b(x) * s^p with p > 1 (``quadratic`` requires p = 2).
 
     Evaluation is extended evenly to s < 0 (b |s|^p), which keeps the term
     smooth where relaxation iterates may transiently dip below zero.
@@ -58,7 +58,7 @@ class CrowdingTerm:
         if self.kind not in ("quadratic", "power"):
             raise ConfigurationError(f"unknown crowding kind {self.kind!r}")
         if self.kind == "quadratic" and self.p != 2.0:
-            object.__setattr__(self, "p", 2.0)
+            raise ConfigurationError(f"quadratic crowding has p = 2, not {self.p!r}; use kind 'power'")
         if self.p <= 1.0:
             raise ConfigurationError("crowding exponent requires p > 1")
         b = np.asarray(self.b, dtype=float)

@@ -343,6 +343,24 @@ class SurvivalFit:
     seed: int
 
 
+def survival_steps(t_grid, dt_path: float) -> np.ndarray:
+    """The path step of each survival grid time.
+
+    Raises :class:`ConfigurationError` unless the grid is increasing and
+    positive, has at least 4 points, and every time is a whole number of
+    path steps (to within ``1e-9 * dt_path``).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size < 4 or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
+        raise ConfigurationError("t_grid must be increasing, positive, with >= 4 points")
+    steps = np.round(t_grid / dt_path).astype(int)
+    off = np.abs(steps * dt_path - t_grid) > 1e-9 * dt_path
+    if np.any(off):
+        raise ConfigurationError(
+            f"survival time {t_grid[off][0]:.6g} is not a multiple of dt_path = {dt_path:.6g}")
+    return steps
+
+
 def survival_lambda1(
     sampler: SubordinatorSampler,
     domain: tuple[float, float],
@@ -361,11 +379,7 @@ def survival_lambda1(
     0.1 (the asymptotic regime was not reached).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 4 or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
-        raise ConfigurationError("t_grid must be increasing, positive, with >= 4 points")
-    check_steps = np.round(t_grid / dt_path).astype(int)
-    if np.any(np.abs(check_steps * dt_path - t_grid) > dt_path / 2 + 1e-12):
-        raise ConfigurationError("t_grid points must sit on the dt_path grid")
+    check_steps = survival_steps(t_grid, dt_path)
     n_steps = int(check_steps[-1])
 
     def chunk(rng: np.random.Generator, m: int):

@@ -123,6 +123,32 @@ class TestValidation:
         assert main(["mc-check", "--config", "typo.cfg"]) == 2
         assert [p.name for p in Path("env_out").iterdir()] == ["error.log"]
 
+    @pytest.mark.parametrize(
+        "subcommand, extra",
+        [
+            ("bifurcate", 'scan = { c_max = 0.2, rel_tol = "tight" }'),
+            ("mc-check", "stochastic = { n_paths = 2000.7 }"),
+            ("mc-check", "stochastic = { seed = true }"),
+            ("evolve", 'problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = ["a"] }'),
+            ("evolve", 'problem = { a_rel = 2.0 }\nparabolic = { u0 = { scale = "x" } }'),
+            ("eigen", "discretization = { n = 31 }"),
+            ("steady", 'problem = { a_rel = 2.0, f = { kind = "quadratic", p = 3.0 } }'),
+            ("evolve", 'problem = { a_rel = 2.0 }\nparabolic = { u0 = { kind = "vortex" } }'),
+        ],
+    )
+    def test_bad_value_exits_2_before_assembly(self, tmp_path, monkeypatch, subcommand, extra):
+        import nonlocal_logistic.cli as cli
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled an invalid config")
+
+        monkeypatch.setattr(cli, "assemble", no_assembly)
+        code, outdir = run_cli(tmp_path, subcommand, extra=extra)
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1 and log[0].startswith("error: ConfigurationError: ")
+
     def test_scan_error_exits_3(self, tmp_path):
         # c_max inside the existence region: the scan reports it numerically
         extra = (
@@ -255,6 +281,21 @@ class TestMcCheck:
             ts = np.array([t for t, _ in trace])
             assert trace[0] == (0.0, 0.0)
             assert np.diff(ts) == pytest.approx(0.05, rel=1e-12)
+
+    def test_off_grid_window_exits_2_before_any_path(self, tmp_path, monkeypatch):
+        # t_max / n_t = 0.495 is not a multiple of dt_path = 0.1
+        import nonlocal_logistic.cli as cli
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("drew paths for an off-grid window")
+
+        monkeypatch.setattr(cli.SubordinatorSampler, "increments", no_paths)
+        extra = "stochastic = { n_paths = 2000, dt_path = 0.1, seed = 9, t_max = 2.97, n_t = 6 }"
+        code, outdir = run_cli(tmp_path, "mc-check", extra=extra, name="offgrid")
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        assert "survival time 0.495 is not a multiple of dt_path" in (
+            outdir / "error.log").read_text()
 
     def test_trace_paths_needs_domain(self, tmp_path):
         outdir = tmp_path / "nodomain"

@@ -3,15 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from nonlocal_logistic import ConfigurationError
+from nonlocal_logistic import BernsteinSymbol, ConfigurationError
 from nonlocal_logistic.config import (
-    BLOCK_DEFAULTS,
+    SCHEMA,
     build_initial_field,
     config_digest,
     load_config,
     parse_config_text,
-    symbol_to_text,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SAMPLE = """
 # baseline run
@@ -75,8 +76,7 @@ def test_string_ending_in_backslash_before_comment():
 
 def test_readme_example_loads():
     # the documented example is the one fenced toml block of the README
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```toml\n(.*?)^```", readme, flags=re.M | re.S)
+    blocks = re.findall(r"^```toml\n(.*?)^```", README.read_text(), flags=re.M | re.S)
     assert len(blocks) == 1
     cfg = load_config(blocks[0])
     assert cfg.grid.n_interior == 199
@@ -112,14 +112,9 @@ def test_a_and_a_rel_mutually_exclusive():
         )
 
 
-def test_symbol_round_trip():
-    from nonlocal_logistic import BernsteinSymbol
-    from nonlocal_logistic.config import build_symbol
-
-    sym = BernsteinSymbol("relativistic", 1.5, m=0.7)
-    text = symbol_to_text(sym)
-    parsed = build_symbol(parse_config_text(text)["symbol"])
-    assert parsed == sym
+def test_relativistic_symbol_loads():
+    cfg = load_config('symbol = { kind = "relativistic", alpha = 1.5, m = 0.7 }')
+    assert cfg.symbol == BernsteinSymbol("relativistic", 1.5, m=0.7)
 
 
 def test_initial_field_catalog(op99, eig99):
@@ -168,8 +163,10 @@ def test_every_documented_key_accepted():
 def test_block_defaults_filled_in():
     cfg = load_config(SAMPLE)
     assert cfg.tol == 1e-10
-    assert cfg.solver["moment_R"] == BLOCK_DEFAULTS["solver"]["moment_R"]
-    assert cfg.stochastic == BLOCK_DEFAULTS["stochastic"]
+    solver, _ = SCHEMA["solver"]
+    assert cfg.solver["moment_R"] == solver["moment_R"][1]
+    stochastic, _ = SCHEMA["stochastic"]
+    assert cfg.stochastic == {key: default for key, (_, default) in stochastic.items()}
     assert cfg.scan["c_max"] is None
     assert cfg.parabolic["snapshot_times"] == [0.0, 1.0]
     assert cfg.parabolic["u0"] == {"kind": "eigenfunction", "scale": 0.01}
@@ -178,3 +175,72 @@ def test_block_defaults_filled_in():
     assert bump.parabolic["u0"] == {"kind": "bump", "scale": 1.0}
     with pytest.raises(ConfigurationError, match="u0 must be a table"):
         load_config(SAMPLE.replace("snapshot_times = [0.0, 1.0]", 'u0 = "bump"'))
+
+
+def test_float_keys_take_integers():
+    cfg = load_config(
+        'symbol = { kind = "fractional", alpha = 1 }\n'
+        "scan = { rel_tol = 1 }\n"
+        "stochastic = { horizon = 64 }\n"
+        'parabolic = { snapshot_times = [0, 1], u0 = { kind = "bump", scale = 2 } }\n'
+    )
+    values = [cfg.symbol.alpha, cfg.scan["rel_tol"], cfg.stochastic["horizon"],
+              *cfg.parabolic["snapshot_times"], cfg.parabolic["u0"]["scale"]]
+    assert values == [1.0, 1.0, 64.0, 0.0, 1.0, 2.0]
+    assert all(type(v) is float for v in values)
+
+
+@pytest.mark.parametrize(
+    "block, match",
+    [
+        ("scan = { ladder = 2.5 }", "scan.ladder must be an integer, got 2.5"),
+        ("stochastic = { seed = true }", "stochastic.seed must be an integer, got True"),
+        ("solver = { tol = false }", "solver.tol must be a number, got False"),
+        ('domain = { left = "-1", right = 1.0, n = 9 }', "domain.left must be a number"),
+        ("domain = { left = -1.0, right = 1.0 }", "missing required key domain.n"),
+        ("parabolic = { snapshot_times = 1.0 }", "snapshot_times must be a list of numbers"),
+        ("parabolic = { snapshot_times = [0.0, true] }", r"snapshot_times\[1\] must be a number"),
+        ("output = { directory = 5 }", "output.directory must be a string"),
+        ('problem = { a_rel = 2.0, h = "saturating" }', "problem.h must be a table"),
+        ("solver = 1e-10", "solver must be a table"),
+    ],
+)
+def test_values_type_checked(block, match):
+    with pytest.raises(ConfigurationError, match=match):
+        load_config('symbol = { kind = "fractional", alpha = 1.0 }\n' + block)
+
+
+def test_symbol_required():
+    with pytest.raises(ConfigurationError, match="missing required key symbol"):
+        load_config('domain = { left = -1.0, right = 1.0, n = 9 }')
+
+
+def test_kernel_auto_mode():
+    def mode(symbol):
+        return load_config(f"symbol = {symbol}").kernel.mode
+
+    assert mode('{ kind = "fractional", alpha = 1.0 }') == "exact"
+    assert mode('{ kind = "fractional", alpha = 2.0 }') == "scaled_profile"
+    assert mode('{ kind = "sum_fractional", alpha = 1.0, beta = 1.5 }') == "exact"
+    assert mode('{ kind = "sum_fractional", alpha = 1.0, beta = 2.0 }') == "scaled_profile"
+    assert mode('{ kind = "relativistic", alpha = 1.0, m = 1.0 }') == "exact"
+    assert mode('{ kind = "log_damped", alpha = 1.0, beta = 0.5 }') == "scaled_profile"
+    with pytest.raises(ConfigurationError, match="sum_fractional exact density"):
+        load_config('symbol = { kind = "sum_fractional", alpha = 1.0, beta = 2.0 }\n'
+                    'kernel = { mode = "exact" }')
+
+
+def _schema_keys(table):
+    for key, (kind, _) in table.items():
+        yield key
+        if isinstance(kind, dict):
+            yield from _schema_keys(kind)
+
+
+def test_readme_names_every_config_key():
+    # a key counts as named when the example uses it or the prose quotes it
+    section = README.read_text().split("### Config format")[1].split("\n## ")[0]
+    example = re.findall(r"^```toml\n(.*?)^```", section, flags=re.M | re.S)[0]
+    missing = [key for key in _schema_keys(SCHEMA)
+               if not re.search(rf"\b{key}\b", example) and f"`{key}`" not in section]
+    assert missing == []

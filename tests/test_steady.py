@@ -51,6 +51,9 @@ class TestCatalog:
             CrowdingTerm("power", p=1.0)
         with pytest.raises(ConfigurationError):
             CrowdingTerm(b=-1.0)
+        with pytest.raises(ConfigurationError, match="quadratic crowding has p = 2"):
+            CrowdingTerm("quadratic", p=3.0)
+        assert CrowdingTerm("quadratic").p == 2.0
         with pytest.raises(ConfigurationError):
             HarvestTerm(h0=0.0)
         with pytest.raises(ConfigurationError):

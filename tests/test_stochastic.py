@@ -248,6 +248,12 @@ class TestSurvival:
                                  0.005, seed=22)
         assert small.lambda1_hat > big.lambda1_hat
 
+    def test_off_grid_times_rejected(self, frac_sampler):
+        # 0.37 would otherwise be read at step 4 (t = 0.4)
+        with pytest.raises(ConfigurationError, match="0.37 is not a multiple of dt_path"):
+            survival_lambda1(frac_sampler, DOMAIN, 0.0, [0.37, 0.73, 1.11, 1.49, 2.53, 2.97],
+                             2000, 0.1, seed=25)
+
     def test_power_guard_short_grid(self, frac_sampler):
         with pytest.raises(StatisticalPowerError, match="0.1"):
             survival_lambda1(frac_sampler, DOMAIN, 0.0, [0.05, 0.1, 0.15, 0.2],
