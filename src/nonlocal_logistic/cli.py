@@ -98,13 +98,9 @@ def _assemble_from(cfg: RunConfig):
 def _maybe_dump_matrix(out: RunOutput, op, flag: bool):
     if not flag:
         return
-    rows = [
-        (i, j, op.matrix[i, j])
-        for i in range(op.n)
-        for j in range(op.n)
-        if op.matrix[i, j] != 0.0
-    ]
-    out.csvs["operator_matrix.csv"] = (["row", "col", "value"], rows)
+    rows, cols = np.nonzero(op.matrix)
+    entries = zip(rows.tolist(), cols.tolist(), op.matrix[rows, cols].tolist())
+    out.csvs["operator_matrix.csv"] = (["row", "col", "value"], list(entries))
 
 
 def _plot_script(csv_name: str, xcol: str, ycol: str, title: str) -> str:
@@ -202,12 +198,15 @@ def run_steady(cfg: RunConfig, args) -> RunOutput:
         "logistic_sup": float(logistic.u.max()),
     }
     columns = {"logistic": logistic.u}
+    out.solvers["logistic_steps"] = logistic.iterations
     if logistic.branch != "none":
         summary["logistic_lambda_star"] = stability_index(
             op, spec0, logistic, tol=cfg.tol,
         ).lambda_star
     if spec.c > 0:
         maximal = maximal_harvest(op, spec, tol=cfg.tol, v_a=logistic, eigenpair=pair)
+        out.solvers["descent_newton_steps"] = maximal.newton_steps
+        out.solvers["descent_relaxation_steps"] = maximal.iterations - maximal.newton_steps
         summary["maximal_branch"] = maximal.branch
         summary["maximal_residual"] = maximal.residual
         summary["maximal_sup"] = float(maximal.u.max())
@@ -523,8 +522,17 @@ def _resolve_outdir(args, config_dir: str | None) -> Path:
     return Path(config_dir or "out")
 
 
-def _declared_outdir(text: str) -> str | None:
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config: {exc}") from exc
+
+
+def _declared_outdir(text: str | None) -> str | None:
     """``output.directory`` of config text that parses, if it is a string."""
+    if text is None:
+        return None
     try:
         output = parse_config_text(text).get("output")
     except ConfigurationError:
@@ -535,9 +543,9 @@ def _declared_outdir(text: str) -> str | None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = None
+    cfg = text = None
     try:
-        text = Path(args.config).read_text()
+        text = _read_config(args.config)
         cfg = load_config(text)
         outdir = _resolve_outdir(args, cfg.output_dir)
         started = time.time()
@@ -558,10 +566,6 @@ def main(argv=None) -> int:
         }
         out.write(outdir)
         return 0
-    except FileNotFoundError as exc:
-        reason = f"error: ConfigurationError: config file not found: {exc.filename}"
-        print(reason, file=sys.stderr)
-        return 2
     except NonlocalLogisticError as exc:
         reason = f"error: {type(exc).__name__}: {exc}"
         print(reason, file=sys.stderr)

@@ -68,6 +68,20 @@ class OperatorMatrix:
     def row_sums(self) -> np.ndarray:
         return self.matrix @ np.ones(self.n)
 
+    def shifted(self, d, scale: float = 1.0) -> np.ndarray:
+        """A fresh C-ordered ``scale * A + diag(d)``, d a scalar or length-n field.
+
+        Every dense system built from the operator (relaxation shift,
+        Jacobians, eigen potentials, implicit step) comes from here.  The
+        diagonal is added once, so ``A_ii - v`` rounds as ``A_ii + (-v)``.
+        """
+        d = np.asarray(d, dtype=float)
+        if d.ndim and d.shape != (self.n,):
+            raise DimensionError(f"diagonal must be scalar or length {self.n}, got shape {d.shape}")
+        out = scale * self.matrix
+        out[np.diag_indices(self.n)] += d
+        return out
+
 
 def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMatrix:
     """Assemble the dense symmetric discretization of psi(-Delta).

@@ -35,20 +35,6 @@ class EigenPair:
     iterations: int
 
 
-def _with_potential(op: OperatorMatrix, c) -> np.ndarray:
-    m = op.matrix.copy()
-    if c is None:
-        return m
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 0:
-        m[np.diag_indices_from(m)] -= float(c)
-    elif c.shape == (op.n,):
-        m[np.diag_indices_from(m)] -= c
-    else:
-        raise DimensionError(f"potential must be scalar or length {op.n}")
-    return m
-
-
 def principal_eigenpair(
     op: OperatorMatrix,
     c=None,
@@ -63,7 +49,7 @@ def principal_eigenpair(
     eigenvector.  Stops once the residual is below ``tol`` (default
     1e-10 * ||M||_inf) and the eigenvalue increment is below 1e-12.
     """
-    m = op.matrix if c is None else _with_potential(op, c)
+    m = op.matrix if c is None else op.shifted(-np.asarray(c, dtype=float))
     abs_rows = np.abs(m).sum(axis=1)
     if tol is None:
         tol = 1e-10 * abs_rows.max()
@@ -144,10 +130,9 @@ def antimaximum_profile(
         raise DimensionError(f"forcing must have length {op.n}")
     if np.any(f > 0) or not np.any(f < 0):
         raise ConfigurationError("anti-maximum forcing must satisfy f <= 0, f != 0")
-    m = _with_potential(op, c)
-    m[np.diag_indices_from(m)] -= lam
+    m = op.shifted(-(lam if c is None else np.asarray(c, dtype=float) + lam))
     anorm = np.abs(m).sum(axis=0).max()
-    lu, piv = lu_factor(m)
+    lu, piv = lu_factor(m, overwrite_a=True)
     gecon = get_lapack_funcs(("gecon",), (m,))[0]
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or rcond * anorm < gap_floor:

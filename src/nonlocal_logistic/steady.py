@@ -3,11 +3,11 @@
 Solves ``A u = a u - f(x, u) - c h(x, u)`` on the interior nodes (zero
 exterior), where f is a crowding term from a catalog and h a harvesting
 term.  Provides the monotone sub/supersolution iteration, the pure
-logistic solve, the maximal harvested branch by monotone Newton descent
-from the harvest-free state (Ortega & Rheinboldt 1970, sec. 13.3) with the
-shifted relaxation as its fallback near the fold, the small branch by
-Newton continuation in c (from zero, or from an earlier point of the
-branch), the critical-harvest scan, and linearized stability indices.
+logistic solve, the maximal harvested branch by one ordered descent from
+the harvest-free state (monotone Newton steps first, Ortega & Rheinboldt
+1970, sec. 13.3, then the shifted relaxation near the fold), the small
+branch by Newton continuation in c (from zero, or from an earlier point of
+the branch), the critical-harvest scan, and linearized stability indices.
 """
 
 from __future__ import annotations
@@ -233,23 +233,45 @@ def _relax(
     lower: np.ndarray | None,
     upper: np.ndarray | None,
     stop_on_negative: bool,
+    newton_cap: int = 0,
 ):
-    """Shared relaxation loop u <- (A + theta I)^{-1} (F(u) + theta u).
+    """One ordered loop: monotone Newton steps, then shifted relaxation.
 
-    Checks monotonicity in the requested direction and the bracket at
-    every step.  Returns (u, residual, iterations, went_negative).
+    The first up to ``newton_cap`` steps of a descent (``direction < 0``)
+    are monotone Newton, u <- u - J(u)^{-1} (A u - F(u)) with
+    J(u) = A - diag(a - f_s(u) - c L_h), L_h the harvest slope bound.  A
+    successful Cholesky factor proves J(u) an SPD Z-matrix, whose inverse
+    is nonnegative; with f convex and the harvest slope at most L_h the
+    step keeps the iterate a supersolution above every solution below it.
+    Once a factor fails (only near or past the fold) or the cap is reached,
+    the loop continues with the relaxation
+    u <- (A + theta I)^{-1} (F(u) + theta u), which preserves the same
+    ordering.  Every step is checked for
+    monotonicity in the requested direction and against the bracket.
+    Returns (u, residual, iterations, newton_steps, went_negative).
     """
-    n = op.n
-    factor = cho_factor(op.matrix + theta * np.eye(n))
     scale = max(1.0, float(np.abs(u0).max()))
     # starting points are themselves converged only to ~tol and the noise
     # compounds geometrically, so sub-100*tol drift in the wrong direction is
     # solver noise, not lost ordering (true theta failures are solution-sized)
     slack = max(1e-12 * scale, 100.0 * tol)
+    harvest_bound = spec.c * spec.h.deriv_bound() if spec.c > 0 else 0.0
     u = np.asarray(u0, dtype=float).copy()
+    newton, factor = 0, None
     for it in range(1, maxiter + 1):
-        g = spec.reaction(u) + theta * u
-        u_next = cho_solve(factor, g)
+        if newton < newton_cap:
+            try:
+                jac = cho_factor(op.shifted(-(spec.a - spec.f.deriv(u) - harvest_bound)),
+                                 overwrite_a=True)
+            except np.linalg.LinAlgError:
+                newton_cap = newton  # near or past the fold: relax from here on
+        if newton < newton_cap:
+            newton += 1
+            u_next = u - cho_solve(jac, op.matrix @ u - spec.reaction(u))
+        else:
+            if factor is None:
+                factor = cho_factor(op.shifted(theta), overwrite_a=True)
+            u_next = cho_solve(factor, spec.reaction(u) + theta * u)
         drift = u_next - u
         if direction > 0 and drift.min() < -slack:
             raise MonotonicityError(
@@ -266,12 +288,12 @@ def _relax(
         if upper is not None and (u_next - upper).max() > slack:
             raise MonotonicityError(f"iterate exceeded the upper bracket at step {it}")
         if stop_on_negative and u_next.min() < -1e3 * slack:
-            return u_next, float("nan"), it, True
+            return u_next, float("nan"), it, newton, True
         step = float(np.abs(drift).max())
         u = u_next
         if step <= tol:
             residual = float(np.abs(op.matrix @ u - spec.reaction(u)).max())
-            return u, residual, it, False
+            return u, residual, it, newton, False
     raise ConvergenceError(
         f"monotone iteration hit the cap {maxiter} (last step {step:.3e})"
     )
@@ -318,7 +340,7 @@ def monotone_iterate(
         theta = spec.theta_for(float(np.abs(u_hi).max()))
     u0 = u_lo if start == "lo" else u_hi
     direction = 1 if start == "lo" else -1
-    u, residual, it, _ = _relax(
+    u, residual, it, _, _ = _relax(
         op, spec, u0, theta, tol, maxiter, direction, u_lo, u_hi, stop_on_negative=False
     )
     branch = branch_on_success if u.min() > 0 else "none"
@@ -367,51 +389,6 @@ def solve_logistic(
     )
 
 
-def _newton_descent(
-    op: OperatorMatrix,
-    spec: ReactionSpec,
-    upper: np.ndarray,
-    tol: float,
-    maxiter: int,
-):
-    """Monotone Newton descent from the supersolution ``upper``.
-
-    Steps u <- u - J(u)^{-1} (A u - F(u)) with J(u) = A - diag(a - f_s(u) - c L_h),
-    L_h the harvest slope bound.  A successful Cholesky factor proves J(u)
-    an SPD Z-matrix, whose inverse is nonnegative; with f convex and the
-    harvest slope at most L_h, the step then keeps the iterate a
-    supersolution above every solution below ``upper``.  Returns
-    (u, residual, steps, outcome) with outcome ``converged``, ``negative``
-    (a node went negative: no positive solution) or ``handoff`` (the factor
-    failed near the fold, or the cap was reached).
-    """
-    harvest_bound = spec.c * spec.h.deriv_bound() if spec.c > 0 else 0.0
-    # the same noise allowance as the relaxation descent from the same start
-    slack = max(1e-12 * max(1.0, float(np.abs(upper).max())), 100.0 * tol)
-    u = upper.copy()
-    for it in range(1, maxiter + 1):
-        jac = op.matrix - np.diag(spec.a - spec.f.deriv(u) - harvest_bound)
-        try:
-            factor = cho_factor(jac)
-        except np.linalg.LinAlgError:
-            return u, float("nan"), it - 1, "handoff"
-        u_next = u - cho_solve(factor, op.matrix @ u - spec.reaction(u))
-        drift = u_next - u
-        if drift.max() > slack:
-            raise MonotonicityError(
-                f"Newton descent lost monotonicity at step {it} (worst rise {drift.max():.3e})"
-            )
-        if (u_next - upper).max() > slack:
-            raise MonotonicityError(f"Newton iterate exceeded the upper bracket at step {it}")
-        if u_next.min() < -1e3 * slack:
-            return u_next, float("nan"), it, "negative"
-        u = u_next
-        if float(np.abs(drift).max()) <= tol:
-            residual = float(np.abs(op.matrix @ u - spec.reaction(u)).max())
-            return u, residual, it, "converged"
-    return u, float("nan"), maxiter, "handoff"
-
-
 def maximal_harvest(
     op: OperatorMatrix,
     spec: ReactionSpec,
@@ -423,17 +400,18 @@ def maximal_harvest(
     """Maximal harvested solution by monotone descent from the logistic state.
 
     The harvest-free solution dominates every harvested solution.  The
-    descent from it is monotone Newton (see :func:`_newton_descent`): exact
-    Newton for constant yield, a chord step with the harvest slope bound
-    for saturating harvest, each step keeping the iterate a supersolution
-    above every solution.  When the Jacobian factor fails (only near or past
-    the fold) or after ``NEWTON_DESCENT_CAP`` steps, the Lipschitz-shifted
-    relaxation continues from the current iterate; it preserves the same
-    ordering, so either way the decreasing sequence converges to the
-    maximal fixed point.  Any iterate with a negative node certifies
-    nonexistence (the limit would dominate every solution), so the descent
-    exits early with branch ``none``.  ``iterations`` counts Newton and
-    relaxation steps together; ``newton_steps`` the former.
+    descent from it is one ordered loop (see :func:`_relax`): up to
+    ``NEWTON_DESCENT_CAP`` monotone Newton steps (exact Newton for constant
+    yield, a chord step with the harvest slope bound for saturating
+    harvest), each keeping the iterate a supersolution above every
+    solution; then, once a Jacobian factor fails (only near or past the
+    fold) or the cap is reached, the Lipschitz-shifted relaxation from the
+    current iterate, which preserves the same ordering.  Either way the
+    decreasing sequence converges to the maximal fixed point.  Any iterate
+    with a negative node certifies nonexistence (the limit would dominate
+    every solution), so the descent exits early with branch ``none``.
+    ``iterations`` counts Newton and relaxation steps together;
+    ``newton_steps`` the former.
     """
     pair = eigenpair if eigenpair is not None else principal_eigenpair(op)
     if v_a is None:
@@ -441,17 +419,11 @@ def maximal_harvest(
                              eigenpair=pair, maxiter=maxiter)
     if v_a.branch == "none":
         return _none_state(op.n)
-    u, residual, newton, outcome = _newton_descent(
-        op, spec, v_a.u, tol, min(NEWTON_DESCENT_CAP, maxiter - 1)
+    theta = spec.theta_for(float(v_a.u.max()))
+    u, residual, it, newton, went_negative = _relax(
+        op, spec, v_a.u, theta, tol, maxiter, direction=-1, lower=None, upper=v_a.u,
+        stop_on_negative=True, newton_cap=NEWTON_DESCENT_CAP,
     )
-    relaxed, went_negative = 0, outcome == "negative"
-    if outcome == "handoff":
-        theta = spec.theta_for(float(v_a.u.max()))
-        u, residual, relaxed, went_negative = _relax(
-            op, spec, u, theta, tol, maxiter - newton, direction=-1,
-            lower=None, upper=v_a.u, stop_on_negative=True,
-        )
-    it = newton + relaxed
     if went_negative or u.min() <= 0:
         return _none_state(op.n, iterations=it, newton_steps=newton)
     return SteadyState(u=u, residual=residual, branch="maximal", iterations=it,
@@ -473,9 +445,8 @@ def _newton(
     for _ in range(maxiter):
         if rn <= tol:
             return u, rn, True
-        jac = op.matrix - np.diag(spec.reaction_deriv(u))
         try:
-            d = np.linalg.solve(jac, r)
+            d = np.linalg.solve(op.shifted(-spec.reaction_deriv(u)), r)
         except np.linalg.LinAlgError:
             return u, rn, False
         if not np.all(np.isfinite(d)):

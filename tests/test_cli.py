@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nonlocal_logistic import assemble
 from nonlocal_logistic.cli import SUBCOMMANDS, main
+from nonlocal_logistic.config import load_config
 
 BASE = """
 symbol = {{ kind = "fractional", alpha = 1.0 }}
@@ -59,6 +61,14 @@ class TestEigen:
         code, outdir = run_cli(tmp_path, "eigen", name="m", args=("--dump-matrix",))
         assert code == 0
         assert (outdir / "operator_matrix.csv").read_text().startswith("row,col,value")
+        # the n = 63 operator is dense: one row per entry, in row-major order
+        dump = np.loadtxt(outdir / "operator_matrix.csv", delimiter=",", skiprows=1)
+        assert dump.shape == (63 * 63, 3)
+        cfg = load_config((tmp_path / "m.cfg").read_text())
+        op = assemble(cfg.grid, cfg.kernel, cfg.far_cutoff)
+        rows, cols = dump[:, 0].astype(int), dump[:, 1].astype(int)
+        assert np.array_equal(rows * 63 + cols, np.arange(63 * 63))
+        assert np.array_equal(dump[:, 2], op.matrix[rows, cols])
 
 
 class TestValidation:
@@ -75,8 +85,23 @@ class TestValidation:
         assert files == ["error.log"]
         assert "ConfigurationError" in (outdir / "error.log").read_text()
 
-    def test_missing_config_file(self, tmp_path):
+    def test_missing_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["eigen", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("target", ["directory", "missing", "binary"])
+    def test_unreadable_config_exits_2_with_error_log(self, tmp_path, target):
+        path = tmp_path / "cfg"
+        if target == "directory":
+            path.mkdir()
+        elif target == "binary":
+            path.write_bytes(b"\xff\xfe\x00symbol")
+        outdir = tmp_path / "out"
+        assert main(["eigen", "--config", str(path), "--output", str(outdir)]) == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1
+        assert log[0].startswith("error: ConfigurationError: cannot read config")
 
     def test_statistical_power_exits_4(self, tmp_path):
         # survival horizon far too short: the curve never drops below 0.1
@@ -173,6 +198,12 @@ class TestSteadyCommand:
         assert summary["logistic_branch"] == "logistic"
         assert summary["maximal_branch"] == "maximal"
         assert summary["maximal_sup"] <= summary["logistic_sup"]
+        solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
+        assert set(solvers) == {
+            "logistic_steps", "descent_newton_steps", "descent_relaxation_steps"}
+        assert solvers["logistic_steps"] > 0
+        assert solvers["descent_newton_steps"] > 0
+        assert solvers["descent_relaxation_steps"] >= 0
 
 
 class TestBifurcate:
@@ -225,6 +256,17 @@ class TestParabolicCommands:
         code, outdir = run_cli(tmp_path, "evolve", extra=extra)
         assert code == 0
         assert (outdir / "snapshots.csv").read_text().startswith("s,node,x,value")
+
+    def test_evolve_snapshot_off_the_step_grid_exits_2(self, tmp_path):
+        extra = (
+            "problem = { a_rel = 2.0 }\n"
+            "parabolic = { dt = 0.01, horizon = 0.2, snapshot_times = [0.0, 0.123] }"
+        )
+        code, outdir = run_cli(tmp_path, "evolve", extra=extra)
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1 and "0.123" in log[0]
 
     def test_longtime_verdict(self, tmp_path):
         extra = (

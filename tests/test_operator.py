@@ -4,6 +4,7 @@ import pytest
 from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
+    DimensionError,
     LevyKernel,
     OracleDomainError,
     PeriodicBox,
@@ -60,6 +61,24 @@ class TestAssembly:
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.all(off <= 0)
         assert op.row_sums().min() > 0
+
+
+class TestShifted:
+    def test_bit_identical_to_dense_constructions(self, op199):
+        a, n = op199.matrix, op199.n
+        before = a.copy()
+        d = np.random.default_rng(5).uniform(-3.0, 3.0, n)
+        theta, dt = 7.3, 0.013
+        assert np.array_equal(op199.shifted(d), a + np.diag(d))
+        assert np.array_equal(op199.shifted(-d), a - np.diag(d))
+        assert np.array_equal(op199.shifted(theta), a + theta * np.eye(n))
+        assert np.array_equal(op199.shifted(1.0, scale=dt), np.eye(n) + dt * a)
+        assert op199.shifted(d).flags.c_contiguous
+        assert np.array_equal(op199.matrix, before)
+
+    def test_diagonal_length_checked(self, op199):
+        with pytest.raises(DimensionError):
+            op199.shifted(np.ones(op199.n + 1))
 
 
 class TestApply:

@@ -33,6 +33,11 @@ class TestEvolve:
         for snap in run.snapshots:
             assert np.abs(snap - va.u).max() <= 1e-9
 
+    def test_snapshot_off_the_step_grid_rejected(self, op199, spec2, eig199):
+        with pytest.raises(ConfigurationError, match="step grid"):
+            evolve(op199, spec2, 0.01 * eig199.phi, dt=0.01, horizon=0.2,
+                   snapshot_times=[0.0, 0.123])
+
     def test_comparison_of_ordered_data(self, op199, spec2, eig199):
         lo = 0.01 * eig199.phi
         hi = 0.03 * eig199.phi

@@ -336,8 +336,8 @@ class TestMultistart:
 def _relaxation_only(op, spec, va, tol=1e-10):
     """The maximal descent by Lipschitz-shifted relaxation alone, from the logistic state."""
     theta = spec.theta_for(float(va.u.max()))
-    u, residual, it, went_negative = _relax(op, spec, va.u, theta, tol, 200_000, direction=-1,
-                                            lower=None, upper=va.u, stop_on_negative=True)
+    u, residual, it, _, went_negative = _relax(op, spec, va.u, theta, tol, 200_000, direction=-1,
+                                               lower=None, upper=va.u, stop_on_negative=True)
     assert not went_negative
     return SteadyState(u=u, residual=residual, branch="maximal", iterations=it)
 
