@@ -56,14 +56,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_default(value):
-    if isinstance(value, (np.bool_,)):
+def _jsonable(value):
+    """Plain JSON values; a non-finite float (NaN, an undefined residual) is null."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
 
 
 class RunOutput:
@@ -83,7 +88,7 @@ class RunOutput:
             (outdir / name).write_text("\n".join(lines) + "\n")
         for name, payload in self.jsons.items():
             (outdir / name).write_text(
-                json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+                json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
             )
         for name, text in self.texts.items():
             (outdir / name).write_text(text)
@@ -166,6 +171,7 @@ def run_eigen(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
     op = _assemble_from(cfg)
     pair = principal_eigenpair(op, tol=cfg.tol)
+    out.solvers["eigen_iterations"] = pair.iterations
     out.csvs["eigen.csv"] = (
         ["node", "x", "phi"],
         [(i, op.grid.nodes[i], pair.phi[i]) for i in range(op.n)],
@@ -308,6 +314,8 @@ def run_evolve(cfg: RunConfig, args) -> RunOutput:
     snaps = cfg.parabolic["snapshot_times"]
     u0 = _initial_field(cfg, op, pair, spec)
     run = evolve(op, spec, u0, dt, horizon, snapshot_times=snaps)
+    out.solvers = {"eigen_iterations": pair.iterations,
+                   "imex_steps": int(round(run.horizon / run.dt))}
     rows = [
         (s, i, op.grid.nodes[i], run.snapshots[k][i])
         for k, s in enumerate(run.times)
@@ -349,6 +357,7 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
     verdict_tol = cfg.parabolic["verdict_tol"]
     u0 = _initial_field(cfg, op, pair, spec)
     res = longtime_classify(op, spec, u0, dt, s_max, verdict_tol, eigenpair=pair)
+    out.solvers = {"eigen_iterations": pair.iterations, "imex_steps": res.times.size - 1}
     stride = max(1, res.times.size // 2000)
     rows = []
     for k in range(0, res.times.size, stride):
@@ -449,6 +458,7 @@ def run_diagnose(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
     op = _assemble_from(cfg)
     pair = principal_eigenpair(op, tol=cfg.tol)
+    out.solvers["eigen_iterations"] = pair.iterations
     fields = {"phi1": pair.phi}
     summary = {"lambda1": pair.lam}
     if cfg.problem is not None:

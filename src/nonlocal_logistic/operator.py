@@ -22,6 +22,14 @@ by a three-part split:
 A is symmetric, has nonpositive off-diagonal entries, strictly dominant
 positive diagonal, hence an entrywise-nonnegative inverse (discrete
 maximum principle).
+
+The stencil depends only on the node offset, so A is symmetric Toeplitz
+and is stored as its first column.  Products with A go through a circulant
+embedding and the FFT.  Systems ``scale A + sigma I`` with a constant shift
+are solved by Levinson recursion for the first column of the inverse,
+then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
+1972; Chan & Ng, SIAM Review 38, 1996).  The dense matrix is built on
+first use only, for systems with a variable diagonal.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import solve_toeplitz, toeplitz
 
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import (
@@ -42,13 +51,20 @@ from .errors import (
 from .grid import Grid1D
 
 
+def toeplitz_row_sums(col: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric Toeplitz matrix with first column ``col``."""
+    partial = np.concatenate(([0.0], np.cumsum(col[1:])))
+    return col[0] + partial + partial[::-1]
+
+
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Assembled operator on its grid; treat as immutable."""
+    """Assembled operator on its grid, stored as the first column of A;
+    treat as immutable."""
 
     grid: Grid1D
     kernel: LevyKernel
-    matrix: np.ndarray = field(repr=False)
+    col: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -59,21 +75,74 @@ class OperatorMatrix:
         return self.kernel.symbol
 
     @cached_property
-    def _factor(self):
-        try:
-            return cho_factor(self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-            raise NumericError(f"operator factorization failed: {exc}") from exc
+    def matrix(self) -> np.ndarray:
+        """The dense A, built on first use (variable-diagonal systems, dumps)."""
+        return toeplitz(self.col)
+
+    @cached_property
+    def _circulant(self) -> tuple[int, np.ndarray]:
+        """FFT length and eigenvalues of a circulant that embeds A."""
+        n = self.n
+        size = next_fast_len(2 * n - 1, real=True)
+        first = np.zeros(size)
+        first[:n] = self.col
+        first[size - n + 1:] = self.col[:0:-1]
+        return size, rfft(first).real
+
+    @cached_property
+    def _green_solver(self):
+        return self.solver(0.0)
 
     def row_sums(self) -> np.ndarray:
-        return self.matrix @ np.ones(self.n)
+        return toeplitz_row_sums(self.col)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v by the circulant embedding, O(n log n)."""
+        size, spectrum = self._circulant
+        return irfft(rfft(v, size) * spectrum, size)[: self.n]
+
+    def solver(self, sigma: float, scale: float = 1.0):
+        """A function solving ``(scale A + sigma I) x = b``; the system must be SPD.
+
+        Levinson recursion gives the first column x of the inverse once, in
+        O(n^2).  With w = (0, x_{n-1}, ..., x_1) and L(v) the lower triangular
+        Toeplitz matrix with first column v, the Gohberg-Semencul formula
+        ``x_0 T^{-1} = L(x) L(x)^T - L(w) L(w)^T`` then applies the inverse
+        with six real FFTs of length >= 2n per solve.
+        """
+        n = self.n
+        t = scale * self.col
+        t[0] += sigma
+        e1 = np.zeros(n)
+        e1[0] = 1.0
+        try:
+            x = solve_toeplitz(t, e1)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Toeplitz solve failed: {exc}") from exc
+        if not (np.all(np.isfinite(x)) and x[0] > 0):
+            raise NumericError(f"scale A + sigma I is not positive definite (sigma={sigma})")
+        w = np.zeros(n)
+        w[1:] = x[:0:-1]
+        size = next_fast_len(2 * n, real=True)
+        root = np.sqrt(x[0])
+        fx, fw = rfft(x, size) / root, rfft(w, size) / root
+        fx_conj, fw_conj = fx.conj(), fw.conj()
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            fb = rfft(b, size)
+            # L(v)^T b is a correlation: the conjugate spectrum, first n lags
+            p = irfft(fx_conj * fb, size)[:n]
+            q = irfft(fw_conj * fb, size)[:n]
+            return irfft(fx * rfft(p, size) - fw * rfft(q, size), size)[:n]
+
+        return solve
 
     def shifted(self, d, scale: float = 1.0) -> np.ndarray:
         """A fresh C-ordered ``scale * A + diag(d)``, d a scalar or length-n field.
 
         Every dense system built from the operator (relaxation shift,
-        Jacobians, eigen potentials, implicit step) comes from here.  The
-        diagonal is added once, so ``A_ii - v`` rounds as ``A_ii + (-v)``.
+        Jacobians, eigen potentials) comes from here.  The diagonal is added
+        once, so ``A_ii - v`` rounds as ``A_ii + (-v)``.
         """
         d = np.asarray(d, dtype=float)
         if d.ndim and d.shape != (self.n,):
@@ -84,7 +153,7 @@ class OperatorMatrix:
 
 
 def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMatrix:
-    """Assemble the dense symmetric discretization of psi(-Delta).
+    """Assemble the symmetric Toeplitz discretization of psi(-Delta).
 
     ``far_cutoff`` must be at least twice the interval width so that the
     lumped far field only ever multiplies exterior (zero) data.
@@ -107,7 +176,7 @@ def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMat
     m = min(n_cells, n - 1)
     col[1 : m + 1] = -weights[:m]
     col[1] -= s
-    return OperatorMatrix(grid=grid, kernel=kernel, matrix=toeplitz(col))
+    return OperatorMatrix(grid=grid, kernel=kernel, col=col)
 
 
 def green_solve(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:
@@ -118,7 +187,7 @@ def green_solve(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise DimensionError(f"expected vector of length {op.n}, got shape {f.shape}")
-    u = cho_solve(op._factor, f)
+    u = op._green_solver(f)
     if not np.all(np.isfinite(u)):
         raise NumericError("green_solve produced non-finite values")
     return u

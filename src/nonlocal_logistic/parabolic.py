@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError
 from .grid import Grid1D
@@ -60,7 +59,7 @@ def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, n_steps: 
     The generator yields ``(k, w)`` for k = 0..n_steps, w the state at time
     k dt and a fresh array every step; ``caller`` names the solver in the
     c = 0 error.  The checks run here, before the caller's own work, and
-    the factor of I + dt A only once stepping starts.
+    the Toeplitz solver of I + dt A is set up only once stepping starts.
     """
     if spec.c != 0:
         raise ConfigurationError(f"{caller} requires c = 0")
@@ -76,12 +75,12 @@ def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, n_steps: 
         )
 
     def steps():
-        factor = cho_factor(op.shifted(1.0, scale=dt), overwrite_a=True)
+        solve = op.solver(1.0, scale=dt)
         scale = max(1.0, float(u0.max()), spec.apriori_bound())
         w = u0.copy()
         yield 0, w
         for k in range(1, n_steps + 1):
-            w = cho_solve(factor, w + dt * spec.reaction(w))
+            w = solve(w + dt * spec.reaction(w))
             if w.min() < -1e-12 * scale:
                 raise NumericError(
                     f"positivity lost at step {k} (min {w.min():.3e}); internal invariant"

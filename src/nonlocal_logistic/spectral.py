@@ -9,6 +9,7 @@ value is the principal Dirichlet eigenvalue of psi(-Delta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, lu_factor, lu_solve
@@ -20,7 +21,7 @@ from .errors import (
     DimensionError,
     SpectralProximityError,
 )
-from .operator import OperatorMatrix
+from .operator import OperatorMatrix, toeplitz_row_sums
 
 STALL_ITERS = 100  # iterations without a new best residual before giving up
 
@@ -48,31 +49,42 @@ def principal_eigenpair(
     iteration from a positive vector converges to the positive principal
     eigenvector.  Stops once the residual is below ``tol`` (default
     1e-10 * ||M||_inf) and the eigenvalue increment is below 1e-12.
+    Without a potential the shifted system is Toeplitz and is solved from
+    the operator's column (``op.solver``, ``op.matvec``); with one it is a
+    dense Cholesky factor.
     """
-    m = op.matrix if c is None else op.shifted(-np.asarray(c, dtype=float))
-    abs_rows = np.abs(m).sum(axis=1)
+    if c is None:
+        diag = op.col[0]
+        abs_rows = toeplitz_row_sums(np.abs(op.col))
+    else:
+        m = op.shifted(-np.asarray(c, dtype=float))
+        diag = np.diag(m)
+        abs_rows = np.abs(m).sum(axis=1)
     if tol is None:
         tol = 1e-10 * abs_rows.max()
-    diag = np.diag(m)
     radii = abs_rows - np.abs(diag)
     lo = float(np.min(diag - radii))
     hi = float(np.max(diag + radii))
     shift = lo - max(1e-8, 1e-3 * (hi - lo))
-    # one Fortran-ordered copy, factored in place: LAPACK's layout, no
-    # further n x n temporaries
-    shifted = np.array(m, order="F")
-    shifted[np.diag_indices_from(shifted)] -= shift
-    factor = cho_factor(shifted, overwrite_a=True)
+    if c is None:
+        solve, apply = op.solver(-shift), op.matvec
+    else:
+        # one Fortran-ordered copy, factored in place: LAPACK's layout, no
+        # further n x n temporaries
+        shifted = np.array(m, order="F")
+        shifted[np.diag_indices_from(shifted)] -= shift
+        solve, apply = partial(cho_solve, cho_factor(shifted, overwrite_a=True)), m.__matmul__
 
     v = np.ones(op.n)
     v /= np.linalg.norm(v)
     lam_prev = np.inf
     best, best_it = np.inf, 0
     for it in range(1, maxiter + 1):
-        w = cho_solve(factor, v)
+        w = solve(v)
         w /= np.linalg.norm(w)
-        lam = float(w @ (m @ w))
-        residual = float(np.abs(m @ w - lam * w).max() / np.abs(w).max())
+        mw = apply(w)
+        lam = float(w @ mw)
+        residual = float(np.abs(mw - lam * w).max() / np.abs(w).max())
         v = w
         if residual <= tol and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
             break
@@ -93,8 +105,9 @@ def principal_eigenpair(
     if not np.all(v > 0):
         raise ConvergenceError("principal eigenvector failed strict positivity")
     phi = v / v.max()
-    lam = float(phi @ (m @ phi) / (phi @ phi))
-    residual = float(np.abs(m @ phi - lam * phi).max())
+    mphi = apply(phi)
+    lam = float(phi @ mphi / (phi @ phi))
+    residual = float(np.abs(mphi - lam * phi).max())
     return EigenPair(lam=lam, phi=phi, residual=residual, iterations=it)
 
 
@@ -132,7 +145,9 @@ def antimaximum_profile(
         raise ConfigurationError("anti-maximum forcing must satisfy f <= 0, f != 0")
     m = op.shifted(-(lam if c is None else np.asarray(c, dtype=float) + lam))
     anorm = np.abs(m).sum(axis=0).max()
-    lu, piv = lu_factor(m, overwrite_a=True)
+    # m is symmetric: its transpose is the Fortran-ordered array LAPACK
+    # factors in place, with no n x n copy
+    lu, piv = lu_factor(m.T, overwrite_a=True)
     gecon = get_lapack_funcs(("gecon",), (m,))[0]
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or rcond * anorm < gap_floor:

@@ -261,7 +261,8 @@ def _relax(
     for it in range(1, maxiter + 1):
         if newton < newton_cap:
             try:
-                jac = cho_factor(op.shifted(-(spec.a - spec.f.deriv(u) - harvest_bound)),
+                # symmetric: the transpose is Fortran-ordered, factored in place
+                jac = cho_factor(op.shifted(-(spec.a - spec.f.deriv(u) - harvest_bound)).T,
                                  overwrite_a=True)
             except np.linalg.LinAlgError:
                 newton_cap = newton  # near or past the fold: relax from here on
@@ -270,7 +271,7 @@ def _relax(
             u_next = u - cho_solve(jac, op.matrix @ u - spec.reaction(u))
         else:
             if factor is None:
-                factor = cho_factor(op.shifted(theta), overwrite_a=True)
+                factor = cho_factor(op.shifted(theta).T, overwrite_a=True)
             u_next = cho_solve(factor, spec.reaction(u) + theta * u)
         drift = u_next - u
         if direction > 0 and drift.min() < -slack:

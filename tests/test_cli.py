@@ -34,6 +34,24 @@ def tree_bytes(outdir: Path) -> dict:
     }
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in JSON")
+
+
+class TestJsonOutput:
+    def test_undefined_residual_is_null(self, tmp_path):
+        # on the shipped baseline the harvested branch does not exist, so its
+        # residual is undefined: strict JSON has no NaN, the file says null
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
+        outdir = tmp_path / "steady"
+        assert main(["steady", "--config", str(cfg), "--output", str(outdir)]) == 0
+        for path in outdir.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        summary = json.loads((outdir / "steady.json").read_text(), parse_constant=_reject_constant)
+        assert summary["maximal_branch"] == "none"
+        assert summary["maximal_residual"] is None
+
+
 class TestEigen:
     def test_artifacts(self, tmp_path):
         code, outdir = run_cli(tmp_path, "eigen")
@@ -279,6 +297,24 @@ class TestParabolicCommands:
         summary = json.loads((outdir / "longtime.json").read_text())
         assert summary["verdict"] == "to_positive_steady"
         assert summary["final_distance"] <= 1e-4
+
+    def test_manifest_records_eigen_and_step_counts(self, tmp_path):
+        extra = (
+            "problem = { a_rel = 2.0 }\n"
+            "parabolic = { dt = 0.02, horizon = 0.2, s_max = 200.0, verdict_tol = 1e-4, "
+            'u0 = { kind = "eigenfunction", scale = 0.01 } }'
+        )
+        counts = {}
+        for sub in ("eigen", "diagnose", "evolve", "longtime"):
+            code, outdir = run_cli(tmp_path, sub, extra=extra, name=sub)
+            assert code == 0
+            counts[sub] = json.loads((outdir / "manifest.json").read_text())["solvers"]
+        iterations = json.loads((tmp_path / "eigen" / "eigen.json").read_text())["iterations"]
+        assert counts["eigen"] == counts["diagnose"] == {"eigen_iterations": iterations}
+        assert counts["evolve"] == {"eigen_iterations": iterations, "imex_steps": 10}
+        curve = (tmp_path / "longtime" / "distance_curve.csv").read_text().splitlines()
+        assert counts["longtime"]["eigen_iterations"] == iterations
+        assert counts["longtime"]["imex_steps"] == round(float(curve[-1].split(",")[0]) / 0.02)
 
 
 class TestMcCheck:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from nonlocal_logistic import (
     BernsteinSymbol,
@@ -8,11 +9,14 @@ from nonlocal_logistic import (
     LevyKernel,
     OracleDomainError,
     PeriodicBox,
+    ReactionSpec,
     assemble,
     build_grid,
+    evolve,
     green_solve,
     multiplier_oracle,
     oracle_on_grid,
+    principal_eigenpair,
     v_profile,
 )
 
@@ -79,6 +83,51 @@ class TestShifted:
     def test_diagonal_length_checked(self, op199):
         with pytest.raises(DimensionError):
             op199.shifted(np.ones(op199.n + 1))
+
+
+class TestToeplitzColumn:
+    SYMBOLS = (
+        BernsteinSymbol("fractional", 1.0),
+        BernsteinSymbol("relativistic", 1.0, m=1.0),
+        BernsteinSymbol("sum_fractional", 1.0, beta=1.5),
+    )
+
+    @staticmethod
+    def _op(symbol, n):
+        grid = build_grid(-1.0, 1.0, n)
+        return assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
+
+    @pytest.mark.parametrize("n", [63, 199, 799])
+    @pytest.mark.parametrize("symbol", SYMBOLS, ids=lambda s: s.kind)
+    def test_solver_matches_cholesky(self, symbol, n):
+        op = self._op(symbol, n)
+        b = np.random.default_rng(n).standard_normal(n)
+        lam_min = eigh(op.matrix, eigvals_only=True, subset_by_index=[0, 0])[0]
+        for sigma, scale in ((0.0, 1.0), (1.0, 0.01), (-0.5 * lam_min, 1.0)):
+            ref = cho_solve(cho_factor(op.shifted(sigma, scale=scale)), b)
+            x = op.solver(sigma, scale=scale)(b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("symbol", SYMBOLS, ids=lambda s: s.kind)
+    def test_matvec_matches_dense_product(self, symbol):
+        op = self._op(symbol, 199)
+        v = np.random.default_rng(2).standard_normal(op.n)
+        ref = op.matrix @ v
+        assert np.abs(op.matvec(v) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_constant_shift_paths_never_build_the_matrix(self):
+        op = _frac_op(99)
+        pair = principal_eigenpair(op)
+        green_solve(op, np.ones(op.n))
+        spec = ReactionSpec(a=2.0 * pair.lam)
+        evolve(op, spec, 0.01 * pair.phi, dt=0.01, horizon=0.1)
+        assert "matrix" not in vars(op)
+
+    def test_row_sums_match_dense(self, op199):
+        # the sums cancel a large diagonal: compare on the scale of the entries
+        dense = op199.matrix.sum(axis=1)
+        scale = np.abs(op199.matrix).sum(axis=1).max()
+        assert np.abs(op199.row_sums() - dense).max() <= 1e-13 * scale
 
 
 class TestApply:

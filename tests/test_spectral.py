@@ -78,10 +78,15 @@ class TestPrincipalEigenpair:
         assert np.abs(eig199.phi - eig199.phi[::-1]).max() < 1e-8
 
     def test_tolerance_below_rounding_floor_fails_fast(self, op399):
-        # the residual bottoms out near 3e-13 at n = 399: a stalled run must
-        # raise well before the iteration cap, naming the floor it reached
+        # the FFT residual bottoms out near 1e-13 at n = 399: a stalled run
+        # must raise well before the iteration cap, naming the floor it reached
         with pytest.raises(ConvergenceError, match=r"rounding floor: best residual \d"):
-            principal_eigenpair(op399, tol=1e-13, maxiter=500)
+            principal_eigenpair(op399, tol=1e-14, maxiter=500)
+
+    def test_tolerance_below_dense_rounding_floor_fails_fast(self, op399):
+        # a potential takes the dense path, whose residual bottoms out near 3e-13
+        with pytest.raises(ConvergenceError, match=r"rounding floor: best residual \d"):
+            principal_eigenpair(op399, c=np.zeros(op399.n), tol=1e-13, maxiter=500)
 
 
 class TestAntimaximum:

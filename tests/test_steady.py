@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.linalg import cho_factor
 
+from nonlocal_logistic import steady
 from nonlocal_logistic import (
     ConfigurationError,
     ContinuationError,
@@ -381,6 +383,23 @@ class TestNewtonDescent:
         state, relaxed = self._compare(op199, eig199, replace(spec, c=0.999 * scan.bracket[0]))
         assert state.newton_steps == NEWTON_DESCENT_CAP
         assert state.newton_steps < state.iterations < relaxed.iterations
+
+    def test_dense_factors_are_fortran_ordered(self, op199, eig199, saturating_scan,
+                                                monkeypatch):
+        # the symmetric systems reach LAPACK as their Fortran-ordered transpose,
+        # so each factor overwrites its input instead of copying it
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.flags.f_contiguous)
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(steady, "cho_factor", recording)
+        spec, scan = saturating_scan
+        state = maximal_harvest(op199, replace(spec, c=0.999 * scan.bracket[0]), eigenpair=eig199)
+        assert state.newton_steps == NEWTON_DESCENT_CAP < state.iterations
+        assert len(seen) > NEWTON_DESCENT_CAP
+        assert all(seen)
 
     def test_double_critical_none_without_monotonicity_error(self, op199, eig199, window_spec,
                                                               scan, saturating_scan):
