@@ -68,4 +68,5 @@ from .stochastic import (
     mc_green,
     simulate_killed_path,
     survival_lambda1,
+    trace_rows,
 )

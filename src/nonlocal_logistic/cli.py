@@ -37,7 +37,9 @@ from .operator import assemble, green_solve
 from .parabolic import evolve, longtime_classify
 from .spectral import principal_eigenpair
 from .steady import maximal_harvest, scan_cstar, small_branch, solve_logistic, stability_index
-from .stochastic import SubordinatorSampler, mc_green, survival_lambda1, survival_steps
+from .stochastic import (
+    SubordinatorSampler, horizon_steps, mc_green, survival_lambda1, survival_steps, trace_rows,
+)
 
 ENV_OUTDIR = "NONLOCAL_LOGISTIC_OUTDIR"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -94,10 +96,14 @@ class RunOutput:
             (outdir / name).write_text(text)
 
 
-def _assemble_from(cfg: RunConfig):
+def _eigenpair(cfg: RunConfig, out: RunOutput):
+    """The assembled operator and its principal eigenpair; records the iterations."""
     if cfg.grid is None:
         raise ConfigurationError("this subcommand needs a domain block")
-    return assemble(cfg.grid, cfg.kernel, cfg.far_cutoff)
+    op = assemble(cfg.grid, cfg.kernel, cfg.far_cutoff)
+    pair = principal_eigenpair(op, tol=cfg.tol)
+    out.solvers["eigen_iterations"] = pair.iterations
+    return op, pair
 
 
 def _maybe_dump_matrix(out: RunOutput, op, flag: bool):
@@ -169,9 +175,7 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
 
 def run_eigen(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
-    op = _assemble_from(cfg)
-    pair = principal_eigenpair(op, tol=cfg.tol)
-    out.solvers["eigen_iterations"] = pair.iterations
+    op, pair = _eigenpair(cfg, out)
     out.csvs["eigen.csv"] = (
         ["node", "x", "phi"],
         [(i, op.grid.nodes[i], pair.phi[i]) for i in range(op.n)],
@@ -190,8 +194,7 @@ def run_eigen(cfg: RunConfig, args) -> RunOutput:
 
 def run_steady(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
-    op = _assemble_from(cfg)
-    pair = principal_eigenpair(op, tol=cfg.tol)
+    op, pair = _eigenpair(cfg, out)
     spec = cfg.reaction(pair.lam)
     spec0 = replace(spec, c=0.0, h=None)
     logistic = solve_logistic(op, spec0, tol=cfg.tol, eigenpair=pair)
@@ -234,8 +237,7 @@ def run_steady(cfg: RunConfig, args) -> RunOutput:
 
 def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
-    op = _assemble_from(cfg)
-    pair = principal_eigenpair(op, tol=cfg.tol)
+    op, pair = _eigenpair(cfg, out)
     spec = cfg.reaction(pair.lam)
     if spec.h is None:
         raise ConfigurationError("bifurcate needs a harvest term in the problem block")
@@ -269,13 +271,13 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
             except NumericError:
                 pass
         rows.append((s.c, s.exists, sup_u1, sup_u2, lam_star))
-    out.solvers = {
+    out.solvers.update({
         "scan_probes": len(scan.samples),
         "descent_newton_steps": sum(s.state.newton_steps for s in scan.samples),
         "descent_relaxation_steps": sum(
             s.state.iterations - s.state.newton_steps for s in scan.samples),
         "small_branch_steps": continuation_steps,
-    }
+    })
     out.csvs["bifurcation.csv"] = (
         ["c", "exists", "sup_u1", "sup_u2", "lambda_star"], rows
     )
@@ -306,16 +308,14 @@ def _initial_field(cfg: RunConfig, op, pair, spec):
 
 def run_evolve(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
-    op = _assemble_from(cfg)
-    pair = principal_eigenpair(op, tol=cfg.tol)
+    op, pair = _eigenpair(cfg, out)
     spec = cfg.reaction(pair.lam)
     dt = cfg.parabolic["dt"]
     horizon = cfg.parabolic["horizon"]
     snaps = cfg.parabolic["snapshot_times"]
     u0 = _initial_field(cfg, op, pair, spec)
     run = evolve(op, spec, u0, dt, horizon, snapshot_times=snaps)
-    out.solvers = {"eigen_iterations": pair.iterations,
-                   "imex_steps": int(round(run.horizon / run.dt))}
+    out.solvers["imex_steps"] = int(round(run.horizon / run.dt))
     rows = [
         (s, i, op.grid.nodes[i], run.snapshots[k][i])
         for k, s in enumerate(run.times)
@@ -349,15 +349,14 @@ def run_evolve(cfg: RunConfig, args) -> RunOutput:
 
 def run_longtime(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
-    op = _assemble_from(cfg)
-    pair = principal_eigenpair(op, tol=cfg.tol)
+    op, pair = _eigenpair(cfg, out)
     spec = cfg.reaction(pair.lam)
     dt = cfg.parabolic["dt"]
     s_max = cfg.parabolic["s_max"]
     verdict_tol = cfg.parabolic["verdict_tol"]
     u0 = _initial_field(cfg, op, pair, spec)
     res = longtime_classify(op, spec, u0, dt, s_max, verdict_tol, eigenpair=pair)
-    out.solvers = {"eigen_iterations": pair.iterations, "imex_steps": res.times.size - 1}
+    out.solvers["imex_steps"] = res.times.size - 1
     stride = max(1, res.times.size // 2000)
     rows = []
     for k in range(0, res.times.size, stride):
@@ -396,9 +395,9 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
     n_paths, dt_path, seed, x0 = st["n_paths"], st["dt_path"], st["seed"], st["x0"]
     summary = {"n_paths": n_paths, "dt_path": dt_path, "seed": seed, "x0": x0}
     if cfg.grid is not None:
-        # the survival window is checked before any path is drawn
-        op = _assemble_from(cfg)
-        pair = principal_eigenpair(op, tol=cfg.tol)
+        # the horizon and the survival window are checked before any path is drawn
+        horizon_steps(st["horizon"], dt_path)
+        op, pair = _eigenpair(cfg, out)
         n_t = st["n_t"]
         t_max = st["t_max"]
         if t_max is None:
@@ -439,16 +438,12 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
             [(fit.t_grid[i], fit.survival[i]) for i in range(fit.t_grid.size)],
         )
     if args.trace_paths:
-        from .stochastic import simulate_killed_path
-
         tracer = sampler.with_rng(
             np.random.default_rng(np.random.SeedSequence(seed + 3).spawn(1)[0])
         )
-        rows = []
-        for p in range(min(1000, n_paths)):
-            path = simulate_killed_path(tracer, x0, dt_path, st["horizon"], cfg.grid.interval)
-            for k, pos in enumerate(path.positions):
-                rows.append((p, k * dt_path, pos))
+        rows = trace_rows(tracer, x0, dt_path, st["horizon"], cfg.grid.interval, n_paths)
+        out.solvers["trace_paths"] = rows[-1][0] + 1  # path-major rows
+        out.solvers["trace_rows"] = len(rows)
         out.csvs["path_traces.csv"] = (["path", "t", "x"], rows)
     out.jsons["mc_check.json"] = summary
     return out
@@ -456,9 +451,7 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
 
 def run_diagnose(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
-    op = _assemble_from(cfg)
-    pair = principal_eigenpair(op, tol=cfg.tol)
-    out.solvers["eigen_iterations"] = pair.iterations
+    op, pair = _eigenpair(cfg, out)
     fields = {"phi1": pair.phi}
     summary = {"lambda1": pair.lam}
     if cfg.problem is not None:

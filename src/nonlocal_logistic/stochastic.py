@@ -7,20 +7,21 @@ variance 2 dS.  Killing happens at the first grid time the position
 leaves the interval; the jump that overshoots is kept, sub-step
 excursions are missed, giving a documented O(dt) bias.
 
-All three estimators (``mc_green``, ``feynman_kac``, ``survival_lambda1``)
-reduce over one step-major engine, :func:`_killed_steps`, that advances a
-chunk of paths together and compacts away the killed ones.  Chunks use
-independent substreams spawned from the master seed and are combined in
-fixed chunk order, so results are byte-identical for any worker count and
-fully reproducible from (seed, config).  ``simulate_killed_path`` traces a
-single path on its own and stays outside the engine (see its docstring).
+Every Monte Carlo consumer runs on one step-major engine,
+:func:`_killed_steps`, that advances a batch of paths together and
+compacts away the killed ones.  ``feynman_kac`` (and ``mc_green``, its
+source-only case) and ``survival_lambda1`` reduce over chunks with
+independent substreams spawned from the master seed, combined in fixed
+chunk order, so results are byte-identical for any worker count and
+reproducible from (seed, config).  ``trace_rows`` records one batch of at
+most 1000 paths; ``simulate_killed_path`` is its one-path view.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import ConfigurationError, SamplerError, StatisticalPowerError
 
 CHUNK = 8192
 REJECTION_CAP = 1_000_000
+TRACE_PATHS = 1000  # paths recorded by trace_rows
 
 _SAMPLER_KINDS = {"fractional", "sum_fractional", "relativistic"}
 
@@ -125,41 +127,6 @@ class KilledPath:
     exited: bool
 
 
-def simulate_killed_path(
-    sampler: SubordinatorSampler,
-    x0: float,
-    dt_path: float,
-    horizon: float,
-    domain: tuple[float, float],
-) -> KilledPath:
-    """Trace one path from x0 until it leaves the domain or reaches the horizon.
-
-    The draws alternate increment, Gaussian move, increment, ... along the
-    path, so consecutive calls on one sampler lay the paths out one after
-    the other in its stream.  The step-major engine draws all increments of
-    a step before all Gaussian moves and would reproduce these traces only
-    at one path per call, which costs 7 to 11 us more per step (1,000
-    alpha = 1 traces at dt_path = 0.01, 98,385 steps, on 2 cores: 2.4 to
-    2.8 s instead of 1.7 to 1.9 s); the tracer therefore keeps its own
-    scalar loop.
-    """
-    xl, xr = domain
-    if dt_path <= 0:
-        raise ConfigurationError("dt_path must be positive")
-    pos = [x0]
-    if not (xl < x0 < xr):
-        return KilledPath(x0, dt_path, np.array(pos), 0.0, True)
-    n_steps = int(round(horizon / dt_path))
-    x = x0
-    for k in range(1, n_steps + 1):
-        ds = sampler.increments(dt_path, 1)[0]
-        x = x + sampler.rng.standard_normal() * math.sqrt(2.0 * ds)
-        pos.append(x)
-        if not (xl < x < xr):
-            return KilledPath(x0, dt_path, np.array(pos), k * dt_path, True)
-    return KilledPath(x0, dt_path, np.array(pos), math.inf, False)
-
-
 @dataclass
 class McEstimate:
     """Monte Carlo value with its standard error and seed provenance."""
@@ -171,22 +138,12 @@ class McEstimate:
     dt_path: float = float("nan")
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "dt_path": self.dt_path,
-        }
-
-
-def _chunk_sizes(n_paths: int) -> list[int]:
-    full, rem = divmod(n_paths, CHUNK)
-    return [CHUNK] * full + ([rem] if rem else [])
+        return asdict(self)
 
 
 def _run_chunks(chunk_fn, n_paths: int, seed: int, n_workers: int) -> list:
-    sizes = _chunk_sizes(n_paths)
+    full, rem = divmod(n_paths, CHUNK)
+    sizes = [CHUNK] * full + ([rem] if rem else [])
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     jobs = [(np.random.default_rng(s), m) for s, m in zip(seeds, sizes)]
     if n_workers <= 1:
@@ -214,10 +171,6 @@ def _combine(moments: list[tuple[float, float, int]], n_paths, seed, dt_path) ->
     )
 
 
-def _moments(vals: np.ndarray) -> tuple[float, float, int]:
-    return float(vals.sum()), float((vals ** 2).sum()), vals.size
-
-
 def _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
     """Advance m paths from x0 together, killing each on leaving the domain.
 
@@ -242,6 +195,46 @@ def _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
         if idx.size == 0:
             return
         yield k, idx, pos
+
+
+def trace_rows(sampler: SubordinatorSampler, x0: float, dt_path: float, horizon: float,
+               domain: tuple[float, float], n_paths: int) -> list[tuple[int, float, float]]:
+    """Path-major ``(path, t, x)`` rows of ``min(1000, n_paths)`` paths in one engine batch.
+
+    Path ``p`` runs from ``(p, 0.0, x0)`` in steps of ``dt_path`` to its first
+    position outside the domain or to the horizon (a whole number of steps).
+    """
+    n_steps = horizon_steps(horizon, dt_path)
+    ids = list(range(min(TRACE_PATHS, n_paths)))  # one int per path, shared by its rows
+    rows = [(p, 0.0, float(x0)) for p in ids]
+
+    def record(paths, t, pos):
+        rows.extend([(ids[p], t, x) for p, x in zip(paths.tolist(), pos[paths].tolist())])
+
+    moved = None  # the paths that moved into the current step
+    for k, idx, pos in _killed_steps(sampler, sampler.rng, len(ids), x0, domain,
+                                     dt_path, n_steps):
+        if k:
+            record(moved, k * dt_path, pos)
+        moved = idx
+    if moved is not None and k < n_steps:  # every path alive at k left at step k + 1
+        record(moved, (k + 1) * dt_path, pos)
+    rows.sort()
+    return rows
+
+
+def simulate_killed_path(sampler: SubordinatorSampler, x0: float, dt_path: float,
+                         horizon: float, domain: tuple[float, float]) -> KilledPath:
+    """One path from x0 until it leaves the domain or reaches the horizon.
+
+    The one-path view of :func:`trace_rows`: consecutive calls on one sampler
+    lay the paths out one after the other in its stream.
+    """
+    rows = trace_rows(sampler, x0, dt_path, horizon, domain, 1)
+    positions = np.array([x for _, _, x in rows])
+    xl, xr = domain
+    exited = not (xl < positions[-1] < xr)
+    return KilledPath(x0, dt_path, positions, rows[-1][1] if exited else math.inf, exited)
 
 
 def feynman_kac(
@@ -292,7 +285,7 @@ def feynman_kac(
                 vals[idx] += exp_pot[idx] * np.asarray(ell(x, s_k), dtype=float) * dt
             if vpot is not None:
                 exp_pot[idx] *= np.exp(np.asarray(vpot(x, s_k), dtype=float) * dt)
-        return _moments(vals)
+        return float(vals.sum()), float((vals ** 2).sum()), vals.size
 
     moments = _run_chunks(chunk, n_paths, seed, n_workers)
     return _combine(moments, n_paths, seed, dt_path)
@@ -311,23 +304,15 @@ def mc_green(
 ) -> McEstimate:
     """Occupation-integral estimate of the Green operator applied to f.
 
-    Averages int_0^tau f(X_s) ds by the left-endpoint rule; paths still
-    alive at the horizon are truncated there (the surviving fraction
-    decays exponentially, so pick the horizon accordingly).
+    Averages int_0^tau f(X_s) ds by the left-endpoint rule (``feynman_kac``
+    with source f); paths alive at the horizon, a whole number of steps, are
+    truncated there (the surviving fraction decays exponentially).
     """
     if n_paths < 100:
         raise ConfigurationError("mc_green requires n_paths >= 100")
-    n_steps = int(round(horizon / dt_path))
-
-    def chunk(rng: np.random.Generator, m: int):
-        vals = np.zeros(m)
-        for k, idx, pos in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
-            if k < n_steps:
-                vals[idx] += np.asarray(f(pos[idx]), dtype=float) * dt_path
-        return _moments(vals)
-
-    moments = _run_chunks(chunk, n_paths, seed, n_workers)
-    return _combine(moments, n_paths, seed, dt_path)
+    horizon_steps(horizon, dt_path)
+    return feynman_kac(sampler, domain, None, lambda x, s: f(x), None, 0.0, horizon,
+                       x0, n_paths, dt_path, seed, n_workers)
 
 
 @dataclass
@@ -343,6 +328,26 @@ class SurvivalFit:
     seed: int
 
 
+def _whole_steps(times, dt_path: float, what: str) -> np.ndarray:
+    """The path step of each time; an error unless within ``1e-9 * dt_path`` of one."""
+    if not dt_path > 0:
+        raise ConfigurationError("dt_path must be positive")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    steps = np.round(times / dt_path).astype(int)
+    off = np.abs(steps * dt_path - times) > 1e-9 * dt_path
+    if np.any(off):
+        raise ConfigurationError(
+            f"{what} {times[off][0]:.6g} is not a multiple of dt_path = {dt_path:.6g}")
+    return steps
+
+
+def horizon_steps(horizon: float, dt_path: float) -> int:
+    """The path steps to a positive ``horizon`` on the step grid."""
+    if not horizon > 0:
+        raise ConfigurationError("horizon must be positive")
+    return int(_whole_steps(horizon, dt_path, "horizon")[0])
+
+
 def survival_steps(t_grid, dt_path: float) -> np.ndarray:
     """The path step of each survival grid time.
 
@@ -353,12 +358,7 @@ def survival_steps(t_grid, dt_path: float) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 4 or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise ConfigurationError("t_grid must be increasing, positive, with >= 4 points")
-    steps = np.round(t_grid / dt_path).astype(int)
-    off = np.abs(steps * dt_path - t_grid) > 1e-9 * dt_path
-    if np.any(off):
-        raise ConfigurationError(
-            f"survival time {t_grid[off][0]:.6g} is not a multiple of dt_path = {dt_path:.6g}")
-    return steps
+    return _whole_steps(t_grid, dt_path, "survival time")
 
 
 def survival_lambda1(

@@ -3,8 +3,11 @@
 Everything here deliberately avoids the package's assembly/solve paths:
 symbols are recovered from kernels by adaptive quadrature of the
 multiplier integral, and operator values by direct quadrature of the
-singular integral on callables.
+singular integral on callables.  Killed paths are stepped one at a time
+by a scalar loop instead of the batched path engine.
 """
+
+import math
 
 import numpy as np
 from scipy import integrate
@@ -61,3 +64,24 @@ def mollifier(x, width: float = 0.6):
     z = x[inside] / width
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - z * z))
     return out
+
+
+def scalar_killed_path(sampler, x0: float, dt_path: float, horizon: float, domain):
+    """Positions of one path stepped alone until it leaves the domain or the horizon.
+
+    Each step draws one subordinator increment, then one standard normal,
+    from the sampler's generator and moves by ``sqrt(2 dS)`` times it; the
+    first position outside the domain is kept.
+    """
+    xl, xr = domain
+    pos = [x0]
+    if not (xl < x0 < xr):
+        return np.array(pos)
+    x = x0
+    for _ in range(int(round(horizon / dt_path))):
+        ds = sampler.increments(dt_path, 1)[0]
+        x = x + sampler.rng.standard_normal() * math.sqrt(2.0 * ds)
+        pos.append(x)
+        if not (xl < x < xr):
+            break
+    return np.array(pos)

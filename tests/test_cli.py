@@ -218,7 +218,8 @@ class TestSteadyCommand:
         assert summary["maximal_sup"] <= summary["logistic_sup"]
         solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
         assert set(solvers) == {
-            "logistic_steps", "descent_newton_steps", "descent_relaxation_steps"}
+            "eigen_iterations", "logistic_steps", "descent_newton_steps",
+            "descent_relaxation_steps"}
         assert solvers["logistic_steps"] > 0
         assert solvers["descent_newton_steps"] > 0
         assert solvers["descent_relaxation_steps"] >= 0
@@ -375,6 +376,22 @@ class TestMcCheck:
         assert "survival time 0.495 is not a multiple of dt_path" in (
             outdir / "error.log").read_text()
 
+    def test_off_grid_horizon_exits_2_before_any_path(self, tmp_path, monkeypatch):
+        # horizon 0.505 is not a multiple of dt_path = 0.01
+        import nonlocal_logistic.cli as cli
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("drew paths for an off-grid horizon")
+
+        monkeypatch.setattr(cli.SubordinatorSampler, "increments", no_paths)
+        extra = ("stochastic = { n_paths = 2000, dt_path = 0.01, seed = 9, horizon = 0.505, "
+                 "t_max = 3.0, n_t = 10 }")
+        code, outdir = run_cli(tmp_path, "mc-check", extra=extra, name="offhorizon",
+                               args=("--trace-paths",))
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        assert "horizon 0.505 is not a multiple of dt_path" in (outdir / "error.log").read_text()
+
     def test_trace_paths_needs_domain(self, tmp_path):
         outdir = tmp_path / "nodomain"
         cfg = tmp_path / "nodomain.cfg"
@@ -387,6 +404,28 @@ class TestMcCheck:
         assert code == 2
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         assert "--trace-paths needs a domain block" in (outdir / "error.log").read_text()
+
+
+class TestManifestSolvers:
+    def test_eigen_iterations_and_trace_counts(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "eigen", name="eigen")
+        assert code == 0
+        iterations = json.loads((outdir / "eigen.json").read_text())["iterations"]
+        harvest = ('problem = { a_rel = 1.05, c = 1.0, f = { kind = "quadratic" }, '
+                   'h = { kind = "constant_yield", h0 = 1.0 } }')
+        runs = [
+            ("steady", 'problem = { a_rel = 2.0, f = { kind = "quadratic" } }', ()),
+            ("bifurcate", harvest + "\nscan = { c_max = 0.2, rel_tol = 0.01, ladder = 2 }", ()),
+            ("mc-check", TestMcCheck.EXTRA, ("--trace-paths",)),
+        ]
+        for sub, extra, args in runs:
+            code, outdir = run_cli(tmp_path, sub, extra=extra, name=sub, args=args)
+            assert code == 0
+            solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
+            assert solvers["eigen_iterations"] == iterations
+        rows = (tmp_path / "mc-check" / "path_traces.csv").read_text().splitlines()[1:]
+        assert solvers["trace_paths"] == 1000  # the cap: n_paths = 4000
+        assert solvers["trace_rows"] == len(rows)
 
 
 class TestOtherCommands:

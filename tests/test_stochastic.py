@@ -18,7 +18,9 @@ from nonlocal_logistic import (
     mc_green,
     simulate_killed_path,
     survival_lambda1,
+    trace_rows,
 )
+from oracles import scalar_killed_path
 
 DOMAIN = (-1.0, 1.0)
 
@@ -104,6 +106,71 @@ class TestKilledPath:
         assert np.array_equal(a.positions, b.positions)
 
 
+SAMPLERS = [
+    ("fractional", {"alpha": 1.0}),
+    ("relativistic", {"alpha": 1.0, "m": 1.0}),
+    ("sum_fractional", {"alpha": 1.0, "beta": 1.5}),
+]
+
+
+class TestOneEngineTraces:
+    @pytest.mark.parametrize("kind, kw", SAMPLERS)
+    def test_single_path_matches_scalar_loop_bit_for_bit(self, kind, kw):
+        engine, scalar = sampler_for(kind, **kw), sampler_for(kind, **kw)
+        exited = []
+        for _ in range(60):
+            path = simulate_killed_path(engine, 0.3, 0.01, 1.0, DOMAIN)
+            ref = scalar_killed_path(scalar, 0.3, 0.01, 1.0, DOMAIN)
+            assert path.positions.tobytes() == ref.tobytes()
+            steps = ref.size - 1
+            assert path.exited == (abs(ref[-1]) >= 1.0)
+            assert path.exit_time == (steps * 0.01 if path.exited else math.inf)
+            exited.append(path.exited)
+        assert any(exited) and not all(exited)  # exits and horizon stops both occur
+        # both streams consumed the same draws
+        assert engine.rng.random() == scalar.rng.random()
+
+    @staticmethod
+    def _traces(rows):
+        traces: dict[int, list[tuple[float, float]]] = {}
+        for p, t, x in rows:
+            traces.setdefault(p, []).append((t, x))
+        return traces
+
+    def test_rows_are_path_major_killed_paths(self):
+        dt, horizon, x0 = 0.02, 1.0, 0.25
+        rows = trace_rows(sampler_for("fractional", alpha=1.0), x0, dt, horizon, DOMAIN, 300)
+        ids = [p for p, _, _ in rows]
+        assert ids == sorted(ids)
+        traces = self._traces(rows)
+        assert list(traces) == list(range(300))
+        at_horizon = 0
+        for trace in traces.values():
+            ts = [t for t, _ in trace]
+            xs = np.array([x for _, x in trace])
+            assert trace[0] == (0.0, x0)
+            assert ts == [k * dt for k in range(len(ts))]
+            assert np.all(np.abs(xs[:-1]) < 1.0)
+            if abs(xs[-1]) < 1.0:
+                assert len(ts) - 1 == round(horizon / dt)
+                at_horizon += 1
+        assert 0 < at_horizon < 300
+
+    def test_capped_at_1000_paths(self):
+        rows = trace_rows(sampler_for("fractional", alpha=1.0), 0.0, 0.05, 0.5, DOMAIN, 1500)
+        assert list(self._traces(rows)) == list(range(1000))
+
+    def test_start_outside_is_the_only_row(self):
+        rows = trace_rows(sampler_for("fractional", alpha=1.0), 1.5, 0.01, 1.0, DOMAIN, 40)
+        assert rows == [(p, 0.0, 1.5) for p in range(40)]
+
+    def test_off_grid_horizon_rejected(self):
+        # 1.0 would otherwise stop alive paths at step 3 (t = 0.9)
+        with pytest.raises(ConfigurationError,
+                           match="horizon 1 is not a multiple of dt_path = 0.3"):
+            trace_rows(sampler_for("fractional", alpha=1.0), 0.0, 0.3, 1.0, DOMAIN, 10)
+
+
 @pytest.fixture(scope="module")
 def frac_sampler():
     return SubordinatorSampler(BernsteinSymbol("fractional", 1.0))
@@ -152,6 +219,12 @@ class TestMcGreen:
     def test_requires_paths(self, frac_sampler):
         with pytest.raises(ConfigurationError):
             mc_green(frac_sampler, DOMAIN, lambda x: x, 0.0, 10, 0.01, seed=0)
+
+    def test_off_grid_horizon_rejected(self, frac_sampler):
+        # 0.505 would otherwise be read at step 50 (t = 0.5)
+        with pytest.raises(ConfigurationError, match="horizon 0.505 is not a multiple of dt_path"):
+            mc_green(frac_sampler, DOMAIN, lambda x: np.ones_like(x), 0.0, 1000, 0.01,
+                     seed=1, horizon=0.505)
 
 
 class TestFeynmanKac:
