@@ -162,8 +162,8 @@ def longtime_classify(
     positive data and the run stops once the sup-distance to it falls
     below ``tol``; at or below it the state decays to zero.  The recorded
     distance curves support decay-rate fits.  ``tol`` is the verdict
-    tolerance; the internal steady solve is run ten times tighter to
-    avoid chattering.
+    tolerance; the internal steady solve is run at least a hundred times
+    tighter to avoid chattering.
     """
     n_steps = _step_count(s_max, dt)
     steps = _imex_steps(op, spec, u0, dt, n_steps, "longtime classification")
@@ -171,9 +171,9 @@ def longtime_classify(
     supercritical = spec.a > pair.lam * (1.0 + 1e-12)
     steady = None
     if supercritical:
-        # the reference must sit well inside the verdict tolerance; the
-        # relaxation's step tolerance understates its solution error, so
-        # solve at least two orders tighter
+        # the reference's error enters every distance compared with the verdict
+        # tolerance, so solve at least two orders tighter (a relaxation tail,
+        # if the descent needs one, stops on step size and understates its error)
         steady = solve_logistic(op, spec, tol=min(1e-9, tol / 100.0), eigenpair=pair)
 
     times = np.empty(n_steps + 1)

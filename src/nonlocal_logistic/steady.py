@@ -2,12 +2,14 @@
 
 Solves ``A u = a u - f(x, u) - c h(x, u)`` on the interior nodes (zero
 exterior), where f is a crowding term from a catalog and h a harvesting
-term.  Provides the monotone sub/supersolution iteration, the pure
-logistic solve, the maximal harvested branch by one ordered descent from
-the harvest-free state (monotone Newton steps first, Ortega & Rheinboldt
-1970, sec. 13.3, then the shifted relaxation near the fold), the small
-branch by Newton continuation in c (from zero, or from an earlier point of
-the branch), the critical-harvest scan, and linearized stability indices.
+term.  The pure logistic solution and the maximal harvested branch are the
+largest fixed point below a supersolution (the constant a-priori bound, or
+the harvest-free state), both reached by one ordered descent: monotone
+Newton steps first (Ortega & Rheinboldt 1970, sec. 13.3), then the shifted
+relaxation near the fold.  Also provides the monotone sub/supersolution
+iteration (the descent's independent oracle), the small branch by Newton
+continuation in c, the critical-harvest scan, and linearized stability
+indices.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .spectral import EigenPair, principal_eigenpair
 
 BRANCHES = ("logistic", "maximal", "small", "none")
 
-# Newton steps of the maximal descent before the relaxation takes over; away
-# from the fold the descent converges in well under this many
+# Newton steps of the descent before the relaxation takes over; away from the
+# fold the descent converges in well under this many
 NEWTON_DESCENT_CAP = 50
 
 
@@ -205,8 +207,8 @@ class SteadyState:
     ``branch`` is one of ``logistic``, ``maximal``, ``small`` (strictly
     positive solutions) or ``none`` (no positive solution accepted; u is
     then the zero placeholder and the residual may be NaN).  ``iterations``
-    counts all solver steps; ``newton_steps`` the Newton steps among them
-    of the maximal descent.
+    counts all solver steps; ``newton_steps`` the Newton steps of the
+    descent among them.
     """
 
     u: np.ndarray
@@ -260,6 +262,7 @@ def _relax(
     newton, factor = 0, None
     for it in range(1, maxiter + 1):
         if newton < newton_cap:
+            jac = None  # free the last factor before the next dense system is built
             try:
                 # symmetric: the transpose is Fortran-ordered, factored in place
                 jac = cho_factor(op.shifted(-(spec.a - spec.f.deriv(u) - harvest_bound)).T,
@@ -348,6 +351,34 @@ def monotone_iterate(
     return SteadyState(u=u, residual=residual, branch=branch, iterations=it)
 
 
+def _descend(
+    op: OperatorMatrix,
+    spec: ReactionSpec,
+    top: np.ndarray,
+    tol: float,
+    maxiter: int,
+    branch: str,
+) -> SteadyState:
+    """Maximal fixed point below the supersolution ``top`` by one ordered descent.
+
+    Up to ``NEWTON_DESCENT_CAP`` monotone Newton steps, then the shifted
+    relaxation (see :func:`_relax`); every iterate stays a supersolution
+    above every solution.  A negative node certifies that no positive
+    solution lies below ``top`` (branch ``none``); otherwise the limit is
+    labeled ``branch``.  ``newton_steps`` counts the Newton steps among
+    ``iterations``.
+    """
+    theta = spec.theta_for(float(top.max()))
+    u, residual, it, newton, went_negative = _relax(
+        op, spec, top, theta, tol, maxiter, direction=-1, lower=None, upper=top,
+        stop_on_negative=True, newton_cap=NEWTON_DESCENT_CAP,
+    )
+    if went_negative or u.min() <= 0:
+        return _none_state(op.n, iterations=it, newton_steps=newton)
+    return SteadyState(u=u, residual=residual, branch=branch, iterations=it,
+                       newton_steps=newton)
+
+
 def solve_logistic(
     op: OperatorMatrix,
     spec: ReactionSpec,
@@ -358,36 +389,19 @@ def solve_logistic(
     """Unique positive steady state of the harvest-free logistic equation.
 
     Below the principal eigenvalue there is no positive solution and the
-    zero state is returned with branch ``none``.  Above it, a small
-    multiple of the principal eigenfunction is a subsolution and a large
-    constant a supersolution; the monotone iteration from below converges
-    to the solution.
+    zero state is returned with branch ``none``.  Above it the descent (see
+    :func:`_descend`) starts from the constant a-priori bound M: ``A`` has
+    positive row sums and ``f(x, M) >= a M``, so M is a supersolution above
+    every solution, and the maximal fixed point below it is the positive
+    solution.
     """
     if spec.c != 0:
         raise ConfigurationError("solve_logistic requires c = 0")
     pair = eigenpair if eigenpair is not None else principal_eigenpair(op)
     if spec.a <= pair.lam * (1.0 + 1e-12):
         return _none_state(op.n, iterations=0, residual=0.0)
-    margin = spec.a - pair.lam
-    k = spec.f.slope_scale(margin / 2.0)
-    u_lo = None
-    for _ in range(60):
-        cand = k * pair.phi
-        lhs = op.matrix @ cand - spec.reaction(cand)
-        if lhs.max() < 0:
-            u_lo = cand
-            break
-        k *= 0.5
-    if u_lo is None:
-        raise ConstructionError(
-            f"could not build a strict subsolution below margin {margin:.3e}"
-        )
-    level = spec.apriori_bound()
-    u_hi = level * np.ones(op.n)
-    return monotone_iterate(
-        op, spec, u_lo, u_hi, tol=tol, start="lo", maxiter=maxiter,
-        branch_on_success="logistic",
-    )
+    top = np.full(op.n, spec.apriori_bound())
+    return _descend(op, spec, top, tol, maxiter, "logistic")
 
 
 def maximal_harvest(
@@ -400,35 +414,16 @@ def maximal_harvest(
 ) -> SteadyState:
     """Maximal harvested solution by monotone descent from the logistic state.
 
-    The harvest-free solution dominates every harvested solution.  The
-    descent from it is one ordered loop (see :func:`_relax`): up to
-    ``NEWTON_DESCENT_CAP`` monotone Newton steps (exact Newton for constant
-    yield, a chord step with the harvest slope bound for saturating
-    harvest), each keeping the iterate a supersolution above every
-    solution; then, once a Jacobian factor fails (only near or past the
-    fold) or the cap is reached, the Lipschitz-shifted relaxation from the
-    current iterate, which preserves the same ordering.  Either way the
-    decreasing sequence converges to the maximal fixed point.  Any iterate
-    with a negative node certifies nonexistence (the limit would dominate
-    every solution), so the descent exits early with branch ``none``.
-    ``iterations`` counts Newton and relaxation steps together;
-    ``newton_steps`` the former.
+    The harvest-free solution dominates every harvested solution, so it is
+    the supersolution the descent (see :func:`_descend`) starts from; a
+    negative iterate returns branch ``none``.
     """
-    pair = eigenpair if eigenpair is not None else principal_eigenpair(op)
     if v_a is None:
         v_a = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol,
-                             eigenpair=pair, maxiter=maxiter)
+                             eigenpair=eigenpair, maxiter=maxiter)
     if v_a.branch == "none":
         return _none_state(op.n)
-    theta = spec.theta_for(float(v_a.u.max()))
-    u, residual, it, newton, went_negative = _relax(
-        op, spec, v_a.u, theta, tol, maxiter, direction=-1, lower=None, upper=v_a.u,
-        stop_on_negative=True, newton_cap=NEWTON_DESCENT_CAP,
-    )
-    if went_negative or u.min() <= 0:
-        return _none_state(op.n, iterations=it, newton_steps=newton)
-    return SteadyState(u=u, residual=residual, branch="maximal", iterations=it,
-                       newton_steps=newton)
+    return _descend(op, spec, v_a.u, tol, maxiter, "maximal")
 
 
 def _newton(

@@ -261,14 +261,15 @@ def feynman_kac(
     with all path-time integrals by the left-endpoint rule on the dt_path
     grid and g evaluated as 0 on exited endpoints (zero exterior data).
     ``g`` maps positions to values; ``ell``/``vpot`` map (positions, time).
-    Any of them may be None (treated as identically zero).
+    Any of them may be None (treated as identically zero).  ``T - t`` must
+    be a whole number of ``dt_path`` steps.
     """
     if n_paths < 100:
         raise ConfigurationError("feynman_kac requires n_paths >= 100")
     if not t < T:
         raise ConfigurationError("feynman_kac requires t < T")
     span = T - t
-    n_steps = max(1, int(round(span / dt_path)))
+    n_steps = horizon_steps(span, dt_path)
     dt = span / n_steps
 
     def chunk(rng: np.random.Generator, m: int):
@@ -310,7 +311,6 @@ def mc_green(
     """
     if n_paths < 100:
         raise ConfigurationError("mc_green requires n_paths >= 100")
-    horizon_steps(horizon, dt_path)
     return feynman_kac(sampler, domain, None, lambda x, s: f(x), None, 0.0, horizon,
                        x0, n_paths, dt_path, seed, n_workers)
 
@@ -342,10 +342,11 @@ def _whole_steps(times, dt_path: float, what: str) -> np.ndarray:
 
 
 def horizon_steps(horizon: float, dt_path: float) -> int:
-    """The path steps to a positive ``horizon`` on the step grid."""
-    if not horizon > 0:
-        raise ConfigurationError("horizon must be positive")
-    return int(_whole_steps(horizon, dt_path, "horizon")[0])
+    """The path steps, at least one, to a positive ``horizon`` on the step grid."""
+    steps = int(_whole_steps(horizon, dt_path, "horizon")[0]) if horizon > 0 else 0
+    if steps < 1:
+        raise ConfigurationError(f"horizon {horizon:.6g} must be at least one dt_path step")
+    return steps
 
 
 def survival_steps(t_grid, dt_path: float) -> np.ndarray:

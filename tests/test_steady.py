@@ -90,6 +90,10 @@ class TestMonotoneIterate:
         up = monotone_iterate(op199, spec, lo, hi, tol=1e-12, start="lo")
         down = monotone_iterate(op199, spec, lo, hi, tol=1e-12, start="hi")
         assert np.abs(up.u - down.u).max() < 1e-9
+        # the Newton-first descent of solve_logistic meets the relaxation from below
+        logistic = solve_logistic(op199, spec, tol=1e-12, eigenpair=eig199)
+        assert logistic.residual <= 1e-12
+        assert np.abs(logistic.u - up.u).max() < 1e-9
 
     def test_bracket_ordering_required(self, op199):
         spec = ReactionSpec(a=1.0)
@@ -141,6 +145,22 @@ class TestSolveLogistic:
         spec = ReactionSpec(a=3.0, c=0.1, f=CrowdingTerm(), h=HarvestTerm())
         with pytest.raises(ConfigurationError):
             solve_logistic(op199, spec)
+
+    def test_near_refuge_heterogeneous_crowding(self, op199, eig199):
+        # b = 1e-3 on D0 = {|x| < 0.3}: a relaxation shifted for the a-priori
+        # level a / b_min contracts by 1 - O(b_min) per step, the descent from
+        # that level converges by Newton steps alone
+        refuge = np.abs(op199.grid.nodes) < 0.3
+        b = np.where(refuge, 1e-3, 1.0)
+        lam_refuge = np.linalg.eigvalsh(op199.matrix[np.ix_(refuge, refuge)])[0]
+        a = eig199.lam + 0.9 * (lam_refuge - eig199.lam)
+        spec = ReactionSpec(a=a, f=CrowdingTerm(b=b))
+        state = solve_logistic(op199, spec, eigenpair=eig199, maxiter=1000)
+        assert state.branch == "logistic"
+        assert state.iterations == state.newton_steps < 20
+        assert state.residual <= 1e-10
+        assert np.all(state.u > 0)
+        assert state.u.max() <= a / b.min()
 
 
 class TestMaximalHarvest:

@@ -258,7 +258,7 @@ class TestFeynmanKac:
 
     def test_long_horizon_source_recovers_green(self, op199, eig199, frac_sampler):
         det = green_solve(op199, np.ones(op199.n))[(op199.n - 1) // 2]
-        span = 5.0 / eig199.lam
+        span = 0.01 * math.ceil(5.0 / eig199.lam / 0.01)  # on the step grid, lam1 span >= 5
         est = feynman_kac(frac_sampler, DOMAIN, None,
                           lambda x, t: np.ones_like(x), None,
                           0.0, span, 0.0, 40_000, 0.01, seed=12)
@@ -268,6 +268,19 @@ class TestFeynmanKac:
         with pytest.raises(ConfigurationError):
             feynman_kac(frac_sampler, DOMAIN, None, None, None, 0.0, 1.0, 0.0,
                         50, 0.01, seed=0)
+
+    @pytest.mark.parametrize("span, dt_path, message", [
+        # 1.0 would otherwise be stepped by 1/3 while 0.3 is reported
+        (1.0, 0.3, "horizon 1 is not a multiple of dt_path = 0.3"),
+        (1e-12, 0.01, "horizon 1e-12 must be at least one dt_path step"),
+    ])
+    def test_off_grid_span_rejected(self, frac_sampler, span, dt_path, message):
+        def g(x):
+            raise AssertionError("g called before the span was checked")
+
+        with pytest.raises(ConfigurationError, match=message):
+            feynman_kac(frac_sampler, DOMAIN, g, None, None, 0.0, span, 0.0,
+                        1000, dt_path, seed=0)
 
 
 class TestCrossRepresentation:
