@@ -29,17 +29,22 @@ embedding and the FFT.  Systems ``scale A + sigma I`` with a constant shift
 are solved by Levinson recursion for the first column of the inverse,
 then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
 1972; Chan & Ng, SIAM Review 38, 1996).  The dense matrix is built on
-first use only, for systems with a variable diagonal.
+first use, and every dense factorization of ``scale A + diag(d)`` is made
+by ``OperatorMatrix.diag_solver``: the systems with a variable diagonal
+(Jacobians, eigen potentials, the anti-maximum shift) and, by choice, the
+constant relaxation shift, whose many solves against one factor are faster
+dense at the grid sizes used (n = 199, one BLAS thread: 60 us per Cholesky
+solve against 96 us per Gohberg-Semencul solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import solve_toeplitz, toeplitz
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_toeplitz, toeplitz
 
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import (
@@ -76,7 +81,7 @@ class OperatorMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense A, built on first use (variable-diagonal systems, dumps)."""
+        """The dense A, built on first use (dense factors and products, dumps)."""
         return toeplitz(self.col)
 
     @cached_property
@@ -150,6 +155,43 @@ class OperatorMatrix:
         out = scale * self.matrix
         out[np.diag_indices(self.n)] += d
         return out
+
+    def diag_solver(self, d, scale: float = 1.0, definite: bool = True):
+        """A function solving ``(scale A + diag(d)) x = b`` by a dense factor.
+
+        The system comes from :meth:`shifted`; it is symmetric, so its
+        transpose is the Fortran-ordered array LAPACK factors in place, with
+        no further n x n copy.  With ``definite`` it is a Cholesky factor, and
+        a failed factor (the system is not positive definite) raises
+        :class:`NumericError`.  Otherwise it is an LU factor: exact
+        singularity raises :class:`NumericError`, and the returned function
+        has a method ``gap()``, LAPACK's ``gecon`` estimate of the 1-norm
+        distance to the nearest singular matrix, computed only on request.
+        """
+        m = self.shifted(d, scale).T
+        if definite:
+            try:
+                factor = cho_factor(m, overwrite_a=True)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"scale A + diag(d) is not positive definite: {exc}") from exc
+            return partial(cho_solve, factor)
+        # 1-norm of the system from the column: |scale| times the off-diagonal
+        # absolute row sums of A, plus the shifted diagonal
+        anorm = float(np.max(abs(scale) * (toeplitz_row_sums(np.abs(self.col)) - abs(self.col[0]))
+                             + np.abs(np.diagonal(m))))
+        getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (m,))
+        lu, piv, info = getrf(m, overwrite_a=True)
+        if info > 0:
+            raise NumericError(f"scale A + diag(d) is exactly singular (pivot {info} is zero)")
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            return getrs(lu, piv, b)[0]
+
+        def gap() -> float:
+            return float(gecon(lu, anorm, norm="1")[0] * anorm)
+
+        solve.gap = gap
+        return solve
 
 
 def assemble(grid: Grid1D, kernel: LevyKernel, far_cutoff: float) -> OperatorMatrix:

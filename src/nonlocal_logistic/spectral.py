@@ -9,16 +9,15 @@ value is the principal Dirichlet eigenvalue of psi(-Delta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, lu_factor, lu_solve
 
 from .bernstein import v_profile
 from .errors import (
     ConfigurationError,
     ConvergenceError,
     DimensionError,
+    NumericError,
     SpectralProximityError,
 )
 from .operator import OperatorMatrix, toeplitz_row_sums
@@ -50,14 +49,16 @@ def principal_eigenpair(
     eigenvector.  Stops once the residual is below ``tol`` (default
     1e-10 * ||M||_inf) and the eigenvalue increment is below 1e-12.
     Without a potential the shifted system is Toeplitz and is solved from
-    the operator's column (``op.solver``, ``op.matvec``); with one it is a
-    dense Cholesky factor.
+    the operator's column (``op.solver``, ``op.matvec``); with one it is
+    solved by the dense Cholesky factor of ``op.diag_solver`` and the
+    products use the dense ``A - diag(c)``.
     """
     if c is None:
         diag = op.col[0]
         abs_rows = toeplitz_row_sums(np.abs(op.col))
     else:
-        m = op.shifted(-np.asarray(c, dtype=float))
+        c = np.asarray(c, dtype=float)
+        m = op.shifted(-c)
         diag = np.diag(m)
         abs_rows = np.abs(m).sum(axis=1)
     if tol is None:
@@ -69,11 +70,7 @@ def principal_eigenpair(
     if c is None:
         solve, apply = op.solver(-shift), op.matvec
     else:
-        # one Fortran-ordered copy, factored in place: LAPACK's layout, no
-        # further n x n temporaries
-        shifted = np.array(m, order="F")
-        shifted[np.diag_indices_from(shifted)] -= shift
-        solve, apply = partial(cho_solve, cho_factor(shifted, overwrite_a=True)), m.__matmul__
+        solve, apply = op.diag_solver(-(c + shift)), m.__matmul__
 
     v = np.ones(op.n)
     v /= np.linalg.norm(v)
@@ -143,18 +140,15 @@ def antimaximum_profile(
         raise DimensionError(f"forcing must have length {op.n}")
     if np.any(f > 0) or not np.any(f < 0):
         raise ConfigurationError("anti-maximum forcing must satisfy f <= 0, f != 0")
-    m = op.shifted(-(lam if c is None else np.asarray(c, dtype=float) + lam))
-    anorm = np.abs(m).sum(axis=0).max()
-    # m is symmetric: its transpose is the Fortran-ordered array LAPACK
-    # factors in place, with no n x n copy
-    lu, piv = lu_factor(m.T, overwrite_a=True)
-    gecon = get_lapack_funcs(("gecon",), (m,))[0]
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond * anorm < gap_floor:
-        raise SpectralProximityError(
-            f"shift {lam} is within ~{rcond * anorm:.2e} of the spectrum"
-        )
-    u = lu_solve((lu, piv), -f)
+    try:
+        solve = op.diag_solver(-(lam if c is None else np.asarray(c, dtype=float) + lam),
+                               definite=False)
+    except NumericError as exc:
+        raise SpectralProximityError(f"shift {lam} is on the spectrum: {exc}") from exc
+    gap = solve.gap()
+    if gap < gap_floor:
+        raise SpectralProximityError(f"shift {lam} is within ~{gap:.2e} of the spectrum")
+    u = solve(-f)
     gauge = v_profile(op.symbol, op.grid.delta)
     ratio = u / gauge
     return ResolventProfile(

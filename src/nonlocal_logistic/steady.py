@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bernstein import v_profile
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
     ContinuationError,
     ConvergenceError,
     MonotonicityError,
+    NumericError,
     ScanError,
 )
 from .operator import OperatorMatrix, green_solve
@@ -242,14 +242,16 @@ def _relax(
     The first up to ``newton_cap`` steps of a descent (``direction < 0``)
     are monotone Newton, u <- u - J(u)^{-1} (A u - F(u)) with
     J(u) = A - diag(a - f_s(u) - c L_h), L_h the harvest slope bound.  A
-    successful Cholesky factor proves J(u) an SPD Z-matrix, whose inverse
-    is nonnegative; with f convex and the harvest slope at most L_h the
-    step keeps the iterate a supersolution above every solution below it.
-    Once a factor fails (only near or past the fold) or the cap is reached,
-    the loop continues with the relaxation
+    successful Cholesky factor (``op.diag_solver``) proves J(u) an SPD
+    Z-matrix, whose inverse is nonnegative; with f convex and the harvest
+    slope at most L_h the step keeps the iterate a supersolution above
+    every solution below it.  Once a factor fails (only near or past the
+    fold) or the cap is reached, the loop continues with the relaxation
     u <- (A + theta I)^{-1} (F(u) + theta u), which preserves the same
-    ordering.  Every step is checked for
-    monotonicity in the requested direction and against the bracket.
+    ordering.  Its one factor is dense too: at the grid sizes used, its
+    many solves run faster against a dense Cholesky factor than through
+    the Toeplitz ``op.solver``.  Every step is checked for monotonicity in
+    the requested direction and against the bracket.
     Returns (u, residual, iterations, newton_steps, went_negative).
     """
     scale = max(1.0, float(np.abs(u0).max()))
@@ -264,18 +266,16 @@ def _relax(
         if newton < newton_cap:
             jac = None  # free the last factor before the next dense system is built
             try:
-                # symmetric: the transpose is Fortran-ordered, factored in place
-                jac = cho_factor(op.shifted(-(spec.a - spec.f.deriv(u) - harvest_bound)).T,
-                                 overwrite_a=True)
-            except np.linalg.LinAlgError:
+                jac = op.diag_solver(-(spec.a - spec.f.deriv(u) - harvest_bound))
+            except NumericError:
                 newton_cap = newton  # near or past the fold: relax from here on
         if newton < newton_cap:
             newton += 1
-            u_next = u - cho_solve(jac, op.matrix @ u - spec.reaction(u))
+            u_next = u - jac(op.matrix @ u - spec.reaction(u))
         else:
             if factor is None:
-                factor = cho_factor(op.shifted(theta).T, overwrite_a=True)
-            u_next = cho_solve(factor, spec.reaction(u) + theta * u)
+                factor = op.diag_solver(theta)
+            u_next = factor(spec.reaction(u) + theta * u)
         drift = u_next - u
         if direction > 0 and drift.min() < -slack:
             raise MonotonicityError(
@@ -312,14 +312,13 @@ def monotone_iterate(
     tol: float = 1e-10,
     start: str = "hi",
     maxiter: int = 200_000,
-    branch_on_success: str = "logistic",
 ) -> SteadyState:
     """Monotone iteration between a verified sub/supersolution pair.
 
     From ``start="lo"`` the iterates increase toward the minimal fixed
     point in the bracket, from ``start="hi"`` they decrease toward the
-    maximal one; either way they stay inside [u_lo, u_hi].
-    ``branch_on_success`` labels the result when it is strictly positive.
+    maximal one; either way they stay inside [u_lo, u_hi].  A strictly
+    positive result is labeled ``logistic``.
     """
     u_lo = np.asarray(u_lo, dtype=float)
     u_hi = np.asarray(u_hi, dtype=float)
@@ -347,7 +346,7 @@ def monotone_iterate(
     u, residual, it, _, _ = _relax(
         op, spec, u0, theta, tol, maxiter, direction, u_lo, u_hi, stop_on_negative=False
     )
-    branch = branch_on_success if u.min() > 0 else "none"
+    branch = "logistic" if u.min() > 0 else "none"
     return SteadyState(u=u, residual=residual, branch=branch, iterations=it)
 
 
@@ -442,8 +441,8 @@ def _newton(
         if rn <= tol:
             return u, rn, True
         try:
-            d = np.linalg.solve(op.shifted(-spec.reaction_deriv(u)), r)
-        except np.linalg.LinAlgError:
+            d = op.diag_solver(-spec.reaction_deriv(u), definite=False)(r)
+        except NumericError:
             return u, rn, False
         if not np.all(np.isfinite(d)):
             return u, rn, False
@@ -694,11 +693,17 @@ def newton_polish(
 
     Relaxation stops on step size, which can leave a solution error of
     residual / gap when the linearization is nearly singular; polishing
-    brings the residual down to ``tol`` without changing the branch.
+    brings the residual down to ``max(tol, floor)`` without changing the
+    branch.  ``floor = eps * max_i (|A| |u| + |F(u)|)_i`` at the input state
+    is the rounding floor of the residual ``A u - F(u)``; A is an M-matrix,
+    so ``|A| = 2 A_00 I - A``.
     """
-    u, rn, ok = _newton(op, spec, state.u, tol, maxiter, damped=True)
+    au = np.abs(state.u)
+    floor = np.finfo(float).eps * float(np.max(
+        2.0 * op.col[0] * au - op.matrix @ au + np.abs(spec.reaction(state.u))))
+    u, rn, ok = _newton(op, spec, state.u, max(tol, floor), maxiter, damped=True)
     if not ok:
-        raise ConvergenceError(f"polish stalled at residual {rn:.3e}")
+        raise ConvergenceError(f"polish stalled at residual {rn:.3e} (rounding floor {floor:.3e})")
     branch = state.branch if u.min() > 0 else "none"
     return SteadyState(u=u, residual=rn, branch=branch, iterations=state.iterations)
 

@@ -1,15 +1,25 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, eigh
 
+import nonlocal_logistic
 from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
     DimensionError,
+    EigenPair,
     LevyKernel,
+    NumericError,
+    OperatorMatrix,
     OracleDomainError,
     PeriodicBox,
     ReactionSpec,
+    SpectralProximityError,
+    antimaximum_profile,
+    antimaximum_window,
     assemble,
     build_grid,
     evolve,
@@ -83,6 +93,64 @@ class TestShifted:
     def test_diagonal_length_checked(self, op199):
         with pytest.raises(DimensionError):
             op199.shifted(np.ones(op199.n + 1))
+
+
+class TestDiagSolver:
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_spd_field_matches_dense_solve(self, op199, definite):
+        x = op199.grid.nodes
+        d, scale = 1.0 + x ** 2, 0.7
+        b = np.random.default_rng(11).standard_normal(op199.n)
+        ref = np.linalg.solve(op199.shifted(d, scale), b)
+        sol = op199.diag_solver(d, scale, definite=definite)(b)
+        assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_indefinite_field_matches_dense_solve(self, op199, eig199):
+        # between the first and second eigenvalues of A - diag(d)
+        d = -(1.5 * eig199.lam + 0.1 * op199.grid.nodes)
+        b = np.random.default_rng(12).standard_normal(op199.n)
+        ref = np.linalg.solve(op199.shifted(d), b)
+        solve = op199.diag_solver(d, definite=False)
+        assert np.abs(solve(b) - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert 0.0 < solve.gap() < np.abs(op199.shifted(d)).sum(axis=0).max()
+
+    def test_not_positive_definite_raises(self, op199, eig199):
+        with pytest.raises(NumericError, match="not positive definite"):
+            op199.diag_solver(-1.5 * eig199.lam)
+
+    def test_exactly_singular_raises(self, frac1_kernel):
+        # the second difference on three nodes has the eigenvalue 2 exactly:
+        # A - 2 I has two equal rows
+        op = OperatorMatrix(build_grid(-1.0, 1.0, 3), frac1_kernel, np.array([2.0, -1.0, 0.0]))
+        with pytest.raises(NumericError, match="exactly singular"):
+            op.diag_solver(-2.0, definite=False)
+        with pytest.raises(SpectralProximityError):
+            antimaximum_profile(op, None, -np.ones(3), 2.0)
+        pair = EigenPair(lam=1.0, phi=np.ones(3), residual=0.0, iterations=0)
+        assert antimaximum_window(op, eigenpair=pair, rel_offsets=(1.0,)) == (1.0, 1.0)
+
+
+# dense factorizations and dense solves that belong to OperatorMatrix.diag_solver
+DENSE_FACTOR_NAMES = {"cho_factor", "cho_solve", "lu_factor", "lu_solve", "get_lapack_funcs"}
+
+
+def test_dense_factorizations_only_in_operator_module():
+    offenders = []
+    for path in sorted(Path(nonlocal_logistic.__file__).parent.glob("*.py")):
+        if path.name == "operator.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & DENSE_FACTOR_NAMES
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & DENSE_FACTOR_NAMES
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                    "np.linalg.solve", "numpy.linalg.solve"):
+                names = {"np.linalg.solve"}
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert not offenders
 
 
 class TestToeplitzColumn:

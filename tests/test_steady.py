@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, get_lapack_funcs
 
-from nonlocal_logistic import steady
+from nonlocal_logistic import operator as operator_module
 from nonlocal_logistic import (
+    BernsteinSymbol,
     ConfigurationError,
     ContinuationError,
     CrowdingTerm,
     HarvestTerm,
+    LevyKernel,
     ReactionSpec,
+    antimaximum_profile,
+    assemble,
+    build_grid,
+    principal_eigenpair,
     check_harvest_dominance,
     harvest_subsolution,
     maximal_harvest,
@@ -404,22 +410,37 @@ class TestNewtonDescent:
         assert state.newton_steps == NEWTON_DESCENT_CAP
         assert state.newton_steps < state.iterations < relaxed.iterations
 
-    def test_dense_factors_are_fortran_ordered(self, op199, eig199, saturating_scan,
-                                                monkeypatch):
+    def test_dense_factors_are_fortran_ordered(self, op199, eig199, window_spec,
+                                                saturating_scan, monkeypatch):
         # the symmetric systems reach LAPACK as their Fortran-ordered transpose,
         # so each factor overwrites its input instead of copying it
-        seen = []
+        cholesky, lu = [], []
 
-        def recording(a, *args, **kwargs):
-            seen.append(a.flags.f_contiguous)
+        def recording_cholesky(a, *args, **kwargs):
+            cholesky.append(a.flags.f_contiguous)
             return cho_factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(steady, "cho_factor", recording)
+        def recording_lapack(names, arrays):
+            lu.append(arrays[0].flags.f_contiguous)
+            return get_lapack_funcs(names, arrays)
+
+        monkeypatch.setattr(operator_module, "cho_factor", recording_cholesky)
+        monkeypatch.setattr(operator_module, "get_lapack_funcs", recording_lapack)
         spec, scan = saturating_scan
-        state = maximal_harvest(op199, replace(spec, c=0.999 * scan.bracket[0]), eigenpair=eig199)
+        spec = replace(spec, c=0.999 * scan.bracket[0])
+        state = maximal_harvest(op199, spec, eigenpair=eig199)
         assert state.newton_steps == NEWTON_DESCENT_CAP < state.iterations
-        assert len(seen) > NEWTON_DESCENT_CAP
-        assert all(seen)
+        # Newton Jacobians, the relaxation factor, and the logistic solve's Jacobians
+        assert len(cholesky) > NEWTON_DESCENT_CAP + 1
+        n_descent = len(cholesky)
+        stability_index(op199, spec, state)  # the eigen potential
+        assert len(cholesky) == n_descent + 1
+        small = small_branch(op199, replace(window_spec, c=1e-4))
+        assert len(lu) >= small.iterations > 0
+        n_newton = len(lu)
+        antimaximum_profile(op199, None, -np.ones(op199.n), 0.9 * eig199.lam)
+        assert len(lu) == n_newton + 1
+        assert all(cholesky) and all(lu)
 
     def test_double_critical_none_without_monotonicity_error(self, op199, eig199, window_spec,
                                                               scan, saturating_scan):
@@ -430,6 +451,32 @@ class TestNewtonDescent:
             assert state.branch == "none"
             assert np.all(state.u == 0)
             assert 0 < state.newton_steps <= state.iterations
+
+
+class TestNewtonPolish:
+    def test_stops_at_the_rounding_floor(self):
+        # sum_fractional(1, 1.5) saturating states: Newton stalls near 1e-12, at the
+        # rounding floor of the residual, above the absolute default tol = 1e-13
+        grid = build_grid(-1.0, 1.0, 199)
+        symbol = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
+        op = assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
+        pair = principal_eigenpair(op)
+        spec = ReactionSpec(a=1.5 * pair.lam, c=0.1, f=CrowdingTerm(),
+                            h=HarvestTerm("saturating", h0=1.0, q=0.5))
+        state = maximal_harvest(op, spec, eigenpair=pair)
+        polished = newton_polish(op, spec, state)
+        assert polished.branch == "maximal"
+        assert polished.residual <= 2e-12
+        assert np.abs(polished.u - state.u).max() <= 1e-9
+
+    def test_default_tolerance_kept_below_its_floor(self, op199, eig199, steady_cache):
+        # fractional alpha = 1 floors are ~5e-14 to 8e-14: the default 1e-13 still governs
+        spec = ReactionSpec(a=2.0 * eig199.lam)
+        state = steady_cache(2.0)
+        perturbed = replace(state, u=(1.0 + 1e-6) * state.u)
+        polished = newton_polish(op199, spec, perturbed)
+        assert polished.residual <= 1e-13
+        assert np.abs(polished.u - state.u).max() <= 1e-9
 
 
 class TestContinuedSmallBranch:
