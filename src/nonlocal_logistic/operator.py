@@ -29,7 +29,7 @@ embedding and the FFT.  Systems ``scale A + sigma I`` with a constant shift
 are solved by Levinson recursion for the first column of the inverse,
 then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
 1972; Chan & Ng, SIAM Review 38, 1996).  The dense matrix is built on
-first use, and every dense factorization of ``scale A + diag(d)`` is made
+first use, and every dense factorization of ``A + diag(d)`` is made
 by ``OperatorMatrix.diag_solver``: the systems with a variable diagonal
 (Jacobians, eigen potentials, the anti-maximum shift) and, by choice, the
 constant relaxation shift, whose many solves against one factor are faster
@@ -156,8 +156,8 @@ class OperatorMatrix:
         out[np.diag_indices(self.n)] += d
         return out
 
-    def diag_solver(self, d, scale: float = 1.0, definite: bool = True):
-        """A function solving ``(scale A + diag(d)) x = b`` by a dense factor.
+    def diag_solver(self, d, definite: bool = True):
+        """A function solving ``(A + diag(d)) x = b`` by a dense factor.
 
         The system comes from :meth:`shifted`; it is symmetric, so its
         transpose is the Fortran-ordered array LAPACK factors in place, with
@@ -167,22 +167,25 @@ class OperatorMatrix:
         singularity raises :class:`NumericError`, and the returned function
         has a method ``gap()``, LAPACK's ``gecon`` estimate of the 1-norm
         distance to the nearest singular matrix, computed only on request.
+        A non-finite diagonal raises :class:`NumericError` before any factor.
         """
-        m = self.shifted(d, scale).T
+        m = self.shifted(d).T
+        if not np.all(np.isfinite(np.diagonal(m))):
+            raise NumericError("A + diag(d) has a non-finite diagonal")
         if definite:
             try:
                 factor = cho_factor(m, overwrite_a=True)
             except np.linalg.LinAlgError as exc:
-                raise NumericError(f"scale A + diag(d) is not positive definite: {exc}") from exc
+                raise NumericError(f"A + diag(d) is not positive definite: {exc}") from exc
             return partial(cho_solve, factor)
-        # 1-norm of the system from the column: |scale| times the off-diagonal
-        # absolute row sums of A, plus the shifted diagonal
-        anorm = float(np.max(abs(scale) * (toeplitz_row_sums(np.abs(self.col)) - abs(self.col[0]))
+        # 1-norm of the system from the column: the off-diagonal absolute row
+        # sums of A plus the shifted diagonal
+        anorm = float(np.max(toeplitz_row_sums(np.abs(self.col)) - abs(self.col[0])
                              + np.abs(np.diagonal(m))))
         getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (m,))
         lu, piv, info = getrf(m, overwrite_a=True)
         if info > 0:
-            raise NumericError(f"scale A + diag(d) is exactly singular (pivot {info} is zero)")
+            raise NumericError(f"A + diag(d) is exactly singular (pivot {info} is zero)")
 
         def solve(b: np.ndarray) -> np.ndarray:
             return getrs(lu, piv, b)[0]

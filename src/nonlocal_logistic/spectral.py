@@ -140,13 +140,15 @@ def antimaximum_profile(
         raise DimensionError(f"forcing must have length {op.n}")
     if np.any(f > 0) or not np.any(f < 0):
         raise ConfigurationError("anti-maximum forcing must satisfy f <= 0, f != 0")
+    shift = lam if c is None else np.asarray(c, dtype=float) + lam
+    if not np.all(np.isfinite(shift)):
+        raise ConfigurationError(f"anti-maximum shift must be finite, got lam={lam}")
     try:
-        solve = op.diag_solver(-(lam if c is None else np.asarray(c, dtype=float) + lam),
-                               definite=False)
+        solve = op.diag_solver(-shift, definite=False)
     except NumericError as exc:
         raise SpectralProximityError(f"shift {lam} is on the spectrum: {exc}") from exc
     gap = solve.gap()
-    if gap < gap_floor:
+    if not gap >= gap_floor:
         raise SpectralProximityError(f"shift {lam} is within ~{gap:.2e} of the spectrum")
     u = solve(-f)
     gauge = v_profile(op.symbol, op.grid.delta)

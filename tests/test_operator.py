@@ -99,10 +99,10 @@ class TestDiagSolver:
     @pytest.mark.parametrize("definite", [True, False])
     def test_spd_field_matches_dense_solve(self, op199, definite):
         x = op199.grid.nodes
-        d, scale = 1.0 + x ** 2, 0.7
+        d = 1.0 + x ** 2
         b = np.random.default_rng(11).standard_normal(op199.n)
-        ref = np.linalg.solve(op199.shifted(d, scale), b)
-        sol = op199.diag_solver(d, scale, definite=definite)(b)
+        ref = np.linalg.solve(op199.shifted(d), b)
+        sol = op199.diag_solver(d, definite=definite)(b)
         assert np.abs(sol - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_indefinite_field_matches_dense_solve(self, op199, eig199):
@@ -117,6 +117,13 @@ class TestDiagSolver:
     def test_not_positive_definite_raises(self, op199, eig199):
         with pytest.raises(NumericError, match="not positive definite"):
             op199.diag_solver(-1.5 * eig199.lam)
+
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_non_finite_diagonal_raises(self, op199, definite):
+        d = np.ones(op199.n)
+        d[7] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            op199.diag_solver(d, definite=definite)
 
     def test_exactly_singular_raises(self, frac1_kernel):
         # the second difference on three nodes has the eigenvalue 2 exactly:

@@ -110,6 +110,13 @@ class TestAntimaximum:
         with pytest.raises(SpectralProximityError):
             antimaximum_profile(op199, None, -np.ones(op199.n), eig199.lam + 1e-12)
 
+    def test_non_finite_shift_rejected(self, op199):
+        c = np.zeros(op199.n)
+        c[3] = np.inf
+        for lam, pot in ((np.nan, None), (0.1, c)):
+            with pytest.raises(ConfigurationError, match="finite"):
+                antimaximum_profile(op199, pot, -np.ones(op199.n), lam)
+
     def test_forcing_sign_validated(self, op199):
         with pytest.raises(ConfigurationError):
             antimaximum_profile(op199, None, np.ones(op199.n), 0.1)

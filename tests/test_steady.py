@@ -453,15 +453,21 @@ class TestNewtonDescent:
             assert 0 < state.newton_steps <= state.iterations
 
 
+@pytest.fixture(scope="module")
+def sum_fractional_op():
+    grid = build_grid(-1.0, 1.0, 199)
+    symbol = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
+    op = assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
+    return op, principal_eigenpair(op)
+
+
 class TestNewtonPolish:
-    def test_stops_at_the_rounding_floor(self):
-        # sum_fractional(1, 1.5) saturating states: Newton stalls near 1e-12, at the
-        # rounding floor of the residual, above the absolute default tol = 1e-13
-        grid = build_grid(-1.0, 1.0, 199)
-        symbol = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
-        op = assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
-        pair = principal_eigenpair(op)
-        spec = ReactionSpec(a=1.5 * pair.lam, c=0.1, f=CrowdingTerm(),
+    @pytest.mark.parametrize("c", [0.05, 0.1, 0.2, 0.3])
+    def test_stops_at_the_rounding_floor(self, sum_fractional_op, c):
+        # sum_fractional(1, 1.5) saturating states: Newton stalls at 8e-13 to 1.1e-12,
+        # at the rounding floor of the residual, above the absolute default tol = 1e-13
+        op, pair = sum_fractional_op
+        spec = ReactionSpec(a=1.5 * pair.lam, c=c, f=CrowdingTerm(),
                             h=HarvestTerm("saturating", h0=1.0, q=0.5))
         state = maximal_harvest(op, spec, eigenpair=pair)
         polished = newton_polish(op, spec, state)
