@@ -109,8 +109,9 @@ def _eigenpair(cfg: RunConfig, out: RunOutput):
 def _maybe_dump_matrix(out: RunOutput, op, flag: bool):
     if not flag:
         return
-    rows, cols = np.nonzero(op.matrix)
-    entries = zip(rows.tolist(), cols.tolist(), op.matrix[rows, cols].tolist())
+    a = op.matrix
+    rows, cols = np.nonzero(a)
+    entries = zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
     out.csvs["operator_matrix.csv"] = (["row", "col", "value"], list(entries))
 
 

@@ -28,19 +28,18 @@ and is stored as its first column.  Products with A go through a circulant
 embedding and the FFT.  Systems ``scale A + sigma I`` with a constant shift
 are solved by Levinson recursion for the first column of the inverse,
 then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
-1972; Chan & Ng, SIAM Review 38, 1996).  The dense matrix is built on
-first use, and every dense factorization of ``A + diag(d)`` is made
-by ``OperatorMatrix.diag_solver``: the systems with a variable diagonal
-(Jacobians, eigen potentials, the anti-maximum shift) and, by choice, the
-constant relaxation shift, whose many solves against one factor are faster
-dense at the grid sizes used (n = 199, one BLAS thread: 60 us per Cholesky
-solve against 96 us per Gohberg-Semencul solve).
+1972; Chan & Ng, SIAM Review 38, 1996).  No dense A is kept: the only
+dense matrix is the transient ``A + diag(d)`` that ``diag_solver`` factors
+in place, for a variable diagonal (Jacobians, eigen potentials, the
+anti-maximum shift) and, by choice, the relaxation shift, whose many solves
+against one factor are faster dense at the grid sizes used (n = 199, one
+BLAS thread: 60 us per Cholesky solve, 96 us per Gohberg-Semencul solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -79,9 +78,9 @@ class OperatorMatrix:
     def symbol(self) -> BernsteinSymbol:
         return self.kernel.symbol
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The dense A, built on first use (dense factors and products, dumps)."""
+        """A fresh dense A on every read (dumps, references); products use :meth:`matvec`."""
         return toeplitz(self.col)
 
     @cached_property
@@ -100,6 +99,10 @@ class OperatorMatrix:
 
     def row_sums(self) -> np.ndarray:
         return toeplitz_row_sums(self.col)
+
+    def radii(self) -> np.ndarray:
+        """Off-diagonal absolute row sums: the Gershgorin radii of any ``A + diag(d)``."""
+        return toeplitz_row_sums(np.abs(self.col)) - abs(self.col[0])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v by the circulant embedding, O(n log n)."""
@@ -142,17 +145,15 @@ class OperatorMatrix:
 
         return solve
 
-    def shifted(self, d, scale: float = 1.0) -> np.ndarray:
-        """A fresh C-ordered ``scale * A + diag(d)``, d a scalar or length-n field.
+    def shifted(self, d) -> np.ndarray:
+        """The one dense system: a fresh C-ordered ``A + diag(d)``, d scalar or length n.
 
-        Every dense system built from the operator (relaxation shift,
-        Jacobians, eigen potentials) comes from here.  The diagonal is added
-        once, so ``A_ii - v`` rounds as ``A_ii + (-v)``.
+        The diagonal is added once, so ``A_ii - v`` rounds as ``A_ii + (-v)``.
         """
         d = np.asarray(d, dtype=float)
         if d.ndim and d.shape != (self.n,):
             raise DimensionError(f"diagonal must be scalar or length {self.n}, got shape {d.shape}")
-        out = scale * self.matrix
+        out = self.matrix
         out[np.diag_indices(self.n)] += d
         return out
 
@@ -161,13 +162,14 @@ class OperatorMatrix:
 
         The system comes from :meth:`shifted`; it is symmetric, so its
         transpose is the Fortran-ordered array LAPACK factors in place, with
-        no further n x n copy.  With ``definite`` it is a Cholesky factor, and
-        a failed factor (the system is not positive definite) raises
-        :class:`NumericError`.  Otherwise it is an LU factor: exact
-        singularity raises :class:`NumericError`, and the returned function
-        has a method ``gap()``, LAPACK's ``gecon`` estimate of the 1-norm
-        distance to the nearest singular matrix, computed only on request.
-        A non-finite diagonal raises :class:`NumericError` before any factor.
+        no further n x n copy.  A non-finite diagonal raises
+        :class:`NumericError` before any factor.  With ``definite`` it is a
+        Cholesky factor; a failed factor (not positive definite) and a
+        non-finite right-hand side raise :class:`NumericError`.  Otherwise it
+        is an LU factor: exact singularity raises :class:`NumericError`, and
+        the returned function has a method ``gap()``, LAPACK's ``gecon``
+        estimate of the 1-norm distance to the nearest singular matrix,
+        computed only on request.
         """
         m = self.shifted(d).T
         if not np.all(np.isfinite(np.diagonal(m))):
@@ -177,11 +179,15 @@ class OperatorMatrix:
                 factor = cho_factor(m, overwrite_a=True)
             except np.linalg.LinAlgError as exc:
                 raise NumericError(f"A + diag(d) is not positive definite: {exc}") from exc
-            return partial(cho_solve, factor)
-        # 1-norm of the system from the column: the off-diagonal absolute row
-        # sums of A plus the shifted diagonal
-        anorm = float(np.max(toeplitz_row_sums(np.abs(self.col)) - abs(self.col[0])
-                             + np.abs(np.diagonal(m))))
+
+            def cholesky_solve(b: np.ndarray) -> np.ndarray:
+                if not np.all(np.isfinite(b)):
+                    raise NumericError("right-hand side of A + diag(d) is non-finite")
+                return cho_solve(factor, b, check_finite=False)
+
+            return cholesky_solve
+        # 1-norm of the system from the column (it is symmetric)
+        anorm = float(np.max(self.radii() + np.abs(np.diagonal(m))))
         getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (m,))
         lu, piv, info = getrf(m, overwrite_a=True)
         if info > 0:

@@ -20,7 +20,7 @@ from .errors import (
     NumericError,
     SpectralProximityError,
 )
-from .operator import OperatorMatrix, toeplitz_row_sums
+from .operator import OperatorMatrix
 
 STALL_ITERS = 100  # iterations without a new best residual before giving up
 
@@ -48,29 +48,22 @@ def principal_eigenpair(
     iteration from a positive vector converges to the positive principal
     eigenvector.  Stops once the residual is below ``tol`` (default
     1e-10 * ||M||_inf) and the eigenvalue increment is below 1e-12.
-    Without a potential the shifted system is Toeplitz and is solved from
-    the operator's column (``op.solver``, ``op.matvec``); with one it is
-    solved by the dense Cholesky factor of ``op.diag_solver`` and the
-    products use the dense ``A - diag(c)``.
+    Bounds and products come from the operator's column: the Gershgorin
+    radii are ``op.radii()`` and ``M w = op.matvec(w) - c w``.  Only the
+    solve depends on the potential: without one the shifted system is
+    Toeplitz (``op.solver``), with one it is the dense Cholesky factor of
+    ``op.diag_solver``.
     """
-    if c is None:
-        diag = op.col[0]
-        abs_rows = toeplitz_row_sums(np.abs(op.col))
-    else:
-        c = np.asarray(c, dtype=float)
-        m = op.shifted(-c)
-        diag = np.diag(m)
-        abs_rows = np.abs(m).sum(axis=1)
+    potential = c is not None
+    c = np.asarray(c if potential else 0.0, dtype=float)
+    diag = op.col[0] - c
+    radii = op.radii()
     if tol is None:
-        tol = 1e-10 * abs_rows.max()
-    radii = abs_rows - np.abs(diag)
+        tol = 1e-10 * float(np.max(radii + np.abs(diag)))
     lo = float(np.min(diag - radii))
     hi = float(np.max(diag + radii))
     shift = lo - max(1e-8, 1e-3 * (hi - lo))
-    if c is None:
-        solve, apply = op.solver(-shift), op.matvec
-    else:
-        solve, apply = op.diag_solver(-(c + shift)), m.__matmul__
+    solve = op.diag_solver(-(c + shift)) if potential else op.solver(-shift)
 
     v = np.ones(op.n)
     v /= np.linalg.norm(v)
@@ -79,7 +72,7 @@ def principal_eigenpair(
     for it in range(1, maxiter + 1):
         w = solve(v)
         w /= np.linalg.norm(w)
-        mw = apply(w)
+        mw = op.matvec(w) - c * w
         lam = float(w @ mw)
         residual = float(np.abs(mw - lam * w).max() / np.abs(w).max())
         v = w
@@ -102,7 +95,7 @@ def principal_eigenpair(
     if not np.all(v > 0):
         raise ConvergenceError("principal eigenvector failed strict positivity")
     phi = v / v.max()
-    mphi = apply(phi)
+    mphi = op.matvec(phi) - c * phi
     lam = float(phi @ mphi / (phi @ phi))
     residual = float(np.abs(mphi - lam * phi).max())
     return EigenPair(lam=lam, phi=phi, residual=residual, iterations=it)

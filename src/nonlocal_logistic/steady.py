@@ -248,10 +248,9 @@ def _relax(
     every solution below it.  Once a factor fails (only near or past the
     fold) or the cap is reached, the loop continues with the relaxation
     u <- (A + theta I)^{-1} (F(u) + theta u), which preserves the same
-    ordering.  Its one factor is dense too: at the grid sizes used, its
-    many solves run faster against a dense Cholesky factor than through
-    the Toeplitz ``op.solver``.  Every step is checked for monotonicity in
-    the requested direction and against the bracket.
+    ordering; its one factor is dense by choice (see :mod:`.operator`).
+    Every step is checked for monotonicity in the requested direction and
+    against the bracket.
     Returns (u, residual, iterations, newton_steps, went_negative).
     """
     scale = max(1.0, float(np.abs(u0).max()))
@@ -271,7 +270,7 @@ def _relax(
                 newton_cap = newton  # near or past the fold: relax from here on
         if newton < newton_cap:
             newton += 1
-            u_next = u - jac(op.matrix @ u - spec.reaction(u))
+            u_next = u - jac(op.matvec(u) - spec.reaction(u))
         else:
             if factor is None:
                 factor = op.diag_solver(theta)
@@ -296,7 +295,7 @@ def _relax(
         step = float(np.abs(drift).max())
         u = u_next
         if step <= tol:
-            residual = float(np.abs(op.matrix @ u - spec.reaction(u)).max())
+            residual = float(np.abs(op.matvec(u) - spec.reaction(u)).max())
             return u, residual, it, newton, False
     raise ConvergenceError(
         f"monotone iteration hit the cap {maxiter} (last step {step:.3e})"
@@ -326,8 +325,8 @@ def monotone_iterate(
         raise ConfigurationError("bracket vectors must match the grid size")
     if (u_hi - u_lo).min() < 0:
         raise ConfigurationError("monotone_iterate requires u_lo <= u_hi")
-    res_lo = op.matrix @ u_lo - spec.reaction(u_lo)
-    res_hi = op.matrix @ u_hi - spec.reaction(u_hi)
+    res_lo = op.matvec(u_lo) - spec.reaction(u_lo)
+    res_hi = op.matvec(u_hi) - spec.reaction(u_hi)
     slack = 1e-8 * max(1.0, float(np.abs(res_lo).max()), float(np.abs(res_hi).max()))
     if res_lo.max() > slack:
         raise ConfigurationError(
@@ -435,7 +434,7 @@ def _newton(
 ):
     """Newton iteration on the residual A u - F(u); returns (u, res, ok)."""
     u = np.asarray(u0, dtype=float).copy()
-    r = op.matrix @ u - spec.reaction(u)
+    r = op.matvec(u) - spec.reaction(u)
     rn = float(np.abs(r).max())
     for _ in range(maxiter):
         if rn <= tol:
@@ -449,7 +448,7 @@ def _newton(
         t = 1.0
         for _ in range(50):
             u_try = u - t * d
-            r_try = op.matrix @ u_try - spec.reaction(u_try)
+            r_try = op.matvec(u_try) - spec.reaction(u_try)
             rn_try = float(np.abs(r_try).max())
             if rn_try < rn or not damped:
                 break
@@ -504,7 +503,7 @@ def small_branch(
                 f"continuation stalled at c={cur:.6g} (target {spec.c:.6g}); "
                 f"the branch folds before the requested intensity"
             )
-    residual = float(np.abs(op.matrix @ u - spec.reaction(u)).max())
+    residual = float(np.abs(op.matvec(u) - spec.reaction(u)).max())
     branch = "small" if u.min() > 0 else "none"
     return SteadyState(u=u, residual=residual, branch=branch, iterations=total_newton)
 
@@ -560,7 +559,7 @@ def harvest_subsolution(
         c_threshold = m * eps / spec.h.sup_bound()
         slack = (
             spec.a * phi - spec.f.value(phi) - c_threshold * spec.h.value(phi)
-            - op.matrix @ phi
+            - op.matvec(phi)
         )
         if slack.min() > 0:
             return HarvestSubsolution(
@@ -700,7 +699,7 @@ def newton_polish(
     """
     au = np.abs(state.u)
     floor = np.finfo(float).eps * float(np.max(
-        2.0 * op.col[0] * au - op.matrix @ au + np.abs(spec.reaction(state.u))))
+        2.0 * op.col[0] * au - op.matvec(au) + np.abs(spec.reaction(state.u))))
     u, rn, ok = _newton(op, spec, state.u, max(tol, floor), maxiter, damped=True)
     if not ok:
         raise ConvergenceError(f"polish stalled at residual {rn:.3e} (rounding floor {floor:.3e})")

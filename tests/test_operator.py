@@ -1,11 +1,13 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
 
 import nonlocal_logistic
+from nonlocal_logistic import operator as operator_module
 from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
@@ -27,6 +29,8 @@ from nonlocal_logistic import (
     multiplier_oracle,
     oracle_on_grid,
     principal_eigenpair,
+    solve_logistic,
+    stability_index,
     v_profile,
 )
 
@@ -82,11 +86,10 @@ class TestShifted:
         a, n = op199.matrix, op199.n
         before = a.copy()
         d = np.random.default_rng(5).uniform(-3.0, 3.0, n)
-        theta, dt = 7.3, 0.013
+        theta = 7.3
         assert np.array_equal(op199.shifted(d), a + np.diag(d))
         assert np.array_equal(op199.shifted(-d), a - np.diag(d))
         assert np.array_equal(op199.shifted(theta), a + theta * np.eye(n))
-        assert np.array_equal(op199.shifted(1.0, scale=dt), np.eye(n) + dt * a)
         assert op199.shifted(d).flags.c_contiguous
         assert np.array_equal(op199.matrix, before)
 
@@ -118,6 +121,13 @@ class TestDiagSolver:
         with pytest.raises(NumericError, match="not positive definite"):
             op199.diag_solver(-1.5 * eig199.lam)
 
+    def test_non_finite_right_hand_side_raises(self, op199):
+        solve = op199.diag_solver(1.0)
+        b = np.ones(op199.n)
+        b[7] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            solve(b)
+
     @pytest.mark.parametrize("definite", [True, False])
     def test_non_finite_diagonal_raises(self, op199, definite):
         d = np.ones(op199.n)
@@ -139,25 +149,82 @@ class TestDiagSolver:
 
 # dense factorizations and dense solves that belong to OperatorMatrix.diag_solver
 DENSE_FACTOR_NAMES = {"cho_factor", "cho_solve", "lu_factor", "lu_solve", "get_lapack_funcs"}
+# the only modules that may read the dense A: the operator, and the CLI's --dump-matrix
+MATRIX_READERS = {"operator.py", "cli.py"}
+
+
+def _is_matrix(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "matrix"
+
+
+def _dense_uses(path: Path) -> set[str]:
+    """Dense factorizations and solves outside ``operator.py``, reads of
+    ``.matrix`` outside ``MATRIX_READERS``, and products with ``.matrix``."""
+    factors_allowed = path.name == "operator.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and (
+                _is_matrix(node.left) or _is_matrix(node.right)):
+            names.add(f"{node.lineno} matrix @")
+        if _is_matrix(node) and path.name not in MATRIX_READERS:
+            names.add(f"{node.lineno} .matrix")
+        if factors_allowed:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            found = {alias.name for alias in node.names} & DENSE_FACTOR_NAMES
+        elif isinstance(node, ast.Attribute):
+            found = {node.attr} & DENSE_FACTOR_NAMES
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "np.linalg.solve", "numpy.linalg.solve"):
+            found = {"np.linalg.solve"}
+        else:
+            found = set()
+        names |= {f"{node.lineno} {name}" for name in found}
+    return names
 
 
 def test_dense_factorizations_only_in_operator_module():
-    offenders = []
-    for path in sorted(Path(nonlocal_logistic.__file__).parent.glob("*.py")):
-        if path.name == "operator.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names} & DENSE_FACTOR_NAMES
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr} & DENSE_FACTOR_NAMES
-            elif isinstance(node, ast.Call) and ast.unparse(node.func) in (
-                    "np.linalg.solve", "numpy.linalg.solve"):
-                names = {"np.linalg.solve"}
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    offenders = [f"{path.name}:{use}"
+                 for path in sorted(Path(nonlocal_logistic.__file__).parent.glob("*.py"))
+                 for use in sorted(_dense_uses(path))]
     assert not offenders
+
+
+def test_dense_use_check_catches_offenders(tmp_path):
+    src = tmp_path / "steady.py"
+    src.write_text("from scipy.linalg import cho_factor\nr = op.matrix @ u\nm = op.matrix\n")
+    assert _dense_uses(src) == {"1 cho_factor", "2 matrix @", "2 .matrix", "3 .matrix"}
+    src = tmp_path / "cli.py"
+    src.write_text("a = op.matrix\nr = u @ op.matrix\n")
+    assert _dense_uses(src) == {"2 matrix @"}
+
+
+class TestNoDenseOperatorKept:
+    """Past assembly the only n x n array is the one transient system that
+    ``diag_solver`` factors: A is never kept dense."""
+
+    N = 799
+    ONE_SYSTEM = 1.5 * 8 * N ** 2  # bytes
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_stability_index_holds_one_system(self, op799, eig799):
+        spec = ReactionSpec(a=2.0 * eig799.lam)
+        state = solve_logistic(op799, spec, eigenpair=eig799)
+        op = _frac_op(self.N)
+        assert self._peak_bytes(lambda: stability_index(op, spec, state)) < self.ONE_SYSTEM
+
+    def test_solve_logistic_holds_one_system(self, eig799):
+        spec = ReactionSpec(a=2.0 * eig799.lam)
+        op = _frac_op(self.N)
+        assert self._peak_bytes(lambda: solve_logistic(op, spec)) < self.ONE_SYSTEM
 
 
 class TestToeplitzColumn:
@@ -177,9 +244,10 @@ class TestToeplitzColumn:
     def test_solver_matches_cholesky(self, symbol, n):
         op = self._op(symbol, n)
         b = np.random.default_rng(n).standard_normal(n)
-        lam_min = eigh(op.matrix, eigvals_only=True, subset_by_index=[0, 0])[0]
+        a = op.matrix
+        lam_min = eigh(a, eigvals_only=True, subset_by_index=[0, 0])[0]
         for sigma, scale in ((0.0, 1.0), (1.0, 0.01), (-0.5 * lam_min, 1.0)):
-            ref = cho_solve(cho_factor(op.shifted(sigma, scale=scale)), b)
+            ref = cho_solve(cho_factor(scale * a + sigma * np.eye(n)), b)
             x = op.solver(sigma, scale=scale)(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -190,13 +258,27 @@ class TestToeplitzColumn:
         ref = op.matrix @ v
         assert np.abs(op.matvec(v) - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_constant_shift_paths_never_build_the_matrix(self):
+    def test_constant_shift_paths_never_build_the_matrix(self, monkeypatch):
+        built = []
+
+        def counting_toeplitz(*args):
+            built.append(len(args[0]))
+            return toeplitz(*args)
+
+        monkeypatch.setattr(operator_module, "toeplitz", counting_toeplitz)
         op = _frac_op(99)
         pair = principal_eigenpair(op)
         green_solve(op, np.ones(op.n))
         spec = ReactionSpec(a=2.0 * pair.lam)
         evolve(op, spec, 0.01 * pair.phi, dt=0.01, horizon=0.1)
-        assert "matrix" not in vars(op)
+        assert built == []
+        # one dense system per variable-diagonal factor, the eigen potential's included
+        op.diag_solver(1.0)
+        assert built == [op.n]
+        op.diag_solver(-1.5 * pair.lam, definite=False)
+        assert built == [op.n] * 2
+        principal_eigenpair(op, c=np.full(op.n, 0.5))
+        assert built == [op.n] * 3
 
     def test_row_sums_match_dense(self, op199):
         # the sums cancel a large diagonal: compare on the scale of the entries
