@@ -57,15 +57,13 @@ def v_modulus(
     u: np.ndarray,
     grid: Grid1D,
     symbol: BernsteinSymbol,
-    max_nodes: int = 400,
 ) -> float:
     """Discrete gauge-Holder seminorm: max over pairs of |u_i - u_j| / gauge(|x_i - x_j|).
 
-    Above ``max_nodes`` interior nodes the pair set is strided down to
-    keep the cost quadratic in max_nodes only.
+    Above 400 interior nodes the pair set is strided down to at most 400 nodes.
     """
     u = np.asarray(u, dtype=float)
-    stride = max(1, int(np.ceil(grid.n_interior / max_nodes)))
+    stride = max(1, int(np.ceil(grid.n_interior / 400)))
     x = grid.nodes[::stride]
     v = u[::stride]
     dx = np.abs(x[:, None] - x[None, :])
@@ -85,17 +83,16 @@ def parabolic_boundary_bounds(
     run: ParabolicRun,
     s: float,
     symbol: BernsteinSymbol,
-    burn_in: float = 0.1,
 ) -> BoundaryBounds:
-    """Two-sided gauge-ratio check on a parabolic snapshot after burn-in.
+    """Two-sided gauge-ratio check on a parabolic snapshot after the burn-in s >= 0.1.
 
     Passes iff the ratio field at time s is finite with positive minimum,
     the discrete form of two-sided boundary decay control.
     """
     if not np.any(run.u0 > 0):
         raise ConfigurationError("parabolic boundary bounds need u0 >= 0, not identically 0")
-    if s < burn_in:
-        raise ConfigurationError(f"snapshot time {s} is before the burn-in {burn_in}")
+    if s < 0.1:
+        raise ConfigurationError(f"snapshot time {s} is before the burn-in 0.1")
     w = run.snapshot_at(s)
     rf = _ratio_field(w, run.grid, symbol)
     passed = np.isfinite(rf.min) and np.isfinite(rf.max) and rf.min > 0.0

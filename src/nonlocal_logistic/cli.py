@@ -5,8 +5,9 @@ mc-check, diagnose.  Each run validates the whole config first, computes,
 then writes CSV data files, a JSON summary, and a manifest.json recording
 the config hash, package and library versions, and seeds.  Exit codes:
 0 success, 2 configuration error, 3 numeric/convergence error,
-4 statistical-power error.  Data files are byte-deterministic for a fixed
-config and seed; only the manifest carries a timestamp.
+4 statistical-power error; argparse exits 2 on a flag ``FLAGS`` does not give
+the subcommand.  Data files are byte-deterministic for a fixed config and
+seed; only the manifest carries a timestamp.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class RunOutput:
         self.csvs: dict[str, tuple[list[str], list[tuple]]] = {}
         self.texts: dict[str, str] = {}
         self.solvers: dict[str, int] = {}  # solver work counts for the manifest
+        self.op = None  # the assembled operator, for --dump-matrix
 
     def write(self, outdir: Path):
         outdir.mkdir(parents=True, exist_ok=True)
@@ -100,16 +102,14 @@ def _eigenpair(cfg: RunConfig, out: RunOutput):
     """The assembled operator and its principal eigenpair; records the iterations."""
     if cfg.grid is None:
         raise ConfigurationError("this subcommand needs a domain block")
-    op = assemble(cfg.grid, cfg.kernel, cfg.far_cutoff)
+    op = out.op = assemble(cfg.grid, cfg.kernel, cfg.far_cutoff)
     pair = principal_eigenpair(op, tol=cfg.tol)
     out.solvers["eigen_iterations"] = pair.iterations
     return op, pair
 
 
-def _maybe_dump_matrix(out: RunOutput, op, flag: bool):
-    if not flag:
-        return
-    a = op.matrix
+def _dump_matrix(out: RunOutput):
+    a = out.op.matrix
     rows, cols = np.nonzero(a)
     entries = zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
     out.csvs["operator_matrix.csv"] = (["row", "col", "value"], list(entries))
@@ -129,6 +129,39 @@ def _plot_script(csv_name: str, xcol: str, ycol: str, title: str) -> str:
         f"plt.xlabel({xcol!r}); plt.ylabel({ycol!r}); plt.title({title!r})\n"
         "plt.savefig('plot.png', dpi=150)\n"
     )
+
+
+# the file --plot-script writes, per subcommand: {name: text}
+PLOT_SCRIPTS = {
+    "eigen": {"plot_eigen.py": _plot_script("eigen.csv", "x", "phi", "principal eigenfunction")},
+    "steady": {"plot_steady.py": _plot_script("steady.csv", "x", "logistic", "steady states")},
+    "bifurcate": {"plot_bifurcation.py":
+                  _plot_script("bifurcation.csv", "c", "sup_u1", "bifurcation diagram")},
+    "longtime": {"plot_longtime.py":
+                 _plot_script("distance_curve.csv", "s", "sup_norm", "long-time behavior")},
+    "evolve": {"plot_snapshots.py": (
+        "#!/usr/bin/env python3\n"
+        "import csv\n"
+        "from collections import defaultdict\n"
+        "import matplotlib.pyplot as plt\n\n"
+        "series = defaultdict(lambda: ([], []))\n"
+        "with open('snapshots.csv') as fh:\n"
+        "    for row in csv.DictReader(fh):\n"
+        "        xs, ys = series[row['s']]\n"
+        "        xs.append(float(row['x'])); ys.append(float(row['value']))\n"
+        "for s, (xs, ys) in sorted(series.items(), key=lambda kv: float(kv[0])):\n"
+        "    plt.plot(xs, ys, label=f's={s}')\n"
+        "plt.legend(); plt.xlabel('x'); plt.ylabel('u')\n"
+        "plt.savefig('snapshots.png', dpi=150)\n")},
+}
+
+# output flag: (the subcommands that honour it, help).  The parser declares a
+# flag only there (elsewhere it is a usage error) and reads an absent one as off.
+FLAGS = {
+    "--dump-matrix": (("eigen", "steady"), "export the operator matrix as CSV"),
+    "--plot-script": (tuple(PLOT_SCRIPTS), "emit a plain-text plot script reading the CSVs"),
+    "--trace-paths": (("mc-check",), "dump path traces (at most 1000 paths; needs a domain)"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +220,6 @@ def run_eigen(cfg: RunConfig, args) -> RunOutput:
         "iterations": pair.iterations,
         "n": op.n,
     }
-    _maybe_dump_matrix(out, op, args.dump_matrix)
-    if args.plot_script:
-        out.texts["plot_eigen.py"] = _plot_script("eigen.csv", "x", "phi", "principal eigenfunction")
     return out
 
 
@@ -230,9 +260,6 @@ def run_steady(cfg: RunConfig, args) -> RunOutput:
     ]
     out.csvs["steady.csv"] = (header, rows)
     out.jsons["steady.json"] = summary
-    _maybe_dump_matrix(out, op, args.dump_matrix)
-    if args.plot_script:
-        out.texts["plot_steady.py"] = _plot_script("steady.csv", "x", "logistic", "steady states")
     return out
 
 
@@ -289,9 +316,6 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
         "bracket_lo": scan.bracket[0],
         "bracket_hi": scan.bracket[1],
     }
-    if args.plot_script:
-        out.texts["plot_bifurcation.py"] = _plot_script(
-            "bifurcation.csv", "c", "sup_u1", "bifurcation diagram")
     return out
 
 
@@ -329,22 +353,6 @@ def run_evolve(cfg: RunConfig, args) -> RunOutput:
         "snapshot_times": [float(s) for s in run.times],
         "sup_final": float(run.snapshots[-1].max()),
     }
-    if args.plot_script:
-        out.texts["plot_snapshots.py"] = (
-            "#!/usr/bin/env python3\n"
-            "import csv\n"
-            "from collections import defaultdict\n"
-            "import matplotlib.pyplot as plt\n\n"
-            "series = defaultdict(lambda: ([], []))\n"
-            "with open('snapshots.csv') as fh:\n"
-            "    for row in csv.DictReader(fh):\n"
-            "        xs, ys = series[row['s']]\n"
-            "        xs.append(float(row['x'])); ys.append(float(row['value']))\n"
-            "for s, (xs, ys) in sorted(series.items(), key=lambda kv: float(kv[0])):\n"
-            "    plt.plot(xs, ys, label=f's={s}')\n"
-            "plt.legend(); plt.xlabel('x'); plt.ylabel('u')\n"
-            "plt.savefig('snapshots.png', dpi=150)\n"
-        )
     return out
 
 
@@ -371,9 +379,6 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
         "lambda1": pair.lam,
         "a": spec.a,
     }
-    if args.plot_script:
-        out.texts["plot_longtime.py"] = _plot_script(
-            "distance_curve.csv", "s", "sup_norm", "long-time behavior")
     return out
 
 
@@ -433,6 +438,7 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
             n_workers=args.workers,
         )
         summary["lambda1_hat"] = fit.lambda1_hat
+        out.solvers["survivors"] = fit.survivors_at_end
         summary["lambda1_spectral"] = pair.lam
         out.csvs["survival.csv"] = (
             ["t", "survival"],
@@ -501,19 +507,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nonlocal-logistic",
         description="numerical laboratory for the nonlocal logistic equation with harvesting",
     )
+    parser.set_defaults(**{flag[2:].replace("-", "_"): False for flag in FLAGS})
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file (TOML or JSON)")
         p.add_argument("--output", default=None, help="output directory (overrides config)")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker count for Monte Carlo chunks; results are "
+                       help="worker count for Monte Carlo chunks (mc-check); results are "
                             "worker-count invariant (default: available parallelism)")
-        p.add_argument("--dump-matrix", action="store_true", help="export the operator matrix as CSV")
-        p.add_argument("--trace-paths", action="store_true",
-                       help="mc-check only: dump simulated path traces (capped at 1000 paths)")
-        p.add_argument("--plot-script", action="store_true",
-                       help="emit a plain-text plot script referencing the CSVs")
+        for flag, (subcommands, text) in FLAGS.items():
+            if name in subcommands:
+                p.add_argument(flag, action="store_true", help=text)
     return parser
 
 
@@ -554,6 +559,10 @@ def main(argv=None) -> int:
         outdir = _resolve_outdir(args, cfg.output_dir)
         started = time.time()
         out = _HANDLERS[args.subcommand](cfg, args)
+        if args.dump_matrix:
+            _dump_matrix(out)
+        if args.plot_script:
+            out.texts.update(PLOT_SCRIPTS[args.subcommand])
         out.jsons["manifest.json"] = {
             "subcommand": args.subcommand,
             "config_sha256": cfg.digest,

@@ -163,7 +163,8 @@ class OperatorMatrix:
         The system comes from :meth:`shifted`; it is symmetric, so its
         transpose is the Fortran-ordered array LAPACK factors in place, with
         no further n x n copy.  A non-finite diagonal raises
-        :class:`NumericError` before any factor.  With ``definite`` it is a
+        :class:`NumericError` before any factor; the rest is the assembled
+        column, so no factor rescans the system.  With ``definite`` it is a
         Cholesky factor; a failed factor (not positive definite) and a
         non-finite right-hand side raise :class:`NumericError`.  Otherwise it
         is an LU factor: exact singularity raises :class:`NumericError`, and
@@ -176,7 +177,7 @@ class OperatorMatrix:
             raise NumericError("A + diag(d) has a non-finite diagonal")
         if definite:
             try:
-                factor = cho_factor(m, overwrite_a=True)
+                factor = cho_factor(m, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericError(f"A + diag(d) is not positive definite: {exc}") from exc
 
@@ -310,7 +311,6 @@ def oracle_on_grid(
     func,
     pad: int = 6,
     kernel: LevyKernel | None = None,
-    n_images: int = 64,
 ) -> np.ndarray:
     """Whole-space reference values of psi(-Delta) f at the interior nodes.
 
@@ -318,8 +318,9 @@ def oracle_on_grid(
     supplied, compensates the periodic images analytically: each image of
     a compactly supported f contributes ``- mass(f) * j(distance)`` to
     leading order, so adding the image sum back recovers the whole-space
-    operator.  Without a kernel the raw periodic values are returned and
-    the caller owns the O(L^(-1-alpha)) periodization bias.
+    operator; 64 images on each side are summed, the rest lumped as tail
+    mass.  Without a kernel the raw periodic values are returned and the
+    caller owns the O(L^(-1-alpha)) periodization bias.
     """
     box = PeriodicBox(grid, pad)
     u = np.asarray(func(box.xs), dtype=float)
@@ -330,7 +331,7 @@ def oracle_on_grid(
     x = grid.nodes
     L = box.length
     corr = np.zeros_like(x)
-    for k in range(1, n_images + 1):
+    for k in range(1, 65):
         corr += kernel.density(np.abs(x - k * L)) + kernel.density(np.abs(x + k * L))
-    corr += kernel.tail_mass((n_images + 0.5) * L) / L
+    corr += kernel.tail_mass(64.5 * L) / L
     return out + mass * corr

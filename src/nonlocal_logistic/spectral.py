@@ -126,13 +126,13 @@ def antimaximum_profile(
     u / gauge(delta_D) and whether its maximum is negative.  Below the
     principal eigenvalue the solution is positive (maximum principle);
     just above it the ratio field turns negative (anti-maximum window,
-    measured empirically).
+    measured empirically).  A non-finite forcing or shift is a ConfigurationError.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (op.n,):
         raise DimensionError(f"forcing must have length {op.n}")
-    if np.any(f > 0) or not np.any(f < 0):
-        raise ConfigurationError("anti-maximum forcing must satisfy f <= 0, f != 0")
+    if not np.all(np.isfinite(f)) or np.any(f > 0) or not np.any(f < 0):
+        raise ConfigurationError("anti-maximum forcing must be finite with f <= 0, f != 0")
     shift = lam if c is None else np.asarray(c, dtype=float) + lam
     if not np.all(np.isfinite(shift)):
         raise ConfigurationError(f"anti-maximum shift must be finite, got lam={lam}")

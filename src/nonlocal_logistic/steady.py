@@ -37,6 +37,8 @@ BRANCHES = ("logistic", "maximal", "small", "none")
 # Newton steps of the descent before the relaxation takes over; away from the
 # fold the descent converges in well under this many
 NEWTON_DESCENT_CAP = 50
+RELAX_MAXITER = 200_000  # step cap of the descents and the monotone iteration
+SMALL_BRANCH_STEPS = 20  # increments of (0, c] when small_branch starts from zero
 
 
 def _field(v) -> np.ndarray | float:
@@ -178,14 +180,14 @@ class ReactionSpec:
     def apriori_bound(self) -> float:
         return self.f.supersolution_level(self.a)
 
-    def check_a3(self, s_grid=None) -> dict:
+    def check_a3(self) -> dict:
         """Sampled structural checks on the catalog terms.
 
         Verifies f(x,0) = 0 and f_s(x,0) = 0, strict increase of f(x,s)/s
-        on the sample, superlinearity past the growth rate, and (when a
-        harvest term is present) boundedness with positive value at zero.
+        at s = logspace(-3, 3, 25), superlinearity past the growth rate, and
+        (when a harvest term is present) boundedness with positive value at zero.
         """
-        s = np.asarray(s_grid if s_grid is not None else np.logspace(-3, 3, 25))
+        s = np.logspace(-3, 3, 25)
         slopes = self.f.value(s) / s
         report = {
             "f_zero": float(np.max(np.abs(self.f.value(0.0)))) == 0.0,
@@ -310,14 +312,13 @@ def monotone_iterate(
     theta: float | None = None,
     tol: float = 1e-10,
     start: str = "hi",
-    maxiter: int = 200_000,
 ) -> SteadyState:
     """Monotone iteration between a verified sub/supersolution pair.
 
     From ``start="lo"`` the iterates increase toward the minimal fixed
     point in the bracket, from ``start="hi"`` they decrease toward the
-    maximal one; either way they stay inside [u_lo, u_hi].  A strictly
-    positive result is labeled ``logistic``.
+    maximal one; either way they stay inside [u_lo, u_hi], for at most
+    ``RELAX_MAXITER`` steps.  A strictly positive result is labeled ``logistic``.
     """
     u_lo = np.asarray(u_lo, dtype=float)
     u_hi = np.asarray(u_hi, dtype=float)
@@ -343,7 +344,7 @@ def monotone_iterate(
     u0 = u_lo if start == "lo" else u_hi
     direction = 1 if start == "lo" else -1
     u, residual, it, _, _ = _relax(
-        op, spec, u0, theta, tol, maxiter, direction, u_lo, u_hi, stop_on_negative=False
+        op, spec, u0, theta, tol, RELAX_MAXITER, direction, u_lo, u_hi, stop_on_negative=False
     )
     branch = "logistic" if u.min() > 0 else "none"
     return SteadyState(u=u, residual=residual, branch=branch, iterations=it)
@@ -382,7 +383,7 @@ def solve_logistic(
     spec: ReactionSpec,
     tol: float = 1e-10,
     eigenpair: EigenPair | None = None,
-    maxiter: int = 200_000,
+    maxiter: int = RELAX_MAXITER,
 ) -> SteadyState:
     """Unique positive steady state of the harvest-free logistic equation.
 
@@ -408,20 +409,18 @@ def maximal_harvest(
     tol: float = 1e-10,
     v_a: SteadyState | None = None,
     eigenpair: EigenPair | None = None,
-    maxiter: int = 200_000,
 ) -> SteadyState:
     """Maximal harvested solution by monotone descent from the logistic state.
 
     The harvest-free solution dominates every harvested solution, so it is
     the supersolution the descent (see :func:`_descend`) starts from; a
-    negative iterate returns branch ``none``.
+    negative iterate returns branch ``none``.  Each solve takes at most ``RELAX_MAXITER`` steps.
     """
     if v_a is None:
-        v_a = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol,
-                             eigenpair=eigenpair, maxiter=maxiter)
+        v_a = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol, eigenpair=eigenpair)
     if v_a.branch == "none":
         return _none_state(op.n)
-    return _descend(op, spec, v_a.u, tol, maxiter, "maximal")
+    return _descend(op, spec, v_a.u, tol, RELAX_MAXITER, "maximal")
 
 
 def _newton(
@@ -463,8 +462,6 @@ def small_branch(
     op: OperatorMatrix,
     spec: ReactionSpec,
     tol: float = 1e-10,
-    n_steps: int = 20,
-    newton_cap: int = 40,
     start: tuple[float, np.ndarray] | None = None,
 ) -> SteadyState:
     """Small-amplitude branch by Newton continuation in c.
@@ -472,33 +469,34 @@ def small_branch(
     Continues from ``start = (c0, u0)``, a solved point of the branch with
     ``c0 <= spec.c`` (default ``(0, 0)``), to spec.c, re-solving with the
     previous solution as predictor.  From zero the increment is
-    ``spec.c / n_steps``; from ``c0 > 0`` the first try is the whole gap,
-    which bridges consecutive samples of a scan in one step (near the fold
-    they lie close together, and further down the branch is nearly
-    linear).  A failed or singular Newton solve halves the increment.  The
-    result is labeled ``small`` only when strictly positive; ``iterations``
-    counts accepted continuation steps.  The continuation naturally stops
-    at the branch fold: past it the Jacobian degenerates and the step
-    collapses, raising :class:`ContinuationError`.
+    ``spec.c / SMALL_BRANCH_STEPS``; from ``c0 > 0`` the first try is the
+    whole gap, which bridges consecutive samples of a scan in one step (near
+    the fold they lie close together, and further down the branch is nearly
+    linear).  A Newton solve that fails in 40 steps or meets a singular
+    Jacobian halves the increment.  The result is labeled ``small`` only
+    when strictly positive; ``iterations`` counts accepted continuation
+    steps.  The continuation naturally stops at the branch fold: past it the
+    Jacobian degenerates and the step collapses, raising
+    :class:`ContinuationError`.
     """
     if spec.c == 0:
         return _none_state(op.n, residual=0.0)
     cur, u = (0.0, np.zeros(op.n)) if start is None else start
     if not 0.0 <= cur <= spec.c:
         raise ConfigurationError("small_branch start must lie in [0, c]")
-    step = spec.c / n_steps if cur == 0.0 else spec.c - cur
+    step = spec.c / SMALL_BRANCH_STEPS if cur == 0.0 else spec.c - cur
     total_newton = 0
     while cur < spec.c - 1e-15 * spec.c:
         c_try = min(cur + step, spec.c)
         u_new, rn, ok = _newton(
-            op, replace(spec, c=c_try), u, tol, newton_cap, damped=False
+            op, replace(spec, c=c_try), u, tol, 40, damped=False
         )
         if ok:
             cur, u = c_try, u_new
             total_newton += 1
             continue
         step *= 0.5
-        if step < spec.c / (n_steps * 4096):
+        if step < spec.c / (SMALL_BRANCH_STEPS * 4096):
             raise ContinuationError(
                 f"continuation stalled at c={cur:.6g} (target {spec.c:.6g}); "
                 f"the branch folds before the requested intensity"
@@ -529,16 +527,15 @@ def harvest_subsolution(
     op: OperatorMatrix,
     spec: ReactionSpec,
     eigenpair: EigenPair | None = None,
-    safety: float = 0.999,
 ) -> HarvestSubsolution:
     """Build the small-c subsolution from the eigenfunction and the torsion field.
 
     With eta1 the max gauge ratio of the torsion function and eta2 the min
     gauge ratio of phi1, eps = (1 - beta) eta2 / eta1 keeps
     phi1 - eps * torsion above beta * phi1; the amplitude m is then maximized
-    subject to the crowding slope staying below a - lam1 / beta, and shrunk
-    further (halving) if the discrete subsolution inequality still fails at
-    the threshold intensity.
+    subject to the crowding slope staying below a - lam1 / beta, taken at
+    0.999 of that bound, and shrunk further (halving) if the discrete
+    subsolution inequality still fails at the threshold intensity.
     """
     if spec.h is None:
         raise ConfigurationError("harvest_subsolution needs a harvest term")
@@ -553,7 +550,7 @@ def harvest_subsolution(
     eps = (1.0 - beta) * eta2 / eta1
     base = pair.phi - eps * torsion
     margin = spec.a - pair.lam / beta
-    m = safety * spec.f.slope_scale(margin) / float(base.max())
+    m = 0.999 * spec.f.slope_scale(margin) / float(base.max())
     for _ in range(60):
         phi = m * base
         c_threshold = m * eps / spec.h.sup_bound()
@@ -686,9 +683,8 @@ def newton_polish(
     spec: ReactionSpec,
     state: SteadyState,
     tol: float = 1e-13,
-    maxiter: int = 50,
 ) -> SteadyState:
-    """Tighten a converged state with a few damped Newton steps.
+    """Tighten a converged state with at most 50 damped Newton steps.
 
     Relaxation stops on step size, which can leave a solution error of
     residual / gap when the linearization is nearly singular; polishing
@@ -700,7 +696,7 @@ def newton_polish(
     au = np.abs(state.u)
     floor = np.finfo(float).eps * float(np.max(
         2.0 * op.col[0] * au - op.matvec(au) + np.abs(spec.reaction(state.u))))
-    u, rn, ok = _newton(op, spec, state.u, max(tol, floor), maxiter, damped=True)
+    u, rn, ok = _newton(op, spec, state.u, max(tol, floor), 50, damped=True)
     if not ok:
         raise ConvergenceError(f"polish stalled at residual {rn:.3e} (rounding floor {floor:.3e})")
     branch = state.branch if u.min() > 0 else "none"
@@ -713,29 +709,25 @@ def newton_multistart(
     n_starts: int = 50,
     seed: int = 0,
     tol: float = 1e-10,
-    amp_decades: float = 3.0,
-    scale: float | None = None,
-    maxiter: int = 300,
 ) -> list[np.ndarray]:
     """Damped-Newton sweep from random admissible fields.
 
-    Start amplitudes are log-uniform over ``amp_decades`` decades below
-    1.2x the reference scale (the harvest-free solution by default), with
-    componentwise jitter; this probes both large and small basins.
+    Start amplitudes are log-uniform over the 3 decades below 1.2x the sup
+    of the harvest-free solution, with componentwise jitter; this probes
+    both large and small basins.  Each start gets at most 300 Newton steps.
     Returns every converged fixed point (unidentified and of any sign);
     deterministic for a fixed seed.
     """
-    if scale is None:
-        ref = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol)
-        if ref.branch == "none":
-            raise ConfigurationError("multistart needs a reference scale when a <= lam1")
-        scale = float(ref.u.max())
+    ref = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol)
+    if ref.branch == "none":
+        raise ConfigurationError("multistart needs a reference scale when a <= lam1")
+    scale = float(ref.u.max())
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(n_starts):
-        amp = 10.0 ** rng.uniform(-amp_decades, math.log10(1.2)) * scale
+        amp = 10.0 ** rng.uniform(-3.0, math.log10(1.2)) * scale
         u0 = amp * rng.uniform(0.5, 1.5, op.n)
-        u, rn, ok = _newton(op, spec, u0, tol, maxiter, damped=True)
+        u, rn, ok = _newton(op, spec, u0, tol, 300, damped=True)
         if ok:
             found.append(u)
     return found

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tomllib
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from nonlocal_logistic import assemble
-from nonlocal_logistic.cli import SUBCOMMANDS, main
+from nonlocal_logistic.cli import SUBCOMMANDS, build_parser, main
 from nonlocal_logistic.config import load_config
 
 BASE = """
@@ -426,6 +427,56 @@ class TestManifestSolvers:
         rows = (tmp_path / "mc-check" / "path_traces.csv").read_text().splitlines()[1:]
         assert solvers["trace_paths"] == 1000  # the cap: n_paths = 4000
         assert solvers["trace_rows"] == len(rows)
+
+    def test_survivors_are_the_paths_alive_at_the_last_time(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "mc-check", extra=TestMcCheck.EXTRA)
+        assert code == 0
+        survivors = json.loads((outdir / "manifest.json").read_text())["solvers"]["survivors"]
+        last = (outdir / "survival.csv").read_text().splitlines()[-1].split(",")
+        assert survivors >= 50  # the survival fit's power gate
+        assert survivors == round(float(last[1]) * 4000)  # n_paths = 4000
+
+
+# the output flags and the subcommands that honour them; --config, --output
+# and --workers are on every subcommand
+FLAG_SUBCOMMANDS = {
+    "--dump-matrix": {"eigen", "steady"},
+    "--plot-script": {"eigen", "steady", "bifurcate", "evolve", "longtime"},
+    "--trace-paths": {"mc-check"},
+}
+COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--workers"}
+
+
+class TestFlags:
+    def test_each_flag_is_on_exactly_its_subcommands(self):
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        assert set(action.choices) == set(SUBCOMMANDS)
+        offered = {}
+        for name, parser in action.choices.items():
+            options = {o for a in parser._actions for o in a.option_strings}
+            assert COMMON_OPTIONS <= options
+            for flag in options - COMMON_OPTIONS:
+                offered.setdefault(flag, set()).add(name)
+        assert offered == FLAG_SUBCOMMANDS
+
+    @pytest.mark.parametrize("subcommand, flag", [
+        (sub, flag) for flag, subs in FLAG_SUBCOMMANDS.items()
+        for sub in SUBCOMMANDS if sub not in subs])
+    def test_unhonoured_flag_is_a_usage_error(self, tmp_path, capsys, subcommand, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, subcommand, args=(flag,))
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # a usage error writes no error.log
+
+    def test_steady_dump_and_plot_script(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "steady", extra="problem = { a_rel = 2.0 }",
+                               args=("--dump-matrix", "--plot-script"))
+        assert code == 0
+        dump = (outdir / "operator_matrix.csv").read_text().splitlines()
+        assert dump[0] == "row,col,value" and len(dump) == 1 + 63 * 63
+        assert "steady.csv" in (outdir / "plot_steady.py").read_text()
 
 
 class TestOtherCommands:

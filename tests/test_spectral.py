@@ -123,6 +123,14 @@ class TestAntimaximum:
         with pytest.raises(ConfigurationError):
             antimaximum_profile(op199, None, np.zeros(op199.n), 0.1)
 
+    def test_non_finite_forcing_rejected(self, op199, eig199):
+        # a NaN entry passes the sign checks; unchecked, every node of u is NaN
+        for bad in (np.nan, -np.inf):
+            f = -np.ones(op199.n)
+            f[5] = bad
+            with pytest.raises(ConfigurationError, match="finite"):
+                antimaximum_profile(op199, None, f, 0.5 * eig199.lam)
+
     def test_window_nonempty(self, op199, eig199):
         lam1, lam_hi = antimaximum_window(op199, eigenpair=eig199)
         assert lam_hi > lam1 * 1.01
