@@ -64,6 +64,7 @@ from .stochastic import (
     McEstimate,
     SubordinatorSampler,
     SurvivalFit,
+    exit_pass,
     feynman_kac,
     mc_green,
     simulate_killed_path,

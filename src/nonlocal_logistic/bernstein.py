@@ -322,9 +322,19 @@ class LevyKernel:
                     (self.normalization, self.symbol.beta)]
         return None
 
+    def _second_moment_parts(self) -> list[tuple[float, float]] | None:
+        """``_power_parts``, rejecting an order 2, whose second moment near 0 diverges."""
+        parts = self._power_parts()
+        if parts is not None and any(a >= 2.0 for _, a in parts):
+            raise ConfigurationError(
+                f"the order-2 part of {self.symbol.kind} is the local Laplacian: its jump "
+                "profile has no finite second moment near 0, so there is no operator"
+            )
+        return parts
+
     def sigma2_local(self, h: float) -> float:
         """Two-sided truncated second moment: integral_{|y|<h} y^2 j(|y|) dy."""
-        parts = self._power_parts()
+        parts = self._second_moment_parts()
         if parts is not None:
             return sum(2.0 * c * h ** (2.0 - a) / (2.0 - a) for c, a in parts)
         return 2.0 * self._quad(lambda r: r * r * self.density(r), 0.0, h)
@@ -352,7 +362,7 @@ class LevyKernel:
     def cell_second_moments(self, edges) -> np.ndarray:
         """One-sided second moments integral r^2 j(r) dr per cell."""
         edges = np.asarray(edges, dtype=float)
-        parts = self._power_parts()
+        parts = self._second_moment_parts()
         if parts is not None:
             out = np.zeros(edges.size - 1)
             for c, a in parts:

@@ -39,7 +39,7 @@ from .parabolic import evolve, longtime_classify
 from .spectral import principal_eigenpair
 from .steady import maximal_harvest, scan_cstar, small_branch, solve_logistic, stability_index
 from .stochastic import (
-    SubordinatorSampler, horizon_steps, mc_green, survival_lambda1, survival_steps, trace_rows,
+    SubordinatorSampler, exit_pass, horizon_steps, survival_steps, trace_rows,
 )
 
 ENV_OUTDIR = "NONLOCAL_LOGISTIC_OUTDIR"
@@ -426,19 +426,15 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
     if cfg.grid is not None:
         det = green_solve(op, np.ones(op.n))
         node = int(np.argmin(np.abs(op.grid.nodes - x0)))
-        est = mc_green(
-            sampler, op.grid.interval, lambda x: np.ones_like(x), x0,
-            n_paths, dt_path, seed + 1,
+        est, fit = exit_pass(
+            sampler, op.grid.interval, x0, t_grid, n_paths, dt_path, seed + 2,
             horizon=st["horizon"], n_workers=args.workers,
         )
         summary["green_mc"] = est.as_dict()
         summary["green_deterministic"] = float(det[node])
-        fit = survival_lambda1(
-            sampler, op.grid.interval, x0, t_grid, n_paths, dt_path, seed + 2,
-            n_workers=args.workers,
-        )
         summary["lambda1_hat"] = fit.lambda1_hat
         out.solvers["survivors"] = fit.survivors_at_end
+        out.solvers["path_steps"] = fit.path_steps
         summary["lambda1_spectral"] = pair.lam
         out.csvs["survival.csv"] = (
             ["t", "survival"],
@@ -502,13 +498,28 @@ def _exit_code(exc: NonlocalLogisticError) -> int:
     return 3
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not declare is its own usage error.
+
+    Plain argparse hands a subparser's unknown arguments up to the top-level
+    parser, whose error names the top-level usage instead of the subcommand's.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlocal-logistic",
         description="numerical laboratory for the nonlocal logistic equation with harvesting",
     )
     parser.set_defaults(**{flag[2:].replace("-", "_"): False for flag in FLAGS})
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=_SubcommandParser)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file (TOML or JSON)")

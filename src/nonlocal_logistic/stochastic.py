@@ -10,11 +10,14 @@ excursions are missed, giving a documented O(dt) bias.
 Every Monte Carlo consumer runs on one step-major engine,
 :func:`_killed_steps`, that advances a batch of paths together and
 compacts away the killed ones.  ``feynman_kac`` (and ``mc_green``, its
-source-only case) and ``survival_lambda1`` reduce over chunks with
-independent substreams spawned from the master seed, combined in fixed
-chunk order, so results are byte-identical for any worker count and
-reproducible from (seed, config).  ``trace_rows`` records one batch of at
-most 1000 paths; ``simulate_killed_path`` is its one-path view.
+source-only case) and ``exit_pass`` reduce over chunks with independent
+substreams spawned from the master seed, combined in fixed chunk order, so
+results are byte-identical for any worker count and reproducible from
+(seed, config).  ``exit_pass`` reads two functionals of one set of killed
+paths: the occupation time up to a horizon (``mc_green`` with f = 1) and
+the survival curve with its exit-rate fit; ``survival_lambda1`` is its
+survival half.  ``trace_rows`` records one batch of at most 1000 paths;
+``simulate_killed_path`` is its one-path view.
 """
 
 from __future__ import annotations
@@ -46,9 +49,17 @@ def _stable_oneside(rho: float, size: int, rng: np.random.Generator) -> np.ndarr
         return np.ones(size)
     u = rng.uniform(0.0, np.pi, size)
     w = rng.exponential(1.0, size)
-    return (np.sin(rho * u) / np.sin(u) ** (1.0 / rho)) * (
-        np.sin((1.0 - rho) * u) / w
-    ) ** ((1.0 - rho) / rho)
+    # elementwise the same operations as the formula, on fresh temporaries;
+    # at rho = 1/2 both sines are sin(u / 2)
+    sin_rho = np.sin(rho * u)
+    sin_rest = sin_rho if rho == 0.5 else np.sin((1.0 - rho) * u)
+    out = np.sin(u)
+    out **= 1.0 / rho
+    np.divide(sin_rho, out, out=out)
+    np.divide(sin_rest, w, out=w)
+    w **= (1.0 - rho) / rho
+    out *= w
+    return out
 
 
 @dataclass
@@ -317,7 +328,10 @@ def mc_green(
 
 @dataclass
 class SurvivalFit:
-    """Exit-rate fit from the empirical survival curve."""
+    """Exit-rate fit from the empirical survival curve.
+
+    ``path_steps`` counts the moves drawn by the pass that counted it.
+    """
 
     lambda1_hat: float
     t_grid: np.ndarray
@@ -326,6 +340,7 @@ class SurvivalFit:
     survivors_at_end: int
     n_paths: int
     seed: int
+    path_steps: int
 
 
 def _whole_steps(times, dt_path: float, what: str) -> np.ndarray:
@@ -362,34 +377,13 @@ def survival_steps(t_grid, dt_path: float) -> np.ndarray:
     return _whole_steps(t_grid, dt_path, "survival time")
 
 
-def survival_lambda1(
-    sampler: SubordinatorSampler,
-    domain: tuple[float, float],
-    x0: float,
-    t_grid,
-    n_paths: int,
-    dt_path: float,
-    seed: int,
-    n_workers: int = 1,
-) -> SurvivalFit:
-    """Estimate the principal eigenvalue from the survival decay rate.
+def _survival_fit(counts, t_grid, n_paths: int, seed: int, path_steps: int) -> SurvivalFit:
+    """Least-squares slope of -log P(tau > t) over the upper half of t_grid.
 
-    Fits the least-squares slope of -log P(tau > t) over the upper half
-    of t_grid.  Raises :class:`StatisticalPowerError` when fewer than 50
-    paths survive to the last grid time or the curve never drops below
-    0.1 (the asymptotic regime was not reached).
+    Raises :class:`StatisticalPowerError` when fewer than 50 paths survive to
+    the last grid time or the curve never drops below 0.1 (the asymptotic
+    regime was not reached).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    check_steps = survival_steps(t_grid, dt_path)
-    n_steps = int(check_steps[-1])
-
-    def chunk(rng: np.random.Generator, m: int):
-        counts = np.zeros(t_grid.size, dtype=np.int64)
-        for k, idx, _ in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
-            counts[check_steps == k] = idx.size
-        return counts
-
-    counts = sum(_run_chunks(chunk, n_paths, seed, n_workers))
     survival = counts / n_paths
     if counts[-1] < 50:
         raise StatisticalPowerError(
@@ -413,4 +407,73 @@ def survival_lambda1(
         survivors_at_end=int(counts[-1]),
         n_paths=n_paths,
         seed=seed,
+        path_steps=path_steps,
     )
+
+
+def exit_pass(
+    sampler: SubordinatorSampler,
+    domain: tuple[float, float],
+    x0: float,
+    t_grid,
+    n_paths: int,
+    dt_path: float,
+    seed: int,
+    horizon: float = 64.0,
+    n_workers: int = 1,
+) -> tuple[McEstimate, SurvivalFit]:
+    """The Green occupation time and the survival fit from one set of killed paths.
+
+    One pass of ``max(horizon, t_grid[-1])`` (both whole numbers of path
+    steps) reduces each path's occupation time up to ``horizon``, adding
+    ``dt_path`` for every step it starts alive as ``feynman_kac`` does for
+    the source 1, and the alive counts at the ``t_grid`` steps.  The
+    estimate is ``mc_green``'s with f = 1 (bit for bit when ``horizon /
+    steps`` rounds to ``dt_path``).  The draws at step k do not depend on
+    the pass length, so the fit is that of any pass reaching ``t_grid[-1]``
+    at the same seed.
+    """
+    if n_paths < 100:
+        raise ConfigurationError("exit_pass requires n_paths >= 100")
+    t_grid = np.asarray(t_grid, dtype=float)
+    check_steps = survival_steps(t_grid, dt_path)
+    green_steps = horizon_steps(horizon, dt_path)
+    n_steps = max(int(check_steps[-1]), green_steps)
+
+    def chunk(rng: np.random.Generator, m: int):
+        counts = np.zeros(t_grid.size, dtype=np.int64)
+        occupation = np.zeros(m)
+        moves = 0
+        for k, idx, _ in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
+            counts[check_steps == k] = idx.size
+            if k < green_steps:
+                occupation[idx] += dt_path
+            if k < n_steps:
+                moves += idx.size
+        return counts, (float(occupation.sum()), float((occupation ** 2).sum()), m), moves
+
+    counts, moments, moves = zip(*_run_chunks(chunk, n_paths, seed, n_workers))
+    return (_combine(list(moments), n_paths, seed, dt_path),
+            _survival_fit(sum(counts), t_grid, n_paths, seed, sum(moves)))
+
+
+def survival_lambda1(
+    sampler: SubordinatorSampler,
+    domain: tuple[float, float],
+    x0: float,
+    t_grid,
+    n_paths: int,
+    dt_path: float,
+    seed: int,
+    n_workers: int = 1,
+) -> SurvivalFit:
+    """Estimate the principal eigenvalue from the survival decay rate.
+
+    The survival half of :func:`exit_pass`, on a pass to ``t_grid[-1]``:
+    fits the least-squares slope of -log P(tau > t) over the upper half of
+    t_grid.  Raises :class:`StatisticalPowerError` when fewer than 50 paths
+    survive to the last grid time or the curve never drops below 0.1 (the
+    asymptotic regime was not reached).
+    """
+    return exit_pass(sampler, domain, x0, t_grid, n_paths, dt_path, seed,
+                     horizon=dt_path, n_workers=n_workers)[1]

@@ -85,3 +85,16 @@ def scalar_killed_path(sampler, x0: float, dt_path: float, horizon: float, domai
         if not (xl < x < xr):
             break
     return np.array(pos)
+
+
+def kanter_reference(rho: float, size: int, rng) -> np.ndarray:
+    """One-sided stable draws by Kanter's formula written out as one expression.
+
+    Draws ``size`` uniforms on (0, pi), then ``size`` unit exponentials, from
+    ``rng``, as the package's sampler does for 0 < rho < 1.
+    """
+    u = rng.uniform(0.0, np.pi, size)
+    w = rng.exponential(1.0, size)
+    return (np.sin(rho * u) / np.sin(u) ** (1.0 / rho)) * (
+        np.sin((1.0 - rho) * u) / w
+    ) ** ((1.0 - rho) / rho)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_logistic import assemble
+from nonlocal_logistic import (
+    BernsteinSymbol, SubordinatorSampler, assemble, mc_green, survival_lambda1,
+)
 from nonlocal_logistic.cli import SUBCOMMANDS, build_parser, main
 from nonlocal_logistic.config import load_config
 
@@ -192,6 +194,19 @@ class TestValidation:
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         log = (outdir / "error.log").read_text().splitlines()
         assert len(log) == 1 and log[0].startswith("error: ConfigurationError: ")
+
+    @pytest.mark.parametrize("subcommand", ["eigen", "validate-kernel", "mc-check"])
+    @pytest.mark.parametrize("symbol", ['{ kind = "fractional", alpha = 2.0 }',
+                                        '{ kind = "sum_fractional", alpha = 1.0, beta = 2.0 }'])
+    def test_order_2_symbol_exits_2(self, tmp_path, subcommand, symbol):
+        # an order 2 is the local Laplacian, which has no jump-kernel operator
+        cfg, outdir = tmp_path / "o2.cfg", tmp_path / "o2"
+        cfg.write_text(f"symbol = {symbol}\ndomain = {{ left = -1.0, right = 1.0, n = 31 }}\n")
+        assert main([subcommand, "--config", str(cfg), "--output", str(outdir)]) == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1 and log[0].startswith("error: ConfigurationError: ")
+        assert "order-2" in log[0]
 
     def test_scan_error_exits_3(self, tmp_path):
         # c_max inside the existence region: the scan reports it numerically
@@ -393,6 +408,21 @@ class TestMcCheck:
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         assert "horizon 0.505 is not a multiple of dt_path" in (outdir / "error.log").read_text()
 
+    def test_green_and_survival_come_from_one_pass_at_seed_plus_2(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "mc-check", extra=self.EXTRA)
+        assert code == 0
+        green = json.loads((outdir / "mc_check.json").read_text())["green_mc"]
+        assert green["seed"] == 9  # seed = 7
+        sampler = SubordinatorSampler(BernsteinSymbol("fractional", 1.0))
+        t_grid = np.linspace(0.3, 3.0, 10)
+        fit = survival_lambda1(sampler, (-1.0, 1.0), 0.0, t_grid, 4000, 0.02, 9)
+        rows = (outdir / "survival.csv").read_text().splitlines()[1:]
+        assert rows == [f"{t!r},{p!r}" for t, p in zip(fit.t_grid.tolist(),
+                                                     fit.survival.tolist())]
+        est = mc_green(sampler, (-1.0, 1.0), lambda x: np.ones_like(x), 0.0, 4000, 0.02, 9,
+                       horizon=64.0)
+        assert (green["value"], green["std_error"]) == (est.value, est.std_error)
+
     def test_trace_paths_needs_domain(self, tmp_path):
         outdir = tmp_path / "nodomain"
         cfg = tmp_path / "nodomain.cfg"
@@ -436,6 +466,15 @@ class TestManifestSolvers:
         assert survivors >= 50  # the survival fit's power gate
         assert survivors == round(float(last[1]) * 4000)  # n_paths = 4000
 
+    def test_path_steps_are_the_occupation_time_in_steps(self, tmp_path):
+        # horizon 64 at lambda_1 ~ 1.17: no path is alive there, so every move
+        # of the exit pass adds dt_path to the Green occupation time
+        code, outdir = run_cli(tmp_path, "mc-check", extra=TestMcCheck.EXTRA)
+        assert code == 0
+        steps = json.loads((outdir / "manifest.json").read_text())["solvers"]["path_steps"]
+        green = json.loads((outdir / "mc_check.json").read_text())["green_mc"]
+        assert green["value"] * 4000 == pytest.approx(0.02 * steps, rel=1e-12)
+
 
 # the output flags and the subcommands that honour them; --config, --output
 # and --workers are on every subcommand
@@ -467,7 +506,9 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             run_cli(tmp_path, subcommand, args=(flag,))
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        assert f"usage: nonlocal-logistic {subcommand} " in err  # the subcommand's usage
         assert not (tmp_path / "run").exists()  # a usage error writes no error.log
 
     def test_steady_dump_and_plot_script(self, tmp_path):

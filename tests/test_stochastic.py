@@ -13,6 +13,7 @@ from nonlocal_logistic import (
     StatisticalPowerError,
     SubordinatorSampler,
     evolve,
+    exit_pass,
     feynman_kac,
     green_solve,
     mc_green,
@@ -20,7 +21,8 @@ from nonlocal_logistic import (
     survival_lambda1,
     trace_rows,
 )
-from oracles import scalar_killed_path
+from nonlocal_logistic.stochastic import _stable_oneside
+from oracles import kanter_reference, scalar_killed_path
 
 DOMAIN = (-1.0, 1.0)
 
@@ -70,6 +72,13 @@ class TestIncrements:
             vals = np.exp(-x * draws)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - math.exp(-sym.psi(x))) <= 3.5 * se
+
+    @pytest.mark.parametrize("rho", [0.5, 0.75, 0.3])
+    def test_kanter_draws_match_the_formula_bytes(self, rho):
+        # rho = 1/2 (every alpha = 1 symbol) shares one sine between the factors
+        draws = _stable_oneside(rho, 4096, np.random.default_rng(17))
+        ref = kanter_reference(rho, 4096, np.random.default_rng(17))
+        assert draws.tobytes() == ref.tobytes()
 
     def test_brownian_case_is_drift(self):
         s = sampler_for("fractional", alpha=2.0)
@@ -317,6 +326,38 @@ class TestEngineIdentity:
                                n, dt, seed, n_workers=workers)
         counts = np.rint(fit.survival * n)
         assert est.value * n == pytest.approx(dt * (n + counts.sum()), rel=1e-12)
+
+
+class TestExitPass:
+    T_GRID = np.linspace(0.3, 3.0, 10)  # whole steps of 0.02
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("horizon", [1.0, 8.0])  # before and after t_max = 3
+    def test_is_mc_green_and_survival_lambda1_at_one_seed(self, frac_sampler, workers,
+                                                          horizon):
+        n, dt, seed = 10_000, 0.02, 33
+        est, fit = exit_pass(frac_sampler, DOMAIN, 0.0, self.T_GRID, n, dt, seed,
+                             horizon=horizon, n_workers=workers)
+        green = mc_green(frac_sampler, DOMAIN, lambda x: np.ones_like(x), 0.0, n, dt, seed,
+                         horizon=horizon, n_workers=workers)
+        ref = survival_lambda1(frac_sampler, DOMAIN, 0.0, self.T_GRID, n, dt, seed,
+                               n_workers=workers)
+        assert est == green
+        assert fit.survival.tobytes() == ref.survival.tobytes()
+        assert fit.lambda1_hat == ref.lambda1_hat
+        assert fit.survivors_at_end == ref.survivors_at_end
+        # the moves of the longer pass include those of survival_lambda1's
+        assert (fit.path_steps == ref.path_steps) == (horizon <= self.T_GRID[-1])
+        assert fit.path_steps >= ref.path_steps
+
+    def test_power_gates_apply(self, frac_sampler):
+        with pytest.raises(StatisticalPowerError, match="0.1"):
+            exit_pass(frac_sampler, DOMAIN, 0.0, [0.05, 0.1, 0.15, 0.2], 2000, 0.01, seed=23)
+
+    def test_off_grid_horizon_rejected(self, frac_sampler):
+        with pytest.raises(ConfigurationError, match="horizon 0.505 is not a multiple"):
+            exit_pass(frac_sampler, DOMAIN, 0.0, self.T_GRID, 1000, 0.01, seed=1,
+                      horizon=0.505)
 
 
 class TestSurvival:
