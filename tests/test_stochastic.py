@@ -350,10 +350,6 @@ class TestExitPass:
         assert (fit.path_steps == ref.path_steps) == (horizon <= self.T_GRID[-1])
         assert fit.path_steps >= ref.path_steps
 
-    def test_power_gates_apply(self, frac_sampler):
-        with pytest.raises(StatisticalPowerError, match="0.1"):
-            exit_pass(frac_sampler, DOMAIN, 0.0, [0.05, 0.1, 0.15, 0.2], 2000, 0.01, seed=23)
-
     def test_off_grid_horizon_rejected(self, frac_sampler):
         with pytest.raises(ConfigurationError, match="horizon 0.505 is not a multiple"):
             exit_pass(frac_sampler, DOMAIN, 0.0, self.T_GRID, 1000, 0.01, seed=1,
