@@ -18,7 +18,7 @@ from .bernstein import (
     kernel_moments,
     v_profile,
 )
-from .boundary import BoundaryBounds, RatioField, hopf_ratio, parabolic_boundary_bounds, v_modulus
+from .boundary import RatioField, hopf_ratio, v_modulus
 from .errors import (
     ConfigurationError,
     ConstructionError,
@@ -28,15 +28,14 @@ from .errors import (
     MonotonicityError,
     NonlocalLogisticError,
     NumericError,
-    OracleDomainError,
     SamplerError,
     ScanError,
     SpectralProximityError,
     StatisticalPowerError,
     UnsupportedKernelError,
 )
-from .grid import Grid1D, build_grid
-from .operator import OperatorMatrix, PeriodicBox, assemble, green_solve, multiplier_oracle, oracle_on_grid
+from .grid import Grid1D
+from .operator import OperatorMatrix, assemble, green_solve
 from .parabolic import LongtimeResult, ParabolicRun, evolve, longtime_classify, max_stable_dt
 from .spectral import EigenPair, ResolventProfile, antimaximum_profile, antimaximum_window, principal_eigenpair
 from .steady import (
@@ -51,7 +50,6 @@ from .steady import (
     SteadyState,
     check_harvest_dominance,
     maximal_harvest,
-    monotone_iterate,
     newton_multistart,
     newton_polish,
     scan_cstar,

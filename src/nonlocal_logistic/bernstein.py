@@ -24,7 +24,7 @@ falls back to the comparable scaled profile ``j(r) ~ psi(r^-2) / r``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -246,15 +246,12 @@ class LevyKernel:
     symbol: BernsteinSymbol
     mode: str = "exact"
     normalization: float = 1.0
-    dimension: int = field(default=1, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "scaled_profile"):
             raise ConfigurationError(f"unknown kernel mode {self.mode!r}")
         if self.normalization <= 0:
             raise ConfigurationError("kernel normalization must be positive")
-        if self.dimension != 1:
-            raise ConfigurationError("only dimension 1 is implemented")
         if self.mode == "exact":
             self._exact_parts()  # validates availability
 

@@ -1,4 +1,4 @@
-"""Boundary-behavior diagnostics shared by the elliptic and parabolic suites.
+"""Boundary-behavior diagnostics of nonnegative fields on a grid.
 
 All ratios are taken against the boundary-decay gauge surrogate
 ``psi(delta^-2)^(-1/2)``; since the true gauge is only comparable to it,
@@ -14,7 +14,6 @@ import numpy as np
 from .bernstein import BernsteinSymbol, v_profile
 from .errors import ConfigurationError
 from .grid import Grid1D
-from .parabolic import ParabolicRun
 
 
 @dataclass
@@ -30,7 +29,11 @@ class RatioField:
     band_count: int
 
 
-def _ratio_field(u: np.ndarray, grid: Grid1D, symbol: BernsteinSymbol) -> RatioField:
+def hopf_ratio(u: np.ndarray, grid: Grid1D, symbol: BernsteinSymbol) -> RatioField:
+    """Gauge ratio of a nonnegative field; positive solutions stay bounded away from 0."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0):
+        raise ConfigurationError("hopf_ratio expects a nonnegative field")
     gauge = v_profile(symbol, grid.delta)
     ratio = u / gauge
     band = grid.delta <= 10.0 * grid.h
@@ -43,14 +46,6 @@ def _ratio_field(u: np.ndarray, grid: Grid1D, symbol: BernsteinSymbol) -> RatioF
         band_max=float(ratio[band].max()),
         band_count=int(band.sum()),
     )
-
-
-def hopf_ratio(u: np.ndarray, grid: Grid1D, symbol: BernsteinSymbol) -> RatioField:
-    """Gauge ratio of a nonnegative field; positive solutions stay bounded away from 0."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ConfigurationError("hopf_ratio expects a nonnegative field")
-    return _ratio_field(u, grid, symbol)
 
 
 def v_modulus(
@@ -70,30 +65,3 @@ def v_modulus(
     du = np.abs(v[:, None] - v[None, :])
     iu = np.triu_indices(x.size, k=1)
     return float(np.max(du[iu] / v_profile(symbol, dx[iu])))
-
-
-@dataclass
-class BoundaryBounds:
-    lower_ratio_min: float
-    upper_ratio_max: float
-    passed: bool
-
-
-def parabolic_boundary_bounds(
-    run: ParabolicRun,
-    s: float,
-    symbol: BernsteinSymbol,
-) -> BoundaryBounds:
-    """Two-sided gauge-ratio check on a parabolic snapshot after the burn-in s >= 0.1.
-
-    Passes iff the ratio field at time s is finite with positive minimum,
-    the discrete form of two-sided boundary decay control.
-    """
-    if not np.any(run.u0 > 0):
-        raise ConfigurationError("parabolic boundary bounds need u0 >= 0, not identically 0")
-    if s < 0.1:
-        raise ConfigurationError(f"snapshot time {s} is before the burn-in 0.1")
-    w = run.snapshot_at(s)
-    rf = _ratio_field(w, run.grid, symbol)
-    passed = np.isfinite(rf.min) and np.isfinite(rf.max) and rf.min > 0.0
-    return BoundaryBounds(lower_ratio_min=rf.min, upper_ratio_max=rf.max, passed=bool(passed))

@@ -401,7 +401,11 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
     n_paths, dt_path, seed, x0 = st["n_paths"], st["dt_path"], st["seed"], st["x0"]
     summary = {"n_paths": n_paths, "dt_path": dt_path, "seed": seed, "x0": x0}
     if cfg.grid is not None:
-        # the horizon and the survival window are checked before any path is drawn
+        # x0, the horizon and the survival window are checked before any path is drawn
+        if not cfg.grid.contains(x0):
+            raise ConfigurationError(
+                f"stochastic.x0 = {x0} must lie inside the domain {cfg.grid.interval}"
+            )
         horizon_steps(st["horizon"], dt_path)
         op, pair = _eigenpair(cfg, out)
         n_t = st["n_t"]

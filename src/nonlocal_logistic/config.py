@@ -29,7 +29,7 @@ import numpy as np
 
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import ConfigurationError, UnsupportedKernelError
-from .grid import Grid1D, build_grid
+from .grid import Grid1D
 from .steady import CrowdingTerm, HarvestTerm, ReactionSpec
 
 
@@ -188,7 +188,7 @@ def load_config(text: str) -> RunConfig:
     grid = far = None
     if blocks["domain"] is not None:
         domain = blocks["domain"]
-        grid = build_grid(domain["left"], domain["right"], domain["n"])
+        grid = Grid1D(domain["left"], domain["right"], domain["n"])
         far = blocks["discretization"]["far_cutoff"]
         if far is None:
             far = 2.0 * grid.width

@@ -26,10 +26,6 @@ class SamplerError(ConfigurationError):
     """No increment sampler is available for the requested symbol."""
 
 
-class OracleDomainError(ConfigurationError):
-    """Input violates the support contract of the spectral oracle."""
-
-
 class NumericError(NonlocalLogisticError):
     """Quadrature, factorization, or other numerical failure."""
 

@@ -47,7 +47,3 @@ class Grid1D:
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x > self.x_left) & (x < self.x_right)
-
-
-def build_grid(x_left: float, x_right: float, n_interior: int) -> Grid1D:
-    return Grid1D(x_left, x_right, n_interior)

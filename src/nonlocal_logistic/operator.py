@@ -34,6 +34,10 @@ in place, for a variable diagonal (Jacobians, eigen potentials, the
 anti-maximum shift) and, by choice, the relaxation shift, whose many solves
 against one factor are faster dense at the grid sizes used (n = 199, one
 BLAS thread: 60 us per Cholesky solve, 96 us per Gohberg-Semencul solve).
+Both of its factors, Cholesky (``potrf``/``potrs``) and LU
+(``getrf``/``getrs``), are called in LAPACK directly.  The independent
+Fourier-multiplier oracle that checks this assembly lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -43,15 +47,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_toeplitz, toeplitz
+from scipy.linalg import get_lapack_funcs, solve_toeplitz, toeplitz
 
 from .bernstein import BernsteinSymbol, LevyKernel
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    NumericError,
-    OracleDomainError,
-)
+from .errors import ConfigurationError, DimensionError, NumericError
 from .grid import Grid1D
 
 
@@ -176,15 +175,17 @@ class OperatorMatrix:
         if not np.all(np.isfinite(np.diagonal(m))):
             raise NumericError("A + diag(d) has a non-finite diagonal")
         if definite:
-            try:
-                factor = cho_factor(m, overwrite_a=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"A + diag(d) is not positive definite: {exc}") from exc
+            potrf, potrs = get_lapack_funcs(("potrf", "potrs"), (m,))
+            factor, info = potrf(m, lower=False, overwrite_a=True, clean=False)
+            if info > 0:
+                raise NumericError(
+                    f"A + diag(d) is not positive definite (leading minor {info})"
+                )
 
             def cholesky_solve(b: np.ndarray) -> np.ndarray:
                 if not np.all(np.isfinite(b)):
                     raise NumericError("right-hand side of A + diag(d) is non-finite")
-                return cho_solve(factor, b, check_finite=False)
+                return potrs(factor, b, lower=False)[0]
 
             return cholesky_solve
         # 1-norm of the system from the column (it is symmetric)
@@ -243,95 +244,3 @@ def green_solve(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise NumericError("green_solve produced non-finite values")
     return u
-
-
-# ---------------------------------------------------------------------------
-# Independent Fourier-multiplier oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PeriodicBox:
-    """Periodic fine grid extending a Grid1D by ``pad`` widths on each side.
-
-    The box keeps the interior spacing, so interior nodes coincide with
-    box points; the box length is (2 pad + 1) * width.
-    """
-
-    grid: Grid1D
-    pad: int = 6
-
-    def __post_init__(self):
-        if self.pad < 1:
-            raise ConfigurationError("periodic box needs pad >= 1")
-
-    @property
-    def n_points(self) -> int:
-        return (2 * self.pad + 1) * (self.grid.n_interior + 1)
-
-    @property
-    def length(self) -> float:
-        return self.n_points * self.grid.h
-
-    @property
-    def xs(self) -> np.ndarray:
-        start = self.grid.x_left - self.pad * self.grid.width
-        return start + self.grid.h * np.arange(self.n_points)
-
-    @property
-    def interior_slice(self) -> slice:
-        i0 = self.pad * (self.grid.n_interior + 1) + 1
-        return slice(i0, i0 + self.grid.n_interior)
-
-
-def multiplier_oracle(symbol: BernsteinSymbol, u: np.ndarray, box: PeriodicBox) -> np.ndarray:
-    """Apply psi(-Delta) spectrally on a periodic box.
-
-    Discrete Fourier transform, multiply mode xi by psi(xi^2), transform
-    back.  The input must be compactly supported in the central third of
-    the box; the result approximates the whole-space operator away from
-    the periodic images.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (box.n_points,):
-        raise DimensionError(f"expected {box.n_points} samples, got shape {u.shape}")
-    n = box.n_points
-    third = n // 3
-    peak = np.abs(u).max()
-    if peak > 0 and max(np.abs(u[:third]).max(), np.abs(u[-third:]).max()) > 1e-12 * peak:
-        raise OracleDomainError("oracle input must vanish outside the central third of the box")
-    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=box.grid.h)
-    mult = symbol.psi(xi ** 2)
-    return np.fft.irfft(np.fft.rfft(u) * mult, n=n)
-
-
-def oracle_on_grid(
-    symbol: BernsteinSymbol,
-    grid: Grid1D,
-    func,
-    pad: int = 6,
-    kernel: LevyKernel | None = None,
-) -> np.ndarray:
-    """Whole-space reference values of psi(-Delta) f at the interior nodes.
-
-    Runs the periodic multiplier oracle and, when an exact kernel is
-    supplied, compensates the periodic images analytically: each image of
-    a compactly supported f contributes ``- mass(f) * j(distance)`` to
-    leading order, so adding the image sum back recovers the whole-space
-    operator; 64 images on each side are summed, the rest lumped as tail
-    mass.  Without a kernel the raw periodic values are returned and the
-    caller owns the O(L^(-1-alpha)) periodization bias.
-    """
-    box = PeriodicBox(grid, pad)
-    u = np.asarray(func(box.xs), dtype=float)
-    out = multiplier_oracle(symbol, u, box)[box.interior_slice]
-    if kernel is None:
-        return out
-    mass = grid.h * u.sum()
-    x = grid.nodes
-    L = box.length
-    corr = np.zeros_like(x)
-    for k in range(1, 65):
-        corr += kernel.density(np.abs(x - k * L)) + kernel.density(np.abs(x + k * L))
-    corr += kernel.tail_mass(64.5 * L) / L
-    return out + mass * corr

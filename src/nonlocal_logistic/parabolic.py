@@ -24,9 +24,6 @@ from .operator import OperatorMatrix
 from .spectral import EigenPair, principal_eigenpair
 from .steady import ReactionSpec, SteadyState, solve_logistic
 
-VERDICTS = ("to_positive_steady", "to_zero", "undecided")
-
-
 @dataclass
 class ParabolicRun:
     """Snapshots of one forward evolution; reproducible given its config."""

@@ -6,10 +6,10 @@ term.  The pure logistic solution and the maximal harvested branch are the
 largest fixed point below a supersolution (the constant a-priori bound, or
 the harvest-free state), both reached by one ordered descent: monotone
 Newton steps first (Ortega & Rheinboldt 1970, sec. 13.3), then the shifted
-relaxation near the fold.  Also provides the monotone sub/supersolution
-iteration (the descent's independent oracle), the small branch by Newton
+relaxation near the fold.  Also provides the small branch by Newton
 continuation in c, the critical-harvest scan, and linearized stability
-indices.
+indices.  The descent's oracle, the monotone iteration between a sub- and a
+supersolution, lives in ``tests/oracles.py`` and shares none of this code.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .errors import (
 from .operator import OperatorMatrix, green_solve
 from .spectral import EigenPair, principal_eigenpair
 
-BRANCHES = ("logistic", "maximal", "small", "none")
-
 # Newton steps of the descent before the relaxation takes over; away from the
 # fold the descent converges in well under this many
 NEWTON_DESCENT_CAP = 50
-RELAX_MAXITER = 200_000  # step cap of the descents and the monotone iteration
+RELAX_MAXITER = 200_000  # step cap of the descent
 SMALL_BRANCH_STEPS = 20  # increments of (0, c] when small_branch starts from zero
 
 
@@ -226,44 +224,40 @@ def _none_state(n: int, iterations: int = 0, residual: float = float("nan"),
                        newton_steps=newton_steps)
 
 
-def _relax(
+def _descend(
     op: OperatorMatrix,
     spec: ReactionSpec,
-    u0: np.ndarray,
-    theta: float,
+    top: np.ndarray,
     tol: float,
-    maxiter: int,
-    direction: int,
-    lower: np.ndarray | None,
-    upper: np.ndarray | None,
-    stop_on_negative: bool,
-    newton_cap: int = 0,
-):
-    """One ordered loop: monotone Newton steps, then shifted relaxation.
+    branch: str,
+) -> SteadyState:
+    """Maximal fixed point below the supersolution ``top`` by one ordered descent.
 
-    The first up to ``newton_cap`` steps of a descent (``direction < 0``)
-    are monotone Newton, u <- u - J(u)^{-1} (A u - F(u)) with
-    J(u) = A - diag(a - f_s(u) - c L_h), L_h the harvest slope bound.  A
-    successful Cholesky factor (``op.diag_solver``) proves J(u) an SPD
-    Z-matrix, whose inverse is nonnegative; with f convex and the harvest
-    slope at most L_h the step keeps the iterate a supersolution above
-    every solution below it.  Once a factor fails (only near or past the
-    fold) or the cap is reached, the loop continues with the relaxation
-    u <- (A + theta I)^{-1} (F(u) + theta u), which preserves the same
-    ordering; its one factor is dense by choice (see :mod:`.operator`).
-    Every step is checked for monotonicity in the requested direction and
-    against the bracket.
-    Returns (u, residual, iterations, newton_steps, went_negative).
+    The first up to ``NEWTON_DESCENT_CAP`` steps are monotone Newton,
+    u <- u - J(u)^{-1} (A u - F(u)) with J(u) = A - diag(a - f_s(u) - c L_h),
+    L_h the harvest slope bound.  A successful Cholesky factor
+    (``op.diag_solver``) proves J(u) an SPD Z-matrix, whose inverse is
+    nonnegative; with f convex and the harvest slope at most L_h the step
+    keeps the iterate a supersolution above every solution below it.  Once a
+    factor fails (only near or past the fold) or the cap is reached, the loop
+    continues with the relaxation u <- (A + theta I)^{-1} (F(u) + theta u),
+    which preserves the same ordering; its one factor is dense by choice (see
+    :mod:`.operator`).  Every step is checked to decrease and to stay below
+    ``top``, for at most ``RELAX_MAXITER`` steps.  A negative node certifies
+    that no positive solution lies below ``top`` (branch ``none``); otherwise
+    the limit is labeled ``branch``.  ``newton_steps`` counts the Newton steps
+    among ``iterations``.
     """
-    scale = max(1.0, float(np.abs(u0).max()))
+    theta = spec.theta_for(float(top.max()))
+    scale = max(1.0, float(np.abs(top).max()))
     # starting points are themselves converged only to ~tol and the noise
     # compounds geometrically, so sub-100*tol drift in the wrong direction is
     # solver noise, not lost ordering (true theta failures are solution-sized)
     slack = max(1e-12 * scale, 100.0 * tol)
     harvest_bound = spec.c * spec.h.deriv_bound() if spec.c > 0 else 0.0
-    u = np.asarray(u0, dtype=float).copy()
-    newton, factor = 0, None
-    for it in range(1, maxiter + 1):
+    u = np.asarray(top, dtype=float).copy()
+    newton_cap, newton, factor = NEWTON_DESCENT_CAP, 0, None
+    for it in range(1, RELAX_MAXITER + 1):
         if newton < newton_cap:
             jac = None  # free the last factor before the next dense system is built
             try:
@@ -278,104 +272,26 @@ def _relax(
                 factor = op.diag_solver(theta)
             u_next = factor(spec.reaction(u) + theta * u)
         drift = u_next - u
-        if direction > 0 and drift.min() < -slack:
-            raise MonotonicityError(
-                f"increasing iteration lost monotonicity at step {it} "
-                f"(worst drop {drift.min():.3e}); shift theta={theta:.3g} too small"
-            )
-        if direction < 0 and drift.max() > slack:
+        if drift.max() > slack:
             raise MonotonicityError(
                 f"decreasing iteration lost monotonicity at step {it} "
                 f"(worst rise {drift.max():.3e}); shift theta={theta:.3g} too small"
             )
-        if lower is not None and (u_next - lower).min() < -slack:
-            raise MonotonicityError(f"iterate fell below the lower bracket at step {it}")
-        if upper is not None and (u_next - upper).max() > slack:
+        if (u_next - top).max() > slack:
             raise MonotonicityError(f"iterate exceeded the upper bracket at step {it}")
-        if stop_on_negative and u_next.min() < -1e3 * slack:
-            return u_next, float("nan"), it, newton, True
+        if u_next.min() < -1e3 * slack:
+            return _none_state(op.n, iterations=it, newton_steps=newton)
         step = float(np.abs(drift).max())
         u = u_next
         if step <= tol:
+            if u.min() <= 0:
+                return _none_state(op.n, iterations=it, newton_steps=newton)
             residual = float(np.abs(op.matvec(u) - spec.reaction(u)).max())
-            return u, residual, it, newton, False
+            return SteadyState(u=u, residual=residual, branch=branch, iterations=it,
+                               newton_steps=newton)
     raise ConvergenceError(
-        f"monotone iteration hit the cap {maxiter} (last step {step:.3e})"
+        f"monotone iteration hit the cap {RELAX_MAXITER} (last step {step:.3e})"
     )
-
-
-def monotone_iterate(
-    op: OperatorMatrix,
-    spec: ReactionSpec,
-    u_lo: np.ndarray,
-    u_hi: np.ndarray,
-    theta: float | None = None,
-    tol: float = 1e-10,
-    start: str = "hi",
-) -> SteadyState:
-    """Monotone iteration between a verified sub/supersolution pair.
-
-    From ``start="lo"`` the iterates increase toward the minimal fixed
-    point in the bracket, from ``start="hi"`` they decrease toward the
-    maximal one; either way they stay inside [u_lo, u_hi], for at most
-    ``RELAX_MAXITER`` steps.  A strictly positive result is labeled ``logistic``.
-    """
-    u_lo = np.asarray(u_lo, dtype=float)
-    u_hi = np.asarray(u_hi, dtype=float)
-    if u_lo.shape != (op.n,) or u_hi.shape != (op.n,):
-        raise ConfigurationError("bracket vectors must match the grid size")
-    if (u_hi - u_lo).min() < 0:
-        raise ConfigurationError("monotone_iterate requires u_lo <= u_hi")
-    res_lo = op.matvec(u_lo) - spec.reaction(u_lo)
-    res_hi = op.matvec(u_hi) - spec.reaction(u_hi)
-    slack = 1e-8 * max(1.0, float(np.abs(res_lo).max()), float(np.abs(res_hi).max()))
-    if res_lo.max() > slack:
-        raise ConfigurationError(
-            f"u_lo is not a discrete subsolution (worst excess {res_lo.max():.3e})"
-        )
-    if res_hi.min() < -slack:
-        raise ConfigurationError(
-            f"u_hi is not a discrete supersolution (worst deficit {res_hi.min():.3e})"
-        )
-    if start not in ("lo", "hi"):
-        raise ConfigurationError("start must be 'lo' or 'hi'")
-    if theta is None:
-        theta = spec.theta_for(float(np.abs(u_hi).max()))
-    u0 = u_lo if start == "lo" else u_hi
-    direction = 1 if start == "lo" else -1
-    u, residual, it, _, _ = _relax(
-        op, spec, u0, theta, tol, RELAX_MAXITER, direction, u_lo, u_hi, stop_on_negative=False
-    )
-    branch = "logistic" if u.min() > 0 else "none"
-    return SteadyState(u=u, residual=residual, branch=branch, iterations=it)
-
-
-def _descend(
-    op: OperatorMatrix,
-    spec: ReactionSpec,
-    top: np.ndarray,
-    tol: float,
-    maxiter: int,
-    branch: str,
-) -> SteadyState:
-    """Maximal fixed point below the supersolution ``top`` by one ordered descent.
-
-    Up to ``NEWTON_DESCENT_CAP`` monotone Newton steps, then the shifted
-    relaxation (see :func:`_relax`); every iterate stays a supersolution
-    above every solution.  A negative node certifies that no positive
-    solution lies below ``top`` (branch ``none``); otherwise the limit is
-    labeled ``branch``.  ``newton_steps`` counts the Newton steps among
-    ``iterations``.
-    """
-    theta = spec.theta_for(float(top.max()))
-    u, residual, it, newton, went_negative = _relax(
-        op, spec, top, theta, tol, maxiter, direction=-1, lower=None, upper=top,
-        stop_on_negative=True, newton_cap=NEWTON_DESCENT_CAP,
-    )
-    if went_negative or u.min() <= 0:
-        return _none_state(op.n, iterations=it, newton_steps=newton)
-    return SteadyState(u=u, residual=residual, branch=branch, iterations=it,
-                       newton_steps=newton)
 
 
 def solve_logistic(
@@ -383,7 +299,6 @@ def solve_logistic(
     spec: ReactionSpec,
     tol: float = 1e-10,
     eigenpair: EigenPair | None = None,
-    maxiter: int = RELAX_MAXITER,
 ) -> SteadyState:
     """Unique positive steady state of the harvest-free logistic equation.
 
@@ -400,7 +315,7 @@ def solve_logistic(
     if spec.a <= pair.lam * (1.0 + 1e-12):
         return _none_state(op.n, iterations=0, residual=0.0)
     top = np.full(op.n, spec.apriori_bound())
-    return _descend(op, spec, top, tol, maxiter, "logistic")
+    return _descend(op, spec, top, tol, "logistic")
 
 
 def maximal_harvest(
@@ -420,7 +335,7 @@ def maximal_harvest(
         v_a = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol, eigenpair=eigenpair)
     if v_a.branch == "none":
         return _none_state(op.n)
-    return _descend(op, spec, v_a.u, tol, RELAX_MAXITER, "maximal")
+    return _descend(op, spec, v_a.u, tol, "maximal")
 
 
 def _newton(

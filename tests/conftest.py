@@ -2,10 +2,10 @@ import pytest
 
 from nonlocal_logistic import (
     BernsteinSymbol,
+    Grid1D,
     LevyKernel,
     ReactionSpec,
     assemble,
-    build_grid,
     principal_eigenpair,
     solve_logistic,
 )
@@ -28,7 +28,7 @@ def frac1_kernel(frac1):
 def _operator(n, symbol=None, kernel=None):
     symbol = symbol or BernsteinSymbol("fractional", 1.0)
     kernel = kernel or LevyKernel(symbol, "exact")
-    grid = build_grid(-1.0, 1.0, n)
+    grid = Grid1D(-1.0, 1.0, n)
     return assemble(grid, kernel, far_cutoff=2.0 * grid.width)
 
 

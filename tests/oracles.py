@@ -2,15 +2,32 @@
 
 Everything here deliberately avoids the package's assembly/solve paths:
 symbols are recovered from kernels by adaptive quadrature of the
-multiplier integral, and operator values by direct quadrature of the
-singular integral on callables.  Killed paths are stepped one at a time
-by a scalar loop instead of the batched path engine.
+multiplier integral, operator values by direct quadrature of the singular
+integral on callables or by a Fourier multiplier on a periodic box, and
+the maximal steady state by the monotone iteration between a sub- and a
+supersolution, written as a plain loop over the dense matrix with one
+scipy Cholesky factor.  Killed paths are stepped one at a time by a scalar
+loop instead of the batched path engine.  No function here calls the
+package's descent, factorizations, Toeplitz solvers, FFT products,
+eigensolver or path engine.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import cho_factor, cho_solve
+
+from nonlocal_logistic import (
+    ConfigurationError,
+    ConvergenceError,
+    DimensionError,
+    Grid1D,
+    MonotonicityError,
+    SteadyState,
+    hopf_ratio,
+)
 
 
 def symbol_from_kernel(kernel, xi: float) -> float:
@@ -98,3 +115,201 @@ def kanter_reference(rho: float, size: int, rng) -> np.ndarray:
     return (np.sin(rho * u) / np.sin(u) ** (1.0 / rho)) * (
         np.sin((1.0 - rho) * u) / w
     ) ** ((1.0 - rho) / rho)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-multiplier oracle for the assembled operator
+# ---------------------------------------------------------------------------
+
+
+class OracleDomainError(ConfigurationError):
+    """Input violates the support contract of the spectral oracle."""
+
+
+@dataclass(frozen=True)
+class PeriodicBox:
+    """Periodic fine grid extending a Grid1D by ``pad`` widths on each side.
+
+    The box keeps the interior spacing, so interior nodes coincide with
+    box points; the box length is (2 pad + 1) * width.
+    """
+
+    grid: Grid1D
+    pad: int = 6
+
+    def __post_init__(self):
+        if self.pad < 1:
+            raise ConfigurationError("periodic box needs pad >= 1")
+
+    @property
+    def n_points(self) -> int:
+        return (2 * self.pad + 1) * (self.grid.n_interior + 1)
+
+    @property
+    def length(self) -> float:
+        return self.n_points * self.grid.h
+
+    @property
+    def xs(self) -> np.ndarray:
+        start = self.grid.x_left - self.pad * self.grid.width
+        return start + self.grid.h * np.arange(self.n_points)
+
+    @property
+    def interior_slice(self) -> slice:
+        i0 = self.pad * (self.grid.n_interior + 1) + 1
+        return slice(i0, i0 + self.grid.n_interior)
+
+
+def multiplier_oracle(symbol, u: np.ndarray, box: PeriodicBox) -> np.ndarray:
+    """Apply psi(-Delta) spectrally on a periodic box.
+
+    Discrete Fourier transform, multiply mode xi by psi(xi^2), transform
+    back.  The input must be compactly supported in the central third of
+    the box; the result approximates the whole-space operator away from
+    the periodic images.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (box.n_points,):
+        raise DimensionError(f"expected {box.n_points} samples, got shape {u.shape}")
+    n = box.n_points
+    third = n // 3
+    peak = np.abs(u).max()
+    if peak > 0 and max(np.abs(u[:third]).max(), np.abs(u[-third:]).max()) > 1e-12 * peak:
+        raise OracleDomainError("oracle input must vanish outside the central third of the box")
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=box.grid.h)
+    mult = symbol.psi(xi ** 2)
+    return np.fft.irfft(np.fft.rfft(u) * mult, n=n)
+
+
+def oracle_on_grid(symbol, grid, func, pad: int = 6, kernel=None) -> np.ndarray:
+    """Whole-space reference values of psi(-Delta) f at the interior nodes.
+
+    Runs the periodic multiplier oracle and, when an exact kernel is
+    supplied, compensates the periodic images analytically: each image of
+    a compactly supported f contributes ``- mass(f) * j(distance)`` to
+    leading order, so adding the image sum back recovers the whole-space
+    operator; 64 images on each side are summed, the rest lumped as tail
+    mass.  Without a kernel the raw periodic values are returned and the
+    caller owns the O(L^(-1-alpha)) periodization bias.
+    """
+    box = PeriodicBox(grid, pad)
+    u = np.asarray(func(box.xs), dtype=float)
+    out = multiplier_oracle(symbol, u, box)[box.interior_slice]
+    if kernel is None:
+        return out
+    mass = grid.h * u.sum()
+    x = grid.nodes
+    L = box.length
+    corr = np.zeros_like(x)
+    for k in range(1, 65):
+        corr += kernel.density(np.abs(x - k * L)) + kernel.density(np.abs(x + k * L))
+    corr += kernel.tail_mass(64.5 * L) / L
+    return out + mass * corr
+
+
+# ---------------------------------------------------------------------------
+# Monotone iteration between a sub- and a supersolution
+# ---------------------------------------------------------------------------
+
+RELAX_MAXITER = 200_000
+
+
+def relax(op, spec, u0, theta: float, tol: float, direction: int,
+          lower=None, upper=None, stop_on_negative: bool = False):
+    """Shifted relaxation u <- (A + theta I)^{-1} (F(u) + theta u) from ``u0``.
+
+    Every product is with the dense ``op.matrix`` and every solve is against
+    one scipy Cholesky factor of ``A + theta I``.  Each step must move in
+    ``direction`` (+1 increasing, -1 decreasing) and stay inside the given
+    brackets, up to a slack of ``max(1e-12 * scale, 100 tol)``; otherwise
+    :class:`MonotonicityError`.  With ``stop_on_negative`` a node below
+    ``-1e3 * slack`` ends the loop.  Stops once a step is at most ``tol``.
+    Returns (u, residual, iterations, went_negative); the residual is NaN
+    when the loop went negative.
+    """
+    a = op.matrix
+    factor = cho_factor(a + theta * np.eye(op.n))
+    u = np.asarray(u0, dtype=float).copy()
+    slack = max(1e-12 * max(1.0, float(np.abs(u).max())), 100.0 * tol)
+    for it in range(1, RELAX_MAXITER + 1):
+        u_next = cho_solve(factor, spec.reaction(u) + theta * u)
+        drift = u_next - u
+        if (direction * drift).min() < -slack:
+            raise MonotonicityError(f"relaxation lost monotonicity at step {it}")
+        if lower is not None and (u_next - lower).min() < -slack:
+            raise MonotonicityError(f"iterate fell below the lower bracket at step {it}")
+        if upper is not None and (u_next - upper).max() > slack:
+            raise MonotonicityError(f"iterate exceeded the upper bracket at step {it}")
+        if stop_on_negative and u_next.min() < -1e3 * slack:
+            return u_next, float("nan"), it, True
+        u = u_next
+        if np.abs(drift).max() <= tol:
+            return u, float(np.abs(a @ u - spec.reaction(u)).max()), it, False
+    raise ConvergenceError(f"relaxation hit the cap {RELAX_MAXITER}")
+
+
+def monotone_iterate(op, spec, u_lo, u_hi, theta=None, tol: float = 1e-10,
+                     start: str = "hi") -> SteadyState:
+    """Monotone iteration between a verified sub/supersolution pair.
+
+    From ``start="lo"`` the iterates increase toward the minimal fixed
+    point in the bracket, from ``start="hi"`` they decrease toward the
+    maximal one; either way they stay inside [u_lo, u_hi].  A bracket that
+    is unordered, of the wrong size, or not a discrete sub/supersolution
+    pair raises :class:`ConfigurationError`.  A strictly positive result is
+    labeled ``logistic``.
+    """
+    u_lo = np.asarray(u_lo, dtype=float)
+    u_hi = np.asarray(u_hi, dtype=float)
+    if u_lo.shape != (op.n,) or u_hi.shape != (op.n,):
+        raise ConfigurationError("bracket vectors must match the grid size")
+    if (u_hi - u_lo).min() < 0:
+        raise ConfigurationError("monotone_iterate requires u_lo <= u_hi")
+    a = op.matrix
+    res_lo = a @ u_lo - spec.reaction(u_lo)
+    res_hi = a @ u_hi - spec.reaction(u_hi)
+    slack = 1e-8 * max(1.0, float(np.abs(res_lo).max()), float(np.abs(res_hi).max()))
+    if res_lo.max() > slack:
+        raise ConfigurationError(
+            f"u_lo is not a discrete subsolution (worst excess {res_lo.max():.3e})"
+        )
+    if res_hi.min() < -slack:
+        raise ConfigurationError(
+            f"u_hi is not a discrete supersolution (worst deficit {res_hi.min():.3e})"
+        )
+    if start not in ("lo", "hi"):
+        raise ConfigurationError("start must be 'lo' or 'hi'")
+    if theta is None:
+        theta = spec.theta_for(float(np.abs(u_hi).max()))
+    u0, direction = (u_lo, 1) if start == "lo" else (u_hi, -1)
+    u, residual, it, _ = relax(op, spec, u0, theta, tol, direction, lower=u_lo, upper=u_hi)
+    branch = "logistic" if u.min() > 0 else "none"
+    return SteadyState(u=u, residual=residual, branch=branch, iterations=it)
+
+
+# ---------------------------------------------------------------------------
+# Boundary control of parabolic snapshots
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BoundaryBounds:
+    lower_ratio_min: float
+    upper_ratio_max: float
+    passed: bool
+
+
+def parabolic_boundary_bounds(run, s: float, symbol) -> BoundaryBounds:
+    """Two-sided gauge-ratio check on a parabolic snapshot after the burn-in s >= 0.1.
+
+    Passes iff the ratio field of :func:`hopf_ratio` at time s is finite
+    with positive minimum, the discrete form of two-sided boundary decay
+    control.
+    """
+    if not np.any(run.u0 > 0):
+        raise ConfigurationError("parabolic boundary bounds need u0 >= 0, not identically 0")
+    if s < 0.1:
+        raise ConfigurationError(f"snapshot time {s} is before the burn-in 0.1")
+    rf = hopf_ratio(run.snapshot_at(s), run.grid, symbol)
+    passed = np.isfinite(rf.min) and np.isfinite(rf.max) and rf.min > 0.0
+    return BoundaryBounds(lower_ratio_min=rf.min, upper_ratio_max=rf.max, passed=bool(passed))

@@ -13,6 +13,7 @@ import pytest
 from nonlocal_logistic import (
     BernsteinSymbol,
     CrowdingTerm,
+    Grid1D,
     HarvestTerm,
     LevyKernel,
     ReactionSpec,
@@ -20,7 +21,6 @@ from nonlocal_logistic import (
     antimaximum_profile,
     antimaximum_window,
     assemble,
-    build_grid,
     evolve,
     feynman_kac,
     green_solve,
@@ -31,8 +31,6 @@ from nonlocal_logistic import (
     mc_green,
     newton_multistart,
     newton_polish,
-    oracle_on_grid,
-    parabolic_boundary_bounds,
     scan_cstar,
     small_branch,
     solve_logistic,
@@ -42,7 +40,7 @@ from nonlocal_logistic import (
 )
 from nonlocal_logistic.cli import main as cli_main
 
-from oracles import mollifier
+from oracles import mollifier, oracle_on_grid, parabolic_boundary_bounds
 
 DOMAIN = (-1.0, 1.0)
 
@@ -62,7 +60,7 @@ def test_criterion_1_operator_matches_multiplier_oracle(symbol):
     kernel = LevyKernel(symbol, "exact")
     errors = []
     for n in (199, 399, 799):
-        grid = build_grid(*DOMAIN, n)
+        grid = Grid1D(*DOMAIN, n)
         op = assemble(grid, kernel, far_cutoff=2.0 * grid.width)
         ref = oracle_on_grid(symbol, grid, mollifier, pad=6, kernel=kernel)
         val = op.matrix @ mollifier(grid.nodes)

@@ -7,9 +7,10 @@ from nonlocal_logistic import (
     evolve,
     green_solve,
     hopf_ratio,
-    parabolic_boundary_bounds,
     v_modulus,
 )
+
+from oracles import parabolic_boundary_bounds
 
 
 class TestHopfRatio:

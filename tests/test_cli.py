@@ -436,6 +436,25 @@ class TestMcCheck:
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         assert "--trace-paths needs a domain block" in (outdir / "error.log").read_text()
 
+    @pytest.mark.parametrize("x0", [1.5, 1.0])
+    @pytest.mark.parametrize("args", [(), ("--trace-paths",)])
+    def test_start_outside_the_domain_exits_2_before_assembly(self, tmp_path, monkeypatch,
+                                                              x0, args):
+        # every path from x0 on or past the edge is killed at once
+        import nonlocal_logistic.cli as cli
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled for a start outside the domain")
+
+        monkeypatch.setattr(cli, "assemble", no_assembly)
+        extra = f"stochastic = {{ n_paths = 2000, dt_path = 0.05, seed = 9, x0 = {x0} }}"
+        code, outdir = run_cli(tmp_path, "mc-check", extra=extra, name="outside", args=args)
+        assert code == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1
+        assert log[0].startswith(f"error: ConfigurationError: stochastic.x0 = {x0} must lie")
+
 
 class TestManifestSolvers:
     def test_eigen_iterations_and_trace_counts(self, tmp_path):

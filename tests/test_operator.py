@@ -13,39 +13,42 @@ from nonlocal_logistic import (
     ConfigurationError,
     DimensionError,
     EigenPair,
+    Grid1D,
     LevyKernel,
     NumericError,
     OperatorMatrix,
-    OracleDomainError,
-    PeriodicBox,
     ReactionSpec,
     SpectralProximityError,
     antimaximum_profile,
     antimaximum_window,
     assemble,
-    build_grid,
     evolve,
     green_solve,
-    multiplier_oracle,
-    oracle_on_grid,
     principal_eigenpair,
     solve_logistic,
     stability_index,
     v_profile,
 )
 
-from oracles import mollifier, operator_by_quadrature
+from oracles import (
+    OracleDomainError,
+    PeriodicBox,
+    mollifier,
+    multiplier_oracle,
+    operator_by_quadrature,
+    oracle_on_grid,
+)
 
 
 def _frac_op(n, alpha=1.0, interval=(-1.0, 1.0)):
     sym = BernsteinSymbol("fractional", alpha)
-    grid = build_grid(*interval, n)
+    grid = Grid1D(*interval, n)
     return assemble(grid, LevyKernel(sym, "exact"), far_cutoff=2.0 * grid.width)
 
 
 class TestAssembly:
     def test_far_cutoff_precondition(self):
-        grid = build_grid(-1.0, 1.0, 9)
+        grid = Grid1D(-1.0, 1.0, 9)
         kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
         with pytest.raises(ConfigurationError, match="far_cutoff"):
             assemble(grid, kern, far_cutoff=3.9)
@@ -74,7 +77,7 @@ class TestAssembly:
 
     def test_scaled_profile_assembly_also_m_matrix(self):
         sym = BernsteinSymbol("log_boosted", 1.0, beta=0.5)
-        grid = build_grid(-1.0, 1.0, 49)
+        grid = Grid1D(-1.0, 1.0, 49)
         op = assemble(grid, LevyKernel(sym, "scaled_profile"), far_cutoff=4.0)
         off = op.matrix - np.diag(np.diag(op.matrix))
         assert np.all(off <= 0)
@@ -138,7 +141,7 @@ class TestDiagSolver:
     def test_exactly_singular_raises(self, frac1_kernel):
         # the second difference on three nodes has the eigenvalue 2 exactly:
         # A - 2 I has two equal rows
-        op = OperatorMatrix(build_grid(-1.0, 1.0, 3), frac1_kernel, np.array([2.0, -1.0, 0.0]))
+        op = OperatorMatrix(Grid1D(-1.0, 1.0, 3), frac1_kernel, np.array([2.0, -1.0, 0.0]))
         with pytest.raises(NumericError, match="exactly singular"):
             op.diag_solver(-2.0, definite=False)
         with pytest.raises(SpectralProximityError):
@@ -236,7 +239,7 @@ class TestToeplitzColumn:
 
     @staticmethod
     def _op(symbol, n):
-        grid = build_grid(-1.0, 1.0, n)
+        grid = Grid1D(-1.0, 1.0, n)
         return assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
 
     @pytest.mark.parametrize("n", [63, 199, 799])
@@ -365,7 +368,7 @@ class TestMultiplierOracle:
         sym = BernsteinSymbol("fractional", 2.0)
         errs = []
         for n in (199, 399, 799):
-            grid = build_grid(-1.0, 1.0, n)
+            grid = Grid1D(-1.0, 1.0, n)
             vals = oracle_on_grid(sym, grid, mollifier, pad=2)
             upad = mollifier(np.concatenate(([grid.x_left], grid.nodes, [grid.x_right])))
             lap = -(upad[2:] + upad[:-2] - 2.0 * upad[1:-1]) / grid.h ** 2

@@ -6,12 +6,12 @@ from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
     ConvergenceError,
+    Grid1D,
     LevyKernel,
     SpectralProximityError,
     antimaximum_profile,
     antimaximum_window,
     assemble,
-    build_grid,
     principal_eigenpair,
 )
 
@@ -28,7 +28,7 @@ class TestPrincipalEigenpair:
         assert eig199.lam == pytest.approx(w[0], rel=1e-12)
 
     def test_refinement_stability_three_digits(self, op799, eig799):
-        grid = build_grid(-1.0, 1.0, 1599)
+        grid = Grid1D(-1.0, 1.0, 1599)
         kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
         op_fine = assemble(grid, kern, far_cutoff=2.0 * grid.width)
         lam_fine = eigh(op_fine.matrix, eigvals_only=True, subset_by_index=[0, 0])[0]

@@ -1,25 +1,26 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.linalg import cho_factor, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from nonlocal_logistic import operator as operator_module
+from nonlocal_logistic import steady as steady_module
 from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
     ContinuationError,
     CrowdingTerm,
+    Grid1D,
     HarvestTerm,
     LevyKernel,
+    MonotonicityError,
     ReactionSpec,
     antimaximum_profile,
     assemble,
-    build_grid,
     principal_eigenpair,
     check_harvest_dominance,
     harvest_subsolution,
     maximal_harvest,
-    monotone_iterate,
     newton_multistart,
     newton_polish,
     scan_cstar,
@@ -27,7 +28,9 @@ from nonlocal_logistic import (
     solve_logistic,
     stability_index,
 )
-from nonlocal_logistic.steady import NEWTON_DESCENT_CAP, SteadyState, _relax
+from nonlocal_logistic.steady import NEWTON_DESCENT_CAP, SteadyState
+
+from oracles import monotone_iterate, relax
 
 
 class TestCatalog:
@@ -107,8 +110,6 @@ class TestMonotoneIterate:
             monotone_iterate(op199, spec, np.ones(op199.n), np.zeros(op199.n))
 
     def test_small_theta_detected(self, op199, eig199):
-        from nonlocal_logistic import MonotonicityError
-
         a = 2.0 * eig199.lam
         spec = ReactionSpec(a=a)
         with pytest.raises(MonotonicityError):
@@ -161,7 +162,7 @@ class TestSolveLogistic:
         lam_refuge = np.linalg.eigvalsh(op199.matrix[np.ix_(refuge, refuge)])[0]
         a = eig199.lam + 0.9 * (lam_refuge - eig199.lam)
         spec = ReactionSpec(a=a, f=CrowdingTerm(b=b))
-        state = solve_logistic(op199, spec, eigenpair=eig199, maxiter=1000)
+        state = solve_logistic(op199, spec, eigenpair=eig199)
         assert state.branch == "logistic"
         assert state.iterations == state.newton_steps < 20
         assert state.residual <= 1e-10
@@ -364,8 +365,8 @@ class TestMultistart:
 def _relaxation_only(op, spec, va, tol=1e-10):
     """The maximal descent by Lipschitz-shifted relaxation alone, from the logistic state."""
     theta = spec.theta_for(float(va.u.max()))
-    u, residual, it, _, went_negative = _relax(op, spec, va.u, theta, tol, 200_000, direction=-1,
-                                               lower=None, upper=va.u, stop_on_negative=True)
+    u, residual, it, went_negative = relax(op, spec, va.u, theta, tol, -1, upper=va.u,
+                                           stop_on_negative=True)
     assert not went_negative
     return SteadyState(u=u, residual=residual, branch="maximal", iterations=it)
 
@@ -414,17 +415,14 @@ class TestNewtonDescent:
                                                 saturating_scan, monkeypatch):
         # the symmetric systems reach LAPACK as their Fortran-ordered transpose,
         # so each factor overwrites its input instead of copying it
-        cholesky, lu = [], []
-
-        def recording_cholesky(a, *args, **kwargs):
-            cholesky.append(a.flags.f_contiguous)
-            return cho_factor(a, *args, **kwargs)
+        factors = {"potrf": [], "getrf": []}
+        cholesky, lu = factors["potrf"], factors["getrf"]
 
         def recording_lapack(names, arrays):
-            lu.append(arrays[0].flags.f_contiguous)
+            for name in factors.keys() & set(names):
+                factors[name].append(arrays[0].flags.f_contiguous)
             return get_lapack_funcs(names, arrays)
 
-        monkeypatch.setattr(operator_module, "cho_factor", recording_cholesky)
         monkeypatch.setattr(operator_module, "get_lapack_funcs", recording_lapack)
         spec, scan = saturating_scan
         spec = replace(spec, c=0.999 * scan.bracket[0])
@@ -442,6 +440,15 @@ class TestNewtonDescent:
         assert len(lu) == n_newton + 1
         assert all(cholesky) and all(lu)
 
+    def test_rise_raises_monotonicity_error(self, op199, eig199, steady_cache, monkeypatch):
+        # unshifted relaxation from the logistic state is not monotone: the
+        # descent's rise check stops it at the first rise
+        monkeypatch.setattr(steady_module, "NEWTON_DESCENT_CAP", 0)
+        monkeypatch.setattr(ReactionSpec, "theta_for", lambda self, s_max: 0.0)
+        spec = ReactionSpec(a=2.0 * eig199.lam, c=0.01, f=CrowdingTerm(), h=HarvestTerm())
+        with pytest.raises(MonotonicityError, match="lost monotonicity"):
+            maximal_harvest(op199, spec, v_a=steady_cache(2.0), eigenpair=eig199)
+
     def test_double_critical_none_without_monotonicity_error(self, op199, eig199, window_spec,
                                                               scan, saturating_scan):
         # a negative iterate, of Newton or of the relaxation after it, certifies nonexistence
@@ -455,7 +462,7 @@ class TestNewtonDescent:
 
 @pytest.fixture(scope="module")
 def sum_fractional_op():
-    grid = build_grid(-1.0, 1.0, 199)
+    grid = Grid1D(-1.0, 1.0, 199)
     symbol = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
     op = assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
     return op, principal_eigenpair(op)
