@@ -19,6 +19,12 @@ by a three-part split:
 * beyond the far cutoff the zero exterior contributes only to the
   diagonal, as a lumped tail mass.
 
+The cell second moments are closed forms for power-law densities; for the
+Bessel form and the scaled profiles ``LevyKernel.cell_second_moments``
+integrates all cells in one vectorized Gauss-Legendre pass, checked per
+cell, with adaptive quadrature only for a cell that fails the check and for
+the near-field moment and the tail mass.
+
 A is symmetric, has nonpositive off-diagonal entries, strictly dominant
 positive diagonal, hence an entrywise-nonnegative inverse (discrete
 maximum principle).

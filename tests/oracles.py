@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's assembly/solve paths:
 symbols are recovered from kernels by adaptive quadrature of the
-multiplier integral, operator values by direct quadrature of the singular
+multiplier integral, cell integrals of a kernel by one adaptive ``quad``
+call per cell, operator values by direct quadrature of the singular
 integral on callables or by a Fourier multiplier on a periodic box, and
 the maximal steady state by the monotone iteration between a sub- and a
 supersolution, written as a plain loop over the dense matrix with one
@@ -55,6 +56,15 @@ def symbol_from_kernel(kernel, xi: float) -> float:
     )
     plain = kernel.tail_mass(a_split) / 2.0
     return 2.0 * (near + plain - osc)
+
+
+def cell_integrals_by_quad(f, edges) -> np.ndarray:
+    """integral of f over each cell [edges[k], edges[k+1]], one adaptive
+    ``quad`` call per cell at the kernel's relative tolerance 1e-10."""
+    return np.array([
+        integrate.quad(f, lo, hi, epsrel=1e-10, epsabs=0.0, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ])
 
 
 def operator_by_quadrature(kernel, u, x: float, far: float = 200.0) -> float:

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import eigvalsh, toeplitz
+
 from nonlocal_logistic import (
     BernsteinSymbol,
     ConfigurationError,
+    Grid1D,
     LevyKernel,
+    NumericError,
     UnsupportedKernelError,
+    assemble,
     check_scaling,
     kernel_moments,
     v_profile,
 )
 from nonlocal_logistic.bernstein import fractional_density_constant
 
-from oracles import symbol_from_kernel
+from oracles import cell_integrals_by_quad, symbol_from_kernel
 
 CATALOG = [
     BernsteinSymbol("fractional", 1.0),
@@ -187,6 +192,24 @@ class TestLevyDensity:
         profile = LevyKernel(BernsteinSymbol("sum_fractional", 1.0, beta=1.5), "scaled_profile")
         assert np.isfinite(profile.shift_ratio_bound(r))
 
+    @pytest.mark.parametrize("m, expect", [(5.0, 433.7672346620154), (10.0, 63398.23115912536)])
+    def test_relativistic_shift_bound_values(self, m, expect):
+        # the values of the direct ratio j(r) / j(r + 1), where it does not underflow
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=m), "exact")
+        assert kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99)) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [20.0, 50.0, 100.0])
+    def test_relativistic_shift_bound_past_underflow(self, m):
+        # j(51) underflows from m ~ 14 on; the ratio is still at least e^sqrt(theta)
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=m), "exact")
+        b2 = kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
+        assert math.isfinite(b2) and b2 >= math.exp(m)
+
+    def test_relativistic_shift_bound_overflow_raises(self):
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1000.0), "exact")
+        with pytest.raises(NumericError, match="float range"):
+            kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
+
 
 class TestKernelMoments:
     def test_local_second_moment_cauchy(self, frac1_kernel):
@@ -231,6 +254,95 @@ class TestKernelMoments:
     def test_requires_ordered_scales(self, frac1_kernel):
         with pytest.raises(ConfigurationError):
             kernel_moments(frac1_kernel, h=1.0, R=0.5)
+
+
+def _cell_edges(h: float, far: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
+    """Second-moment cells ((k - 1/2) h, (k + 1/2) h] of the assembly up to
+    ``far``, and mass cells (k h, (k + 1) h] from h to ``far``."""
+    n_cells = int(round(far / h))
+    return (np.arange(n_cells + 1) + 0.5) * h, h + h * np.arange(n_cells)
+
+
+QUAD_KERNELS = [
+    LevyKernel(BernsteinSymbol("relativistic", a, m=m), "exact")
+    for a in (0.5, 1.0, 1.5) for m in (0.1, 1.0, 10.0)
+] + [
+    LevyKernel(BernsteinSymbol("log_damped", 1.0, beta=0.5), "scaled_profile"),
+    LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5), "scaled_profile"),
+]
+
+
+class TestCellIntegrals:
+    """The vectorized Gauss-Legendre pass against one adaptive quad per cell."""
+
+    @pytest.mark.parametrize("kern", QUAD_KERNELS,
+                             ids=lambda k: f"{k.symbol.kind}-{k.symbol.alpha}-{k.symbol.m}")
+    # the fine grid only near the singularity, to bound the reference's quad calls
+    @pytest.mark.parametrize("h, far", [(2.0 / 200, 4.0), (2.0 / 1600, 0.5)])
+    def test_matches_adaptive_reference_per_cell(self, kern, h, far):
+        moment_edges, mass_edges = _cell_edges(h, far)
+        got = kern.cell_second_moments(moment_edges)
+        ref = cell_integrals_by_quad(lambda r: r * r * kern.density(r), moment_edges)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        got = kern.cell_masses(mass_edges)
+        ref = cell_integrals_by_quad(kern.density, mass_edges)
+        assert np.all(ref > 0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, m, n, unresolved", [(1.5, 1e4, 63, 48), (1.0, 1000.0, 199, 1)])
+    def test_fallback_runs_on_unresolved_cells_only(self, monkeypatch, alpha, m, n, unresolved):
+        kern = LevyKernel(BernsteinSymbol("relativistic", alpha, m=m), "exact")
+        edges, _ = _cell_edges(2.0 / (n + 1))
+        calls = []
+        quad = LevyKernel._quad
+
+        def counted(self, f, lo, hi):
+            calls.append(lo)
+            return quad(self, f, lo, hi)
+
+        monkeypatch.setattr(LevyKernel, "_quad", counted)
+        got = kern.cell_second_moments(edges)
+        assert len(calls) == unresolved
+        ref = cell_integrals_by_quad(lambda r: r * r * kern.density(r), edges)
+        positive = ref > 0
+        assert np.all(positive[np.isin(edges[:-1], calls)])
+        assert np.max(np.abs(got - ref)[positive] / ref[positive]) <= 1e-12
+        # cells past the underflow of the density are exactly 0 on both routes
+        assert np.all(got[~positive] == 0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_non_finite_cell_raises(self):
+        class Planted(LevyKernel):
+            def density(self, r):
+                r = np.asarray(r, dtype=float)
+                return np.where((r > 0.3) & (r < 0.31), np.nan, super().density(r))
+
+        kern = Planted(BernsteinSymbol("relativistic", 1.0, m=1.0), "exact")
+        edges, mass_edges = _cell_edges(0.01)
+        with pytest.raises(NumericError, match="did not converge"):
+            kern.cell_second_moments(edges)
+        with pytest.raises(NumericError, match="did not converge"):
+            kern.cell_masses(mass_edges)
+
+    def test_relativistic_column_and_lambda1_match_reference(self):
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0), "exact")
+        grid = Grid1D(-1.0, 1.0, 199)
+        op = assemble(grid, kern, far_cutoff=4.0)
+        # the assembly's column from per-cell adaptive quadrature
+        h = grid.h
+        edges, _ = _cell_edges(h)
+        k = np.arange(1, edges.size)
+        weights = cell_integrals_by_quad(lambda r: r * r * kern.density(r), edges) / (k * h) ** 2
+        s = kern.sigma2_local(h / 2.0) / (2.0 * h * h)
+        ref = np.zeros(grid.n_interior)
+        ref[0] = 2.0 * s + 2.0 * weights.sum() + kern.tail_mass(edges[-1])
+        ref[1:] = -weights[: grid.n_interior - 1]
+        ref[1] -= s
+        assert np.max(np.abs(op.col - ref) / np.abs(ref)) <= 1e-13
+        lam = eigvalsh(toeplitz(op.col), subset_by_index=[0, 0])[0]
+        lam_ref = eigvalsh(toeplitz(ref), subset_by_index=[0, 0])[0]
+        assert lam == pytest.approx(lam_ref, rel=1e-12)
 
 
 class TestVProfile:

@@ -106,6 +106,15 @@ class TestValidation:
         assert files == ["error.log"]
         assert "ConfigurationError" in (outdir / "error.log").read_text()
 
+    def test_overflowing_shift_bound_exits_3_with_error_log(self, tmp_path):
+        # relativistic m = 1000: j(r) / j(r + 1) ~ e^1000 is past the float range
+        cfg, outdir = tmp_path / "heavy.cfg", tmp_path / "heavy"
+        cfg.write_text('symbol = { kind = "relativistic", alpha = 1.0, m = 1000.0 }\n')
+        assert main(["validate-kernel", "--config", str(cfg), "--output", str(outdir)]) == 3
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1 and log[0].startswith("error: NumericError: shift ratio bound")
+
     def test_missing_config_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["eigen", "--config", str(tmp_path / "nope.cfg")]) == 2
