@@ -113,6 +113,8 @@ class BernsteinSymbol:
         elif k == "relativistic":
             _require(0.0 < a < 2.0, "relativistic requires alpha in (0, 2)")
             _require(m is not None and m > 0.0, "relativistic requires m > 0")
+            _require(abs((2.0 / a) * math.log(m)) < math.log(np.finfo(float).max),
+                     "relativistic requires m^(2/alpha) within the float range")
         elif k == "sum_fractional":
             _require(0.0 < a <= 2.0, "sum_fractional requires alpha in (0, 2]")
             _require(b is not None and 0.0 < b <= 2.0, "sum_fractional requires beta in (0, 2]")
@@ -169,8 +171,13 @@ class BernsteinSymbol:
         if self.kind == "fractional":
             out = x ** (a / 2.0)
         elif self.kind == "relativistic":
+            # (x + theta)^(alpha/2) - m cancels for x << theta: there it is
+            # m expm1((alpha/2) log1p(x / theta)), with no subtraction; the
+            # branch np.where drops may overflow
             theta = self.m ** (2.0 / a)
-            out = (x + theta) ** (a / 2.0) - self.m
+            with np.errstate(all="ignore"):
+                out = np.where(x > theta, (x + theta) ** (a / 2.0) - self.m,
+                               self.m * np.expm1((a / 2.0) * np.log1p(x / theta)))
         elif self.kind == "sum_fractional":
             out = x ** (a / 2.0) + x ** (self.beta / 2.0)
         elif self.kind == "log_damped":
@@ -415,11 +422,16 @@ class LevyKernel:
         # log j(r) - log j(r+1) with K_nu(z) = kve(nu, z) e^-z, z = sqrt(theta) r
         nu = (1.0 + s.alpha) / 2.0
         sq = s.m ** (1.0 / s.alpha)
-        log_ratio = float(np.max(
-            nu * np.log1p(1.0 / r)
-            + np.log(_bessel_ke(nu, sq * r)) - np.log(_bessel_ke(nu, sq * (r + 1.0)))
-            + sq
-        ))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_bessel = np.log(_bessel_ke(nu, sq * r)) - np.log(_bessel_ke(nu, sq * (r + 1.0)))
+        bad = int(np.count_nonzero(~np.isfinite(log_bessel)))
+        if bad:
+            raise NumericError(
+                f"shift ratio bound of {s.kind} m={s.m}: the Bessel ratio "
+                "K_nu(m^(1/alpha) r) / K_nu(m^(1/alpha) (r + 1)) could not be evaluated "
+                f"at {bad} of {r.size} samples"
+            )
+        log_ratio = float(np.max(nu * np.log1p(1.0 / r) + log_bessel + sq))
         if not log_ratio < math.log(np.finfo(float).max):
             raise NumericError(
                 f"shift ratio bound exp({log_ratio:.6g}) of {s.kind} m={s.m} "

@@ -3,7 +3,9 @@
 Subcommands: validate-kernel, eigen, steady, bifurcate, evolve, longtime,
 mc-check, diagnose.  Each run validates the whole config first, computes,
 then writes CSV data files, a JSON summary, and a manifest.json recording
-the config hash, package and library versions, and seeds.  Exit codes:
+the config hash, package and library versions, and seeds.  Every handler
+gives its CSV data as columns, which ``RunOutput.write`` streams in blocks
+of ``CSV_BLOCK`` rows.  Exit codes:
 0 success, 2 configuration error, 3 numeric/convergence error,
 4 statistical-power error; argparse exits 2 on a flag ``FLAGS`` does not give
 the subcommand.  Data files are byte-deterministic for a fixed config and
@@ -51,7 +53,18 @@ SUBCOMMANDS = (
 )
 
 
+CSV_BLOCK = 8192  # rows turned into Python objects at a time by RunOutput.write
+
+# exact types formatted without the isinstance chain: ``.tolist()`` gives these
+_EXACT_FMT = {float: float.__repr__, np.float64: float.__repr__, int: int.__repr__,
+              str: str.__str__}
+
+
 def _fmt(value) -> str:
+    """A CSV field: ``true``/``false``, ``repr`` of a float, ``str`` of anything else."""
+    exact = _EXACT_FMT.get(type(value))
+    if exact is not None:
+        return exact(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -74,22 +87,45 @@ def _jsonable(value):
     return value
 
 
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Stream equal-length columns (1-D arrays or lists) as CSV, ``CSV_BLOCK`` rows at a time.
+
+    Only the slice of each column in the current block becomes Python
+    objects (``.tolist()`` of an array slice), so memory stays bounded by one
+    block whatever the file's length.
+    """
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"{path.name}: columns of unequal lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CSV_BLOCK):
+            fields = []
+            for col in columns:
+                part = col[lo:lo + CSV_BLOCK]
+                fields.append(map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part))
+            fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
+
+
 class RunOutput:
-    """Accumulates artifacts; nothing touches disk until the run succeeded."""
+    """Accumulates artifacts; nothing touches disk until the run succeeded.
+
+    ``csvs[name]`` is ``(header, columns)``: one equal-length 1-D array or
+    list per header field, written row by row in blocks by :meth:`write`.
+    """
 
     def __init__(self):
         self.jsons: dict[str, dict] = {}
-        self.csvs: dict[str, tuple[list[str], list[tuple]]] = {}
+        self.csvs: dict[str, tuple[list[str], list]] = {}
         self.texts: dict[str, str] = {}
         self.solvers: dict[str, int] = {}  # solver work counts for the manifest
         self.op = None  # the assembled operator, for --dump-matrix
 
     def write(self, outdir: Path):
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in self.csvs.items():
-            lines = [",".join(header)]
-            lines += [",".join(_fmt(v) for v in row) for row in rows]
-            (outdir / name).write_text("\n".join(lines) + "\n")
+        for name, (header, columns) in self.csvs.items():
+            _write_csv(outdir / name, header, columns)
         for name, payload in self.jsons.items():
             (outdir / name).write_text(
                 json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -111,8 +147,7 @@ def _eigenpair(cfg: RunConfig, out: RunOutput):
 def _dump_matrix(out: RunOutput):
     a = out.op.matrix
     rows, cols = np.nonzero(a)
-    entries = zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
-    out.csvs["operator_matrix.csv"] = (["row", "col", "value"], list(entries))
+    out.csvs["operator_matrix.csv"] = (["row", "col", "value"], [rows, cols, a[rows, cols]])
 
 
 def _plot_script(csv_name: str, xcol: str, ycol: str, title: str) -> str:
@@ -178,9 +213,7 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
     big_r = cfg.solver["moment_R"]
     mom = kernel_moments(cfg.kernel, h, big_r)
     rs = np.logspace(-3, 2, 100)
-    out.csvs["kernel_density.csv"] = (
-        ["r", "j"], [(r, cfg.kernel.density(r)) for r in rs]
-    )
+    out.csvs["kernel_density.csv"] = (["r", "j"], [rs, [cfg.kernel.density(r) for r in rs]])
     out.jsons["kernel_report.json"] = {
         "symbol": cfg.symbol.as_config(),
         "mode": cfg.kernel.mode,
@@ -210,10 +243,7 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
 def run_eigen(cfg: RunConfig, args) -> RunOutput:
     out = RunOutput()
     op, pair = _eigenpair(cfg, out)
-    out.csvs["eigen.csv"] = (
-        ["node", "x", "phi"],
-        [(i, op.grid.nodes[i], pair.phi[i]) for i in range(op.n)],
-    )
+    out.csvs["eigen.csv"] = (["node", "x", "phi"], [np.arange(op.n), op.grid.nodes, pair.phi])
     out.jsons["eigen.json"] = {
         "lambda1": pair.lam,
         "residual": pair.residual,
@@ -253,12 +283,8 @@ def run_steady(cfg: RunConfig, args) -> RunOutput:
         columns["maximal"] = maximal.u
         if maximal.branch == "maximal":
             summary["maximal_lambda_star"] = stability_index(op, spec, maximal, tol=cfg.tol).lambda_star
-    header = ["node", "x"] + list(columns)
-    rows = [
-        tuple([i, op.grid.nodes[i]] + [columns[k][i] for k in columns])
-        for i in range(op.n)
-    ]
-    out.csvs["steady.csv"] = (header, rows)
+    out.csvs["steady.csv"] = (
+        ["node", "x", *columns], [np.arange(op.n), op.grid.nodes, *columns.values()])
     out.jsons["steady.json"] = summary
     return out
 
@@ -278,7 +304,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
         sample_ladder=cfg.scan["ladder"],
         tol=cfg.tol, eigenpair=pair,
     )
-    rows = []
+    columns = ([], [], [], [], [])  # c, exists, sup_u1, sup_u2, lambda_star
     # samples come in increasing c: continue the small branch from the last
     # sample it was solved at
     start = None
@@ -298,7 +324,8 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
                     sup_u2 = float(u2.u.max())
             except NumericError:
                 pass
-        rows.append((s.c, s.exists, sup_u1, sup_u2, lam_star))
+        for col, value in zip(columns, (s.c, s.exists, sup_u1, sup_u2, lam_star)):
+            col.append(value)
     out.solvers.update({
         "scan_probes": len(scan.samples),
         "descent_newton_steps": sum(s.state.newton_steps for s in scan.samples),
@@ -307,7 +334,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
         "small_branch_steps": continuation_steps,
     })
     out.csvs["bifurcation.csv"] = (
-        ["c", "exists", "sup_u1", "sup_u2", "lambda_star"], rows
+        ["c", "exists", "sup_u1", "sup_u2", "lambda_star"], list(columns)
     )
     out.jsons["bifurcation.json"] = {
         "lambda1": pair.lam,
@@ -341,12 +368,11 @@ def run_evolve(cfg: RunConfig, args) -> RunOutput:
     u0 = _initial_field(cfg, op, pair, spec)
     run = evolve(op, spec, u0, dt, horizon, snapshot_times=snaps)
     out.solvers["imex_steps"] = int(round(run.horizon / run.dt))
-    rows = [
-        (s, i, op.grid.nodes[i], run.snapshots[k][i])
-        for k, s in enumerate(run.times)
-        for i in range(op.n)
-    ]
-    out.csvs["snapshots.csv"] = (["s", "node", "x", "value"], rows)
+    n_snaps = run.times.size
+    out.csvs["snapshots.csv"] = (["s", "node", "x", "value"], [
+        np.repeat(run.times, op.n), np.tile(np.arange(op.n), n_snaps),
+        np.tile(op.grid.nodes, n_snaps), run.snapshots.ravel(),
+    ])
     out.jsons["evolve.json"] = {
         "dt": run.dt,
         "horizon": run.horizon,
@@ -367,11 +393,13 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
     res = longtime_classify(op, spec, u0, dt, s_max, verdict_tol, eigenpair=pair)
     out.solvers["imex_steps"] = res.times.size - 1
     stride = max(1, res.times.size // 2000)
-    rows = []
-    for k in range(0, res.times.size, stride):
-        dist = res.steady_distances[k] if res.steady_distances is not None else float("nan")
-        rows.append((res.times[k], res.sup_norms[k], dist))
-    out.csvs["distance_curve.csv"] = (["s", "sup_norm", "dist_to_steady"], rows)
+    dist = res.steady_distances
+    if dist is None:
+        dist = np.full(res.times.size, float("nan"))
+    out.csvs["distance_curve.csv"] = (
+        ["s", "sup_norm", "dist_to_steady"],
+        [res.times[::stride], res.sup_norms[::stride], dist[::stride]],
+    )
     out.jsons["longtime.json"] = {
         "verdict": res.verdict,
         "s_reached": res.s_reached,
@@ -418,14 +446,14 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     draws = sampler.with_rng(rng).increments(1.0, n_paths)
-    laplace_rows = []
-    for x in (0.5, 1.0, 2.0):
+    xs = (0.5, 1.0, 2.0)
+    mc, std_error = [], []
+    for x in xs:
         vals = np.exp(-x * draws)
-        laplace_rows.append(
-            (x, float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths)),
-             float(np.exp(-cfg.symbol.psi(x))))
-        )
-    out.csvs["laplace_check.csv"] = (["x", "mc", "std_error", "exact"], laplace_rows)
+        mc.append(float(vals.mean()))
+        std_error.append(float(vals.std(ddof=1) / np.sqrt(n_paths)))
+    exact = [float(np.exp(-cfg.symbol.psi(x))) for x in xs]
+    out.csvs["laplace_check.csv"] = (["x", "mc", "std_error", "exact"], [xs, mc, std_error, exact])
 
     if cfg.grid is not None:
         det = green_solve(op, np.ones(op.n))
@@ -440,18 +468,15 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
         out.solvers["survivors"] = fit.survivors_at_end
         out.solvers["path_steps"] = fit.path_steps
         summary["lambda1_spectral"] = pair.lam
-        out.csvs["survival.csv"] = (
-            ["t", "survival"],
-            [(fit.t_grid[i], fit.survival[i]) for i in range(fit.t_grid.size)],
-        )
+        out.csvs["survival.csv"] = (["t", "survival"], [fit.t_grid, fit.survival])
     if args.trace_paths:
         tracer = sampler.with_rng(
             np.random.default_rng(np.random.SeedSequence(seed + 3).spawn(1)[0])
         )
-        rows = trace_rows(tracer, x0, dt_path, st["horizon"], cfg.grid.interval, n_paths)
-        out.solvers["trace_paths"] = rows[-1][0] + 1  # path-major rows
-        out.solvers["trace_rows"] = len(rows)
-        out.csvs["path_traces.csv"] = (["path", "t", "x"], rows)
+        columns = trace_rows(tracer, x0, dt_path, st["horizon"], cfg.grid.interval, n_paths)
+        out.solvers["trace_paths"] = int(columns[0][-1]) + 1  # path-major rows
+        out.solvers["trace_rows"] = columns[0].size
+        out.csvs["path_traces.csv"] = (["path", "t", "x"], list(columns))
     out.jsons["mc_check.json"] = summary
     return out
 
@@ -468,16 +493,20 @@ def run_diagnose(cfg: RunConfig, args) -> RunOutput:
             fields["steady"] = base.u
     torsion = green_solve(op, np.ones(op.n))
     fields["torsion"] = torsion
-    rows = []
+    ratios = []
     for name, u in fields.items():
         rf = hopf_ratio(np.maximum(u, 0.0), op.grid, cfg.symbol)
         summary[f"{name}_ratio_min"] = rf.min
         summary[f"{name}_ratio_max"] = rf.max
         summary[f"{name}_band_min"] = rf.band_min
-        for i in range(op.n):
-            rows.append((name, i, op.grid.nodes[i], op.grid.delta[i], u[i], rf.values[i]))
+        ratios.append(rf.values)
     summary["torsion_v_modulus"] = v_modulus(torsion, op.grid, cfg.symbol)
-    out.csvs["ratio_fields.csv"] = (["field", "node", "x", "delta", "u", "ratio"], rows)
+    k = len(fields)
+    out.csvs["ratio_fields.csv"] = (["field", "node", "x", "delta", "u", "ratio"], [
+        [name for name in fields for _ in range(op.n)], np.tile(np.arange(op.n), k),
+        np.tile(op.grid.nodes, k), np.tile(op.grid.delta, k),
+        np.concatenate(list(fields.values())), np.concatenate(ratios),
+    ])
     out.jsons["diagnose.json"] = summary
     return out
 

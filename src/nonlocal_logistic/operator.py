@@ -38,8 +38,11 @@ then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
 dense matrix is the transient ``A + diag(d)`` that ``diag_solver`` factors
 in place, for a variable diagonal (Jacobians, eigen potentials, the
 anti-maximum shift) and, by choice, the relaxation shift, whose many solves
-against one factor are faster dense at the grid sizes used (n = 199, one
-BLAS thread: 60 us per Cholesky solve, 96 us per Gohberg-Semencul solve).
+against one factor are faster dense at the grid sizes used.  One
+Gohberg-Semencul solve is four scipy FFT calls; on one pinned CPU of a
+2-core host with one BLAS thread (medians of 10 blocks) it takes 33, 37,
+67, 121 and 198 us at n = 63, 199, 799, 1599 and 3199, against 26 us for a
+dense Cholesky solve at n = 199.
 Both of its factors, Cholesky (``potrf``/``potrs``) and LU
 (``getrf``/``getrs``), are called in LAPACK directly.  The independent
 Fourier-multiplier oracle that checks this assembly lives in
@@ -121,7 +124,10 @@ class OperatorMatrix:
         O(n^2).  With w = (0, x_{n-1}, ..., x_1) and L(v) the lower triangular
         Toeplitz matrix with first column v, the Gohberg-Semencul formula
         ``x_0 T^{-1} = L(x) L(x)^T - L(w) L(w)^T`` then applies the inverse
-        with six real FFTs of length >= 2n per solve.
+        with four scipy FFT calls of length >= 2n per solve: ``b`` forward,
+        both correlations ``L(x)^T b`` and ``L(w)^T b`` back and forth as one
+        batch of two rows, and the combination back.  scipy transforms each
+        row of a batch bit for bit as it would transform it alone.
         """
         n = self.n
         t = scale * self.col
@@ -139,14 +145,14 @@ class OperatorMatrix:
         size = next_fast_len(2 * n, real=True)
         root = np.sqrt(x[0])
         fx, fw = rfft(x, size) / root, rfft(w, size) / root
-        fx_conj, fw_conj = fx.conj(), fw.conj()
+        conj = np.stack((fx.conj(), fw.conj()))
 
         def solve(b: np.ndarray) -> np.ndarray:
-            fb = rfft(b, size)
             # L(v)^T b is a correlation: the conjugate spectrum, first n lags
-            p = irfft(fx_conj * fb, size)[:n]
-            q = irfft(fw_conj * fb, size)[:n]
-            return irfft(fx * rfft(p, size) - fw * rfft(q, size), size)[:n]
+            lags = irfft(conj * rfft(b, size), size)
+            lags[:, n:] = 0.0
+            fp, fq = rfft(lags)
+            return irfft(fx * fp - fw * fq, size)[:n]
 
         return solve
 

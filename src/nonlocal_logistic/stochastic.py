@@ -16,8 +16,9 @@ results are byte-identical for any worker count and reproducible from
 (seed, config).  ``exit_pass`` reads two functionals of one set of killed
 paths: the occupation time up to a horizon (``mc_green`` with f = 1) and
 the survival curve with its exit-rate fit; ``survival_lambda1`` is its
-survival half.  ``trace_rows`` records one batch of at most 1000 paths;
-``simulate_killed_path`` is its one-path view.
+survival half.  ``trace_rows`` records one batch of at most 1000 paths
+as path-major ``(path, t, x)`` columns; ``simulate_killed_path`` is its
+one-path view.
 """
 
 from __future__ import annotations
@@ -209,29 +210,34 @@ def _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
 
 
 def trace_rows(sampler: SubordinatorSampler, x0: float, dt_path: float, horizon: float,
-               domain: tuple[float, float], n_paths: int) -> list[tuple[int, float, float]]:
-    """Path-major ``(path, t, x)`` rows of ``min(1000, n_paths)`` paths in one engine batch.
+               domain: tuple[float, float], n_paths: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Path-major ``(path, t, x)`` columns of ``min(1000, n_paths)`` paths in one engine batch.
 
     Path ``p`` runs from ``(p, 0.0, x0)`` in steps of ``dt_path`` to its first
     position outside the domain or to the horizon (a whole number of steps).
+    Each step's moved paths are kept in time order, so a stable sort on the
+    path id orders every path's rows by time; ``t`` is ``k * dt_path``.
     """
     n_steps = horizon_steps(horizon, dt_path)
-    ids = list(range(min(TRACE_PATHS, n_paths)))  # one int per path, shared by its rows
-    rows = [(p, 0.0, float(x0)) for p in ids]
+    m = min(TRACE_PATHS, n_paths)
+    paths, steps, xs = [np.arange(m)], [np.zeros(m, dtype=np.int64)], [np.full(m, float(x0))]
 
-    def record(paths, t, pos):
-        rows.extend([(ids[p], t, x) for p, x in zip(paths.tolist(), pos[paths].tolist())])
+    def record(moved, k, pos):
+        paths.append(moved)
+        steps.append(np.full(moved.size, k, dtype=np.int64))
+        xs.append(pos[moved])
 
     moved = None  # the paths that moved into the current step
-    for k, idx, pos in _killed_steps(sampler, sampler.rng, len(ids), x0, domain,
-                                     dt_path, n_steps):
+    for k, idx, pos in _killed_steps(sampler, sampler.rng, m, x0, domain, dt_path, n_steps):
         if k:
-            record(moved, k * dt_path, pos)
+            record(moved, k, pos)
         moved = idx
     if moved is not None and k < n_steps:  # every path alive at k left at step k + 1
-        record(moved, (k + 1) * dt_path, pos)
-    rows.sort()
-    return rows
+        record(moved, k + 1, pos)
+    path = np.concatenate(paths)
+    order = np.argsort(path, kind="stable")
+    return path[order], np.concatenate(steps)[order] * dt_path, np.concatenate(xs)[order]
 
 
 def simulate_killed_path(sampler: SubordinatorSampler, x0: float, dt_path: float,
@@ -241,11 +247,10 @@ def simulate_killed_path(sampler: SubordinatorSampler, x0: float, dt_path: float
     The one-path view of :func:`trace_rows`: consecutive calls on one sampler
     lay the paths out one after the other in its stream.
     """
-    rows = trace_rows(sampler, x0, dt_path, horizon, domain, 1)
-    positions = np.array([x for _, _, x in rows])
+    _, t, positions = trace_rows(sampler, x0, dt_path, horizon, domain, 1)
     xl, xr = domain
     exited = not (xl < positions[-1] < xr)
-    return KilledPath(x0, dt_path, positions, rows[-1][1] if exited else math.inf, exited)
+    return KilledPath(x0, dt_path, positions, float(t[-1]) if exited else math.inf, exited)
 
 
 def feynman_kac(

@@ -8,9 +8,11 @@ integral on callables or by a Fourier multiplier on a periodic box, and
 the maximal steady state by the monotone iteration between a sub- and a
 supersolution, written as a plain loop over the dense matrix with one
 scipy Cholesky factor.  Killed paths are stepped one at a time by a scalar
-loop instead of the batched path engine.  No function here calls the
-package's descent, factorizations, Toeplitz solvers, FFT products,
-eigensolver or path engine.
+loop instead of the batched path engine, and path traces are built as
+sorted row tuples.  Toeplitz solves apply the Gohberg-Semencul formula with
+six separate FFTs, and CSV text is formatted row by row.  No function here
+calls the package's descent, factorizations, Toeplitz solvers, FFT
+products, eigensolver, path engine or CSV writer.
 """
 
 import math
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.linalg import cho_factor, cho_solve
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import cho_factor, cho_solve, solve_toeplitz
 
 from nonlocal_logistic import (
     ConfigurationError,
@@ -114,6 +117,33 @@ def scalar_killed_path(sampler, x0: float, dt_path: float, horizon: float, domai
     return np.array(pos)
 
 
+def trace_rows_reference(sampler, x0: float, dt_path: float, horizon: float, domain,
+                         n_paths: int, cap: int = 1000) -> list[tuple[int, float, float]]:
+    """Sorted ``(path, t, x)`` row tuples of ``min(cap, n_paths)`` paths stepped together.
+
+    Each step draws the alive paths' subordinator increments, then their
+    standard normals, from the sampler's generator; every path moves by
+    ``sqrt(2 dS)`` times its normal and gets a row at ``t = k * dt_path``;
+    a path's first position outside the domain is its last row.
+    """
+    xl, xr = domain
+    m = min(cap, n_paths)
+    rows = [(p, 0.0, float(x0)) for p in range(m)]
+    x = [float(x0)] * m
+    alive = list(range(m)) if xl < x0 < xr else []
+    k = 0
+    while alive and k < int(round(horizon / dt_path)):
+        k += 1
+        ds = sampler.increments(dt_path, len(alive)).tolist()
+        z = sampler.rng.standard_normal(len(alive)).tolist()
+        for p, d, g in zip(alive, ds, z):
+            x[p] = x[p] + g * math.sqrt(2.0 * d)
+            rows.append((p, k * dt_path, x[p]))
+        alive = [p for p in alive if xl < x[p] < xr]
+    rows.sort()
+    return rows
+
+
 def kanter_reference(rho: float, size: int, rng) -> np.ndarray:
     """One-sided stable draws by Kanter's formula written out as one expression.
 
@@ -125,6 +155,52 @@ def kanter_reference(rho: float, size: int, rng) -> np.ndarray:
     return (np.sin(rho * u) / np.sin(u) ** (1.0 / rho)) * (
         np.sin((1.0 - rho) * u) / w
     ) ** ((1.0 - rho) / rho)
+
+
+def csv_reference(header, rows) -> str:
+    """CSV text of a header and row tuples, one line each ending in a newline.
+
+    A field is ``true``/``false`` for a Python or numpy bool, ``repr`` of the
+    Python float for any float, and ``str`` of anything else.
+    """
+    def field(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+
+    return "".join(",".join(field(v) for v in row) + "\n" for row in [header, *rows])
+
+
+def gohberg_semencul_reference(col: np.ndarray, sigma: float, scale: float = 1.0):
+    """A function solving ``(scale T + sigma I) x = b``, T symmetric Toeplitz with
+    first column ``col``, by the Gohberg-Semencul formula with six FFTs per solve.
+
+    scipy's Levinson solve gives the first column x of the inverse; with
+    w = (0, x_{n-1}, ..., x_1), ``x_0 T^{-1} b = L(x) L(x)^T b - L(w) L(w)^T b``
+    is applied transform by transform: b forward, each correlation back and
+    forward, the combination back.
+    """
+    n = col.size
+    t = scale * col
+    t[0] += sigma
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    x = solve_toeplitz(t, e1)
+    w = np.zeros(n)
+    w[1:] = x[:0:-1]
+    size = next_fast_len(2 * n, real=True)
+    root = np.sqrt(x[0])
+    fx, fw = rfft(x, size) / root, rfft(w, size) / root
+
+    def apply(b):
+        fb = rfft(b, size)
+        p = irfft(fx.conj() * fb, size)[:n]
+        q = irfft(fw.conj() * fb, size)[:n]
+        return irfft(fx * rfft(p, size) - fw * rfft(q, size), size)[:n]
+
+    return apply
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ class TestPsiEval:
         sym = BernsteinSymbol("relativistic", 1.0, m=1.0)
         assert sym.psi(3.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("m", [1e-8, 1.0, 1e3, 1e8, 1e12])
+    def test_relativistic_without_cancellation(self, m):
+        # at alpha = 1, psi(1) = sqrt(1 + m^2) - m = 1 / (sqrt(1 + m^2) + m)
+        exact = 1.0 / (math.sqrt(1.0 + m * m) + m)
+        value = BernsteinSymbol("relativistic", 1.0, m=m).psi(1.0)
+        assert abs(value - exact) <= 4.0 * np.spacing(exact)
+
     def test_sum_fractional(self):
         sym = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
         assert sym.psi(16.0) == pytest.approx(12.0)
@@ -79,6 +86,8 @@ class TestParameterRanges:
             (dict(kind="fractional", alpha=0.0), "alpha in (0, 2]"),
             (dict(kind="relativistic", alpha=2.0, m=1.0), "alpha in (0, 2)"),
             (dict(kind="relativistic", alpha=1.0, m=0.0), "m > 0"),
+            (dict(kind="relativistic", alpha=1.0, m=1e200), "m^(2/alpha) within the float range"),
+            (dict(kind="relativistic", alpha=0.5, m=1e-100), "m^(2/alpha) within the float range"),
             (dict(kind="sum_fractional", alpha=1.0, beta=2.5), "beta in (0, 2]"),
             (dict(kind="log_damped", alpha=1.0, beta=1.0), "beta in [0, alpha)"),
             (dict(kind="log_boosted", alpha=1.0, beta=1.5), "beta in (0, 2 - alpha)"),
@@ -208,6 +217,12 @@ class TestLevyDensity:
     def test_relativistic_shift_bound_overflow_raises(self):
         kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1000.0), "exact")
         with pytest.raises(NumericError, match="float range"):
+            kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
+
+    def test_relativistic_shift_bound_unevaluable_bessel_raises(self):
+        # kve gives NaN far out at m = 1e8: the message names the Bessel ratio
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1e8), "exact")
+        with pytest.raises(NumericError, match=r"Bessel ratio .* could not be evaluated at \d+ of 99"):
             kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
 
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import tomllib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from nonlocal_logistic import (
     BernsteinSymbol, SubordinatorSampler, assemble, mc_green, survival_lambda1,
 )
-from nonlocal_logistic.cli import SUBCOMMANDS, build_parser, main
+from nonlocal_logistic.cli import CSV_BLOCK, SUBCOMMANDS, RunOutput, build_parser, main
 from nonlocal_logistic.config import load_config
+
+from oracles import csv_reference
 
 BASE = """
 symbol = {{ kind = "fractional", alpha = 1.0 }}
@@ -53,6 +56,58 @@ class TestJsonOutput:
         summary = json.loads((outdir / "steady.json").read_text(), parse_constant=_reject_constant)
         assert summary["maximal_branch"] == "none"
         assert summary["maximal_residual"] is None
+
+
+class TestCsvWriter:
+    MIXED = [3, np.int64(-7), 0.1, np.float64(2.5e-8), True, np.bool_(False), "u1",
+             math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(-0.0), 10 ** 20]
+
+    @staticmethod
+    def _written(tmp_path, header, columns) -> str:
+        out = RunOutput()
+        out.csvs["t.csv"] = (header, columns)
+        out.write(tmp_path)
+        return (tmp_path / "t.csv").read_text()
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                   3 * CSV_BLOCK + 7])
+    def test_bytes_match_the_row_formatter(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[::5] = np.resize([math.nan, math.inf, -math.inf, -0.0, 5e-324], floats[::5].size)
+        columns = [
+            np.arange(n),  # int64
+            floats,
+            rng.standard_normal(n) > 0,  # bool
+            [self.MIXED[i % len(self.MIXED)] for i in range(n)],
+            [f"p{i}" for i in range(n)],
+            rng.standard_normal(n).astype(np.float32),
+        ]
+        header = ["i", "x", "flag", "mixed", "name", "single"]
+        rows = list(zip(*columns))  # numpy scalars, as a row-by-row writer sees them
+        got, want = self._written(tmp_path, header, columns), csv_reference(header, rows)
+        # the first differing line, not a diff of megabytes of text
+        lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        assert [pair for pair in lines if pair[0] != pair[1]][:1] == []
+        assert len(got) == len(want)
+
+    def test_unequal_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal"):
+            self._written(tmp_path, ["a", "b"], [np.arange(5), [1.0] * 4])
+
+    def test_memory_is_bounded_by_one_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(200_000) for _ in range(3)]
+        out = RunOutput()
+        out.csvs["big.csv"] = (["a", "b", "c"], columns)
+        tracemalloc.start()
+        try:
+            out.write(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~70 bytes per field of one block; the file's text alone is ~9 MB
+        assert peak < 128 * 3 * CSV_BLOCK < (tmp_path / "big.csv").stat().st_size
 
 
 class TestEigen:
@@ -114,6 +169,15 @@ class TestValidation:
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         log = (outdir / "error.log").read_text().splitlines()
         assert len(log) == 1 and log[0].startswith("error: NumericError: shift ratio bound")
+
+    def test_unevaluable_bessel_ratio_exits_3_naming_it(self, tmp_path):
+        # relativistic m = 1e8: psi(1) = 5e-9 without cancellation, then kve gives NaN
+        cfg, outdir = tmp_path / "heavier.cfg", tmp_path / "heavier"
+        cfg.write_text('symbol = { kind = "relativistic", alpha = 1.0, m = 1e8 }\n')
+        assert main(["validate-kernel", "--config", str(cfg), "--output", str(outdir)]) == 3
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1 and "the Bessel ratio" in log[0] and "nan" not in log[0]
 
     def test_missing_config_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

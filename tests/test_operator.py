@@ -33,6 +33,7 @@ from nonlocal_logistic import (
 from oracles import (
     OracleDomainError,
     PeriodicBox,
+    gohberg_semencul_reference,
     mollifier,
     multiplier_oracle,
     operator_by_quadrature,
@@ -253,6 +254,20 @@ class TestToeplitzColumn:
             ref = cho_solve(cho_factor(scale * a + sigma * np.eye(n)), b)
             x = op.solver(sigma, scale=scale)(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [63, 199, 799])
+    def test_solver_matches_six_fft_reference_bit_for_bit(self, n):
+        op = self._op(self.SYMBOLS[0], n)
+        # principal_eigenpair's shift below the Gershgorin lower bound
+        lo, hi = np.min(op.col[0] - op.radii()), np.max(op.col[0] + op.radii())
+        eigen_shift = lo - max(1e-8, 1e-3 * (hi - lo))
+        rng = np.random.default_rng(n)
+        for sigma, scale in ((-eigen_shift, 1.0), (1.0, 0.01), (0.0, 1.0)):
+            solve = op.solver(sigma, scale=scale)
+            ref = gohberg_semencul_reference(op.col, sigma, scale)
+            for _ in range(3):
+                b = rng.standard_normal(n)
+                assert solve(b).tobytes() == ref(b).tobytes()
 
     @pytest.mark.parametrize("symbol", SYMBOLS, ids=lambda s: s.kind)
     def test_matvec_matches_dense_product(self, symbol):

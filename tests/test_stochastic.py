@@ -22,7 +22,7 @@ from nonlocal_logistic import (
     trace_rows,
 )
 from nonlocal_logistic.stochastic import _stable_oneside
-from oracles import kanter_reference, scalar_killed_path
+from oracles import kanter_reference, scalar_killed_path, trace_rows_reference
 
 DOMAIN = (-1.0, 1.0)
 
@@ -140,6 +140,11 @@ class TestOneEngineTraces:
         assert engine.rng.random() == scalar.rng.random()
 
     @staticmethod
+    def _rows(columns):
+        """The ``(path, t, x)`` row tuples of trace columns."""
+        return list(zip(*(col.tolist() for col in columns)))
+
+    @staticmethod
     def _traces(rows):
         traces: dict[int, list[tuple[float, float]]] = {}
         for p, t, x in rows:
@@ -148,7 +153,8 @@ class TestOneEngineTraces:
 
     def test_rows_are_path_major_killed_paths(self):
         dt, horizon, x0 = 0.02, 1.0, 0.25
-        rows = trace_rows(sampler_for("fractional", alpha=1.0), x0, dt, horizon, DOMAIN, 300)
+        rows = self._rows(
+            trace_rows(sampler_for("fractional", alpha=1.0), x0, dt, horizon, DOMAIN, 300))
         ids = [p for p, _, _ in rows]
         assert ids == sorted(ids)
         traces = self._traces(rows)
@@ -166,12 +172,24 @@ class TestOneEngineTraces:
         assert 0 < at_horizon < 300
 
     def test_capped_at_1000_paths(self):
-        rows = trace_rows(sampler_for("fractional", alpha=1.0), 0.0, 0.05, 0.5, DOMAIN, 1500)
+        rows = self._rows(
+            trace_rows(sampler_for("fractional", alpha=1.0), 0.0, 0.05, 0.5, DOMAIN, 1500))
         assert list(self._traces(rows)) == list(range(1000))
 
     def test_start_outside_is_the_only_row(self):
-        rows = trace_rows(sampler_for("fractional", alpha=1.0), 1.5, 0.01, 1.0, DOMAIN, 40)
+        rows = self._rows(
+            trace_rows(sampler_for("fractional", alpha=1.0), 1.5, 0.01, 1.0, DOMAIN, 40))
         assert rows == [(p, 0.0, 1.5) for p in range(40)]
+
+    @pytest.mark.parametrize("n_paths", [1, 7, 1000, 5000])
+    @pytest.mark.parametrize("kind, kw", SAMPLERS[:2])
+    def test_columns_match_sorted_row_tuples_bit_for_bit(self, kind, kw, n_paths):
+        columns = trace_rows(sampler_for(kind, **kw), 0.2, 0.01, 2.0, DOMAIN, n_paths)
+        ref = trace_rows_reference(sampler_for(kind, **kw), 0.2, 0.01, 2.0, DOMAIN, n_paths)
+        path, t, x = (np.array(col) for col in zip(*ref))
+        assert [col.dtype for col in columns] == [np.int64, np.float64, np.float64]
+        for got, want in zip(columns, (path, t, x)):
+            assert got.tobytes() == want.tobytes()
 
     def test_off_grid_horizon_rejected(self):
         # 1.0 would otherwise stop alive paths at step 3 (t = 0.9)
