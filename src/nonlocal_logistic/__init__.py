@@ -32,7 +32,6 @@ from .errors import (
     ScanError,
     SpectralProximityError,
     StatisticalPowerError,
-    UnsupportedKernelError,
 )
 from .grid import Grid1D
 from .operator import OperatorMatrix, assemble, green_solve

@@ -16,9 +16,13 @@ log_damped       x^(alpha/2) * log(1+x)^(-beta/2)         (alpha-beta)/2, alpha/
 log_boosted      x^(alpha/2) * log(1+x)^(beta/2)          alpha/2, (alpha+beta)/2
 ===============  =======================================  ==================
 
-Exact closed-form densities exist for ``fractional`` (and sums of them)
-and for ``relativistic`` (a tempered Bessel-K form).  Every other symbol
-falls back to the comparable scaled profile ``j(r) ~ psi(r^-2) / r``.
+The symbol alone fixes the density, so a :class:`LevyKernel` takes
+nothing else.  ``fractional`` and ``sum_fractional`` have closed-form
+power laws (orders below 2), ``relativistic`` a tempered Bessel-K form;
+the log-perturbed symbols have only the comparable scaled profile
+``j(r) ~ psi(r^-2) / r``.  An order 2 is the local Laplacian: it gets
+unit-constant power parts, whose second moment near 0 diverges, so no
+operator is assembled from it.
 
 Integrals of a density over the cells of a grid (masses and second
 moments) are closed forms for power laws and their sums.  For the Bessel
@@ -38,7 +42,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma, kv as _bessel_k, kve as _bessel_ke
 
-from .errors import ConfigurationError, NumericError, UnsupportedKernelError
+from .errors import ConfigurationError, NumericError
 
 VARIANTS = ("fractional", "relativistic", "sum_fractional", "log_damped", "log_boosted")
 
@@ -187,27 +191,6 @@ class BernsteinSymbol:
             out = x ** (a / 2.0) * np.log1p(x) ** (self.beta / 2.0)
         return out if out.ndim else float(out)
 
-    def psi_deriv(self, x):
-        """First derivative of psi (positive and decreasing: psi is concave)."""
-        x = np.asarray(x, dtype=float)
-        a = self.alpha
-        if self.kind == "fractional":
-            out = (a / 2.0) * x ** (a / 2.0 - 1.0)
-        elif self.kind == "relativistic":
-            theta = self.m ** (2.0 / a)
-            out = (a / 2.0) * (x + theta) ** (a / 2.0 - 1.0)
-        elif self.kind == "sum_fractional":
-            b = self.beta
-            out = (a / 2.0) * x ** (a / 2.0 - 1.0) + (b / 2.0) * x ** (b / 2.0 - 1.0)
-        else:
-            sgn = -1.0 if self.kind == "log_damped" else 1.0
-            b = sgn * self.beta
-            lg = np.log1p(x)
-            out = x ** (a / 2.0 - 1.0) * lg ** (b / 2.0 - 1.0) * (
-                (a / 2.0) * lg + (b / 2.0) * x / (1.0 + x)
-            )
-        return out if out.ndim else float(out)
-
     def as_config(self) -> dict:
         out = {"kind": self.kind, "alpha": self.alpha}
         if self.beta is not None:
@@ -278,60 +261,49 @@ def v_profile(symbol: BernsteinSymbol, r):
 class LevyKernel:
     """Radial jump density j(r) of the process generated by -psi(-Delta).
 
-    ``mode="exact"`` uses the closed form (available for fractional,
-    sum_fractional with both orders < 2, and relativistic); ``mode=
-    "scaled_profile"`` uses ``normalization * psi(r^-2) / r``, which is
-    comparable to the true density with symbol-dependent constants.
+    The symbol fixes the form of j: power-law parts ``C(alpha) r^(-1-alpha)``
+    for ``fractional`` and ``sum_fractional`` with every order below 2, the
+    tempered Bessel form for ``relativistic``, and the scaled profile
+    ``psi(r^-2) / r`` for every other symbol.  An order 2 has unit-constant
+    parts, the profile's, which the second moments reject.
     """
 
     symbol: BernsteinSymbol
-    mode: str = "exact"
-    normalization: float = 1.0
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "scaled_profile"):
-            raise ConfigurationError(f"unknown kernel mode {self.mode!r}")
-        if self.normalization <= 0:
-            raise ConfigurationError("kernel normalization must be positive")
-        if self.mode == "exact":
-            self._exact_parts()  # validates availability
+    @property
+    def mode(self) -> str:
+        """``exact`` for a closed-form density, ``scaled_profile`` otherwise."""
+        parts = self._parts()
+        if parts is None:
+            return "exact" if self.symbol.kind == "relativistic" else "scaled_profile"
+        return "exact" if all(a < 2.0 for _, a in parts) else "scaled_profile"
 
-    def _exact_parts(self) -> list[tuple[float, float]]:
-        """(constant, alpha) pairs for pure power-law exact densities."""
+    def _parts(self) -> list[tuple[float, float]] | None:
+        """(constant, alpha) pairs of a power-law density; None for the
+        Bessel form and the scaled profile."""
         s = self.symbol
         if s.kind == "fractional":
-            if s.alpha >= 2.0:
-                raise UnsupportedKernelError(
-                    "fractional alpha=2 is the local Laplacian and has no jump "
-                    "density; use mode='scaled_profile'"
-                )
-            return [(fractional_density_constant(s.alpha), s.alpha)]
-        if s.kind == "sum_fractional":
-            if max(s.alpha, s.beta) >= 2.0:
-                raise UnsupportedKernelError(
-                    "sum_fractional exact density needs both orders < 2; "
-                    "use mode='scaled_profile'"
-                )
-            return [
-                (fractional_density_constant(s.alpha), s.alpha),
-                (fractional_density_constant(s.beta), s.beta),
-            ]
-        if s.kind == "relativistic":
-            return []  # Bessel form, handled separately
-        raise UnsupportedKernelError(
-            f"no exact density for {s.kind!r}; use mode='scaled_profile'"
-        )
+            orders = (s.alpha,)
+        elif s.kind == "sum_fractional":
+            orders = (s.alpha, s.beta)
+        else:
+            return None
+        if max(orders) < 2.0:
+            return [(fractional_density_constant(a), a) for a in orders]
+        return [(1.0, a) for a in orders]
 
     def density(self, r):
         """j(r) for r > 0 (scalar or array); positive and nonincreasing."""
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ConfigurationError("levy density requires r > 0")
-        if self.mode == "scaled_profile":
-            out = self.normalization * self.symbol.psi(r ** -2.0) / r
-            return out if out.ndim else float(out)
         s = self.symbol
-        if s.kind == "relativistic":
+        parts = self._parts()
+        if parts is not None:
+            out = np.zeros_like(r)
+            for c, alpha in parts:
+                out = out + c * r ** (-1.0 - alpha)
+        elif s.kind == "relativistic":
             # tempered form: the stable density damped by the subordinator tilt
             a = s.alpha
             theta = s.m ** (2.0 / a)
@@ -339,30 +311,15 @@ class LevyKernel:
             const = a / (2.0 * math.sqrt(math.pi) * _gamma(1.0 - a / 2.0))
             z = math.sqrt(theta) * r
             out = const * (2.0 * math.sqrt(theta) / r) ** nu * _bessel_k(nu, z)
-            return out if out.ndim else float(out)
-        out = np.zeros_like(r)
-        for c, alpha in self._exact_parts():
-            out = out + c * r ** (-1.0 - alpha)
+        else:
+            out = s.psi(r ** -2.0) / r
         return out if out.ndim else float(out)
 
     # -- integrals against j ------------------------------------------------
 
-    def _power_parts(self) -> list[tuple[float, float]] | None:
-        """Power-law representation c * r^(-1-alpha) when one exists."""
-        if self.mode == "exact":
-            if self.symbol.kind == "relativistic":
-                return None
-            return self._exact_parts()
-        if self.symbol.kind == "fractional":
-            return [(self.normalization, self.symbol.alpha)]
-        if self.symbol.kind == "sum_fractional":
-            return [(self.normalization, self.symbol.alpha),
-                    (self.normalization, self.symbol.beta)]
-        return None
-
     def _second_moment_parts(self) -> list[tuple[float, float]] | None:
-        """``_power_parts``, rejecting an order 2, whose second moment near 0 diverges."""
-        parts = self._power_parts()
+        """``_parts``, rejecting an order 2, whose second moment near 0 diverges."""
+        parts = self._parts()
         if parts is not None and any(a >= 2.0 for _, a in parts):
             raise ConfigurationError(
                 f"the order-2 part of {self.symbol.kind} is the local Laplacian: its jump "
@@ -379,7 +336,7 @@ class LevyKernel:
 
     def tail_mass(self, R: float) -> float:
         """Two-sided tail mass: integral_{|y|>R} j(|y|) dy."""
-        parts = self._power_parts()
+        parts = self._parts()
         if parts is not None:
             return sum(2.0 * (c / a) * R ** (-a) for c, a in parts)
         return 2.0 * self._quad(lambda r: self.density(r), R, np.inf)
@@ -387,7 +344,7 @@ class LevyKernel:
     def cell_masses(self, edges) -> np.ndarray:
         """One-sided masses integral_{e_k}^{e_{k+1}} j(r) dr per cell."""
         edges = np.asarray(edges, dtype=float)
-        parts = self._power_parts()
+        parts = self._parts()
         if parts is not None:
             out = np.zeros(edges.size - 1)
             for c, a in parts:
@@ -417,7 +374,7 @@ class LevyKernel:
         if np.any(r < 1.0):
             raise ConfigurationError("shift bound sampled at r >= 1 only")
         s = self.symbol
-        if self.mode == "scaled_profile" or s.kind != "relativistic":
+        if s.kind != "relativistic":
             return float(np.max(self.density(r) / self.density(r + 1.0)))
         # log j(r) - log j(r+1) with K_nu(z) = kve(nu, z) e^-z, z = sqrt(theta) r
         nu = (1.0 + s.alpha) / 2.0

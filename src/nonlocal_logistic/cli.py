@@ -53,6 +53,9 @@ SUBCOMMANDS = (
 )
 
 
+# the scales at which validate-kernel splits the kernel's moments (kernel_moments' h and R)
+MOMENT_H, MOMENT_R = 0.01, 10.0
+
 CSV_BLOCK = 8192  # rows turned into Python objects at a time by RunOutput.write
 
 # exact types formatted without the isinstance chain: ``.tolist()`` gives these
@@ -209,9 +212,7 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
     r_grid = np.logspace(0, 6, 40)
     scaling = check_scaling(cfg.symbol, r_grid)
     b2 = cfg.kernel.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
-    h = cfg.solver["moment_h"]
-    big_r = cfg.solver["moment_R"]
-    mom = kernel_moments(cfg.kernel, h, big_r)
+    mom = kernel_moments(cfg.kernel, MOMENT_H, MOMENT_R)
     rs = np.logspace(-3, 2, 100)
     out.csvs["kernel_density.csv"] = (["r", "j"], [rs, [cfg.kernel.density(r) for r in rs]])
     out.jsons["kernel_report.json"] = {
@@ -228,8 +229,8 @@ def run_validate_kernel(cfg: RunConfig, args) -> RunOutput:
         },
         "shift_bound_b2": b2,
         "moments": {
-            "h": h,
-            "R": big_r,
+            "h": MOMENT_H,
+            "R": MOMENT_R,
             "sigma2_local": mom.sigma2_local,
             "mid_mass_total": float(mom.mass_mid.sum()),
             "tail_mass": mom.tail_mass,

@@ -12,23 +12,26 @@ or later).  Blocks are tables, written inline or under a header::
 
 A repeated key or block is a syntax error.  Files whose first non-blank
 character is ``{`` are parsed as JSON with the same block structure.
-``SCHEMA`` declares every block and key with its type and default;
-``load_config`` rejects unknown blocks and keys, type-checks every value
-and fills in the defaults before any computation starts, so invalid
-configs never produce partial outputs.
+``SCHEMA`` declares every block and key with its type and default, and
+``POSITIVE`` and ``AT_LEAST`` the keys with a lower bound;
+``load_config`` rejects unknown blocks and keys, type-checks every value,
+requires every number to be finite and within its bound, and fills in the
+defaults before any computation starts, so invalid configs never produce
+partial outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tomllib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernstein import BernsteinSymbol, LevyKernel
-from .errors import ConfigurationError, UnsupportedKernelError
+from .errors import ConfigurationError
 from .grid import Grid1D
 from .steady import CrowdingTerm, HarvestTerm, ReactionSpec
 
@@ -74,12 +77,11 @@ SCHEMA = {
                 "n": (int, REQUIRED)}, None),
     # no far_cutoff: twice the interval width
     "discretization": ({"far_cutoff": (float, None)}, {}),
-    "kernel": ({"mode": (str, "auto"), "normalization": (float, 1.0)}, {}),
     "problem": ({"a": (float, None), "a_rel": (float, None), "c": (float, 0.0),
                  "f": ({"kind": (str, "quadratic"), "b": (float, 1.0), "p": (float, 2.0)}, {}),
                  "h": ({"kind": (str, "constant_yield"), "h0": (float, 1.0),
                         "q": (float, 0.5)}, None)}, None),
-    "solver": ({"tol": (float, 1e-10), "moment_h": (float, 0.01), "moment_R": (float, 10.0)}, {}),
+    "solver": ({"tol": (float, 1e-10)}, {}),
     "scan": ({"c_max": (float, None), "rel_tol": (float, 1e-3), "ladder": (int, 4)}, {}),
     "parabolic": ({"dt": (float, 0.01), "horizon": (float, 1.0), "snapshot_times": (list, None),
                    "s_max": (float, 100.0), "verdict_tol": (float, 1e-4),
@@ -92,18 +94,46 @@ SCHEMA = {
                     "n_t": (int, 12)}, {}),
     "output": ({"directory": (str, "out")}, {}),
 }
+# Range rules by full key name, checked with the types: a float must be finite
+# everywhere, a key in POSITIVE above 0, and a key in AT_LEAST at least its
+# floor (the fewest paths the estimators take, the fewest survival-fit times,
+# a seed numpy accepts, no negative count of ladder samples).
+POSITIVE = {"solver.tol", "scan.c_max", "scan.rel_tol", "parabolic.dt", "parabolic.horizon",
+            "parabolic.s_max", "parabolic.verdict_tol", "stochastic.dt_path",
+            "stochastic.horizon", "stochastic.t_max"}
+AT_LEAST = {"stochastic.n_paths": 100, "stochastic.n_t": 4, "stochastic.seed": 0,
+            "scan.ladder": 0}
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list of numbers"}
 
 
 def _typed(value, kind, name: str):
     if kind is list:
+        if value == []:
+            raise ConfigurationError(f"{name} must not be empty")
         if isinstance(value, list):
             return [_typed(v, float, f"{name}[{i}]") for i, v in enumerate(value)]
     elif isinstance(value, bool):  # a bool is an int to Python, never to a config
         pass
-    elif isinstance(value, kind) or kind is float and isinstance(value, int):
-        return kind(value)
+    elif kind is float and isinstance(value, (int, float)):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        return _in_range(value, name)
+    elif isinstance(value, kind):
+        return _in_range(value, name)
     raise ConfigurationError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _in_range(value, name: str):
+    if name in POSITIVE and not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    floor = AT_LEAST.get(name)
+    if floor is not None and value < floor:
+        raise ConfigurationError(f"{name} must be at least {floor}, got {value!r}")
+    return value
 
 
 def _fill(table: dict, raw, where: str) -> dict:
@@ -125,16 +155,6 @@ def _fill(table: dict, raw, where: str) -> dict:
         else:
             out[key] = None
     return out
-
-
-def build_kernel(symbol: BernsteinSymbol, block: dict) -> LevyKernel:
-    """The kernel of a filled kernel block; ``auto`` is exact where a closed form exists."""
-    if block["mode"] != "auto":
-        return LevyKernel(symbol, block["mode"], block["normalization"])
-    try:
-        return LevyKernel(symbol, "exact", block["normalization"])
-    except UnsupportedKernelError:
-        return LevyKernel(symbol, "scaled_profile", block["normalization"])
 
 
 def build_reaction(block: dict, lam1: float | None = None) -> ReactionSpec:
@@ -184,7 +204,6 @@ def load_config(text: str) -> RunConfig:
     raw = parse_config_text(text)
     blocks = _fill(SCHEMA, raw, "")
     symbol = BernsteinSymbol(**blocks["symbol"])
-    kernel = build_kernel(symbol, blocks["kernel"])
     grid = far = None
     if blocks["domain"] is not None:
         domain = blocks["domain"]
@@ -202,7 +221,7 @@ def load_config(text: str) -> RunConfig:
         symbol=symbol,
         grid=grid,
         far_cutoff=far,
-        kernel=kernel,
+        kernel=LevyKernel(symbol),
         problem=blocks["problem"],
         solver=blocks["solver"],
         scan=blocks["scan"],

@@ -18,10 +18,6 @@ class DimensionError(ConfigurationError):
     """Vector/matrix shape mismatch."""
 
 
-class UnsupportedKernelError(ConfigurationError):
-    """Exact jump density requested for a symbol with no closed form."""
-
-
 class SamplerError(ConfigurationError):
     """No increment sampler is available for the requested symbol."""
 

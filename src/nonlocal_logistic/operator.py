@@ -105,9 +105,6 @@ class OperatorMatrix:
     def _green_solver(self):
         return self.solver(0.0)
 
-    def row_sums(self) -> np.ndarray:
-        return toeplitz_row_sums(self.col)
-
     def radii(self) -> np.ndarray:
         """Off-diagonal absolute row sums: the Gershgorin radii of any ``A + diag(d)``."""
         return toeplitz_row_sums(np.abs(self.col)) - abs(self.col[0])

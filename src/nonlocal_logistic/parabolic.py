@@ -36,12 +36,6 @@ class ParabolicRun:
     times: np.ndarray = field(repr=False)
     snapshots: np.ndarray = field(repr=False)  # shape (len(times), n)
 
-    def snapshot_at(self, s: float) -> np.ndarray:
-        idx = np.nonzero(np.isclose(self.times, s, rtol=0.0, atol=self.dt / 2))[0]
-        if idx.size == 0:
-            raise LookupError(f"no snapshot recorded at s={s} (have {self.times})")
-        return self.snapshots[idx[0]]
-
 
 def max_stable_dt(spec: ReactionSpec, u0_max: float) -> float:
     """Positivity-preserving step bound 1 / (a + L_f) on [0, max(|u0|, K)]."""

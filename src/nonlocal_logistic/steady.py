@@ -178,27 +178,6 @@ class ReactionSpec:
     def apriori_bound(self) -> float:
         return self.f.supersolution_level(self.a)
 
-    def check_a3(self) -> dict:
-        """Sampled structural checks on the catalog terms.
-
-        Verifies f(x,0) = 0 and f_s(x,0) = 0, strict increase of f(x,s)/s
-        at s = logspace(-3, 3, 25), superlinearity past the growth rate, and
-        (when a harvest term is present) boundedness with positive value at zero.
-        """
-        s = np.logspace(-3, 3, 25)
-        slopes = self.f.value(s) / s
-        report = {
-            "f_zero": float(np.max(np.abs(self.f.value(0.0)))) == 0.0,
-            "f_deriv_zero": float(np.max(np.abs(self.f.deriv(0.0)))) == 0.0,
-            "slope_increasing": bool(np.all(np.diff(slopes, axis=-1) > 0)),
-            "superlinear": bool(np.min(self.f.value(1e3) / 1e3) > self.a),
-        }
-        if self.h is not None:
-            report["h_bounded"] = math.isfinite(self.h.sup_bound())
-            report["h_positive_at_zero"] = bool(np.max(self.h.value(0.0)) > 0)
-        report["ok"] = all(report.values())
-        return report
-
 
 @dataclass
 class SteadyState:

@@ -22,12 +22,12 @@ def frac1():
 
 @pytest.fixture(scope="session")
 def frac1_kernel(frac1):
-    return LevyKernel(frac1, "exact")
+    return LevyKernel(frac1)
 
 
 def _operator(n, symbol=None, kernel=None):
     symbol = symbol or BernsteinSymbol("fractional", 1.0)
-    kernel = kernel or LevyKernel(symbol, "exact")
+    kernel = kernel or LevyKernel(symbol)
     grid = Grid1D(-1.0, 1.0, n)
     return assemble(grid, kernel, far_cutoff=2.0 * grid.width)
 

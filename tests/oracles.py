@@ -385,6 +385,14 @@ class BoundaryBounds:
     passed: bool
 
 
+def snapshot_at(run, s: float) -> np.ndarray:
+    """The snapshot of a parabolic run recorded at time s, to within half a step."""
+    idx = np.nonzero(np.isclose(run.times, s, rtol=0.0, atol=run.dt / 2))[0]
+    if idx.size == 0:
+        raise LookupError(f"no snapshot recorded at s={s} (have {run.times})")
+    return run.snapshots[idx[0]]
+
+
 def parabolic_boundary_bounds(run, s: float, symbol) -> BoundaryBounds:
     """Two-sided gauge-ratio check on a parabolic snapshot after the burn-in s >= 0.1.
 
@@ -396,6 +404,6 @@ def parabolic_boundary_bounds(run, s: float, symbol) -> BoundaryBounds:
         raise ConfigurationError("parabolic boundary bounds need u0 >= 0, not identically 0")
     if s < 0.1:
         raise ConfigurationError(f"snapshot time {s} is before the burn-in 0.1")
-    rf = hopf_ratio(run.snapshot_at(s), run.grid, symbol)
+    rf = hopf_ratio(snapshot_at(run, s), run.grid, symbol)
     passed = np.isfinite(rf.min) and np.isfinite(rf.max) and rf.min > 0.0
     return BoundaryBounds(lower_ratio_min=rf.min, upper_ratio_max=rf.max, passed=bool(passed))

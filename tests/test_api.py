@@ -62,9 +62,21 @@ def _public(package: Path) -> set[str]:
     return {name for name in _uses(package) if not name.startswith("_")}
 
 
+def _methods(package: Path) -> dict[str, str]:
+    """``Class.method`` of every public method of a public class, to the method's name."""
+    out = {}
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out.update({f"{node.name}.{f.name}": f.name for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")})
+    return out
+
+
 def unreached_public_names(package: Path, roots: set[str]) -> set[str]:
-    """Public top-level names of the package's modules that no chain of names
-    from ``cli.py`` or from ``roots`` reaches."""
+    """Public top-level names of the package's modules, and public methods of
+    its public classes, that no chain of names from ``cli.py`` or from
+    ``roots`` reaches; a method is reached when its name is."""
     uses = _uses(package)
     seen: set[str] = set()
     todo = list(_names(ast.parse((package / "cli.py").read_text())) | roots)
@@ -73,7 +85,8 @@ def unreached_public_names(package: Path, roots: set[str]) -> set[str]:
         if name not in seen:
             seen.add(name)
             todo.extend(uses.get(name, ()))
-    return _public(package) - seen
+    methods = {m for m, name in _methods(package).items() if name not in seen}
+    return _public(package) - seen | methods
 
 
 def _pending(public: set[str]) -> set[str]:
@@ -100,6 +113,19 @@ def test_reachability_catches_an_unreached_name(tmp_path):
     )
     assert unreached_public_names(tmp_path, set()) == {"oracle", "helper"}
     assert unreached_public_names(tmp_path, {"oracle"}) == set()
+
+
+def test_reachability_catches_an_unreached_method(tmp_path):
+    (tmp_path / "cli.py").write_text("from .steady import Spec\nSpec().solve()\n")
+    (tmp_path / "steady.py").write_text(
+        "class Spec:\n"
+        "    def solve(self):\n        return self._loop()\n\n"
+        "    def _loop(self):\n        return 0\n\n"
+        "    def report(self):\n        return 1\n\n"
+        "class _Hidden:\n    def unused(self):\n        return 2\n"
+    )
+    assert unreached_public_names(tmp_path, set()) == {"Spec.report"}
+    assert unreached_public_names(tmp_path, {"report"}) == set()
 
 
 def solver_calls(path: Path) -> set[str]:

@@ -11,7 +11,6 @@ from nonlocal_logistic import (
     Grid1D,
     LevyKernel,
     NumericError,
-    UnsupportedKernelError,
     assemble,
     check_scaling,
     kernel_moments,
@@ -65,13 +64,6 @@ class TestPsiEval:
         hs = 1e-3 * xs
         second = sym.psi(xs + hs) + sym.psi(xs - hs) - 2.0 * sym.psi(xs)
         assert np.all(second <= 1e-8 * np.abs(sym.psi(xs)))
-
-    @pytest.mark.parametrize("sym", CATALOG, ids=lambda s: s.kind + str(s.alpha))
-    def test_derivative_matches_finite_difference(self, sym):
-        x = np.logspace(-2, 2, 17)
-        h = 1e-6 * x
-        fd = (sym.psi(x + h) - sym.psi(x - h)) / (2 * h)
-        assert np.allclose(sym.psi_deriv(x), fd, rtol=1e-6)
 
     def test_negative_x_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -131,23 +123,18 @@ class TestScaling:
 
 class TestLevyDensity:
     def test_cauchy_value(self):
-        kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
+        kern = LevyKernel(BernsteinSymbol("fractional", 1.0))
         assert kern.density(2.0) == pytest.approx(1.0 / (math.pi * 4.0), rel=1e-12)
 
     def test_scaled_profile_value(self):
-        kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "scaled_profile")
-        assert kern.density(2.0) == pytest.approx(0.25)
+        # the log symbols' profile psi(r^-2) / r, here at r = 2
+        kern = LevyKernel(BernsteinSymbol("log_damped", 1.0, beta=0.5))
+        assert kern.density(2.0) == pytest.approx(0.5 * math.log(1.25) ** -0.25 / 2.0, rel=1e-14)
 
     def test_sum_is_sum_of_constants(self):
-        kern = LevyKernel(BernsteinSymbol("sum_fractional", 1.0, beta=1.5), "exact")
+        kern = LevyKernel(BernsteinSymbol("sum_fractional", 1.0, beta=1.5))
         expect = fractional_density_constant(1.0) + fractional_density_constant(1.5)
         assert kern.density(1.0) == pytest.approx(expect, rel=1e-12)
-
-    def test_exact_unavailable_points_to_profile(self):
-        with pytest.raises(UnsupportedKernelError, match="scaled_profile"):
-            LevyKernel(BernsteinSymbol("log_damped", 1.0, beta=0.5), "exact")
-        with pytest.raises(UnsupportedKernelError, match="scaled_profile"):
-            LevyKernel(BernsteinSymbol("fractional", 2.0), "exact")
 
     @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0, 4.0])
     def test_fractional_multiplier_identity(self, frac1_kernel, frac1, xi):
@@ -162,29 +149,29 @@ class TestLevyDensity:
     @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
     def test_sum_multiplier_identity(self, xi):
         sym = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
-        kern = LevyKernel(sym, "exact")
+        kern = LevyKernel(sym)
         val = symbol_from_kernel(kern, xi)
         assert val == pytest.approx(sym.psi(xi * xi), rel=1e-4)
 
     @pytest.mark.parametrize("xi", [0.5, 1.0, 2.0])
     def test_relativistic_multiplier_identity(self, xi):
         sym = BernsteinSymbol("relativistic", 1.0, m=2.0)
-        kern = LevyKernel(sym, "exact")
+        kern = LevyKernel(sym)
         val = symbol_from_kernel(kern, xi)
         assert val == pytest.approx(sym.psi(xi * xi), rel=1e-5)
 
     def test_relativistic_small_mass_limit(self):
-        rel = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1e-8), "exact")
-        frac = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
+        rel = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1e-8))
+        frac = LevyKernel(BernsteinSymbol("fractional", 1.0))
         r = np.array([0.1, 1.0, 3.0])
         assert np.allclose(rel.density(r), frac.density(r), rtol=1e-3)
 
     @pytest.mark.parametrize(
         "kern",
         [
-            LevyKernel(BernsteinSymbol("fractional", 1.0), "exact"),
-            LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0), "exact"),
-            LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5), "scaled_profile"),
+            LevyKernel(BernsteinSymbol("fractional", 1.0)),
+            LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0)),
+            LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5)),
         ],
         ids=["frac", "rel", "logboost"],
     )
@@ -196,32 +183,30 @@ class TestLevyDensity:
 
     def test_shift_bound_finite(self):
         r = np.linspace(1.0, 50.0, 99)
-        exact = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
+        exact = LevyKernel(BernsteinSymbol("fractional", 1.0))
         assert exact.shift_ratio_bound(r) <= 2.0 ** 2 + 1e-9
-        profile = LevyKernel(BernsteinSymbol("sum_fractional", 1.0, beta=1.5), "scaled_profile")
-        assert np.isfinite(profile.shift_ratio_bound(r))
 
     @pytest.mark.parametrize("m, expect", [(5.0, 433.7672346620154), (10.0, 63398.23115912536)])
     def test_relativistic_shift_bound_values(self, m, expect):
         # the values of the direct ratio j(r) / j(r + 1), where it does not underflow
-        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=m), "exact")
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=m))
         assert kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99)) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("m", [20.0, 50.0, 100.0])
     def test_relativistic_shift_bound_past_underflow(self, m):
         # j(51) underflows from m ~ 14 on; the ratio is still at least e^sqrt(theta)
-        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=m), "exact")
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=m))
         b2 = kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
         assert math.isfinite(b2) and b2 >= math.exp(m)
 
     def test_relativistic_shift_bound_overflow_raises(self):
-        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1000.0), "exact")
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1000.0))
         with pytest.raises(NumericError, match="float range"):
             kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
 
     def test_relativistic_shift_bound_unevaluable_bessel_raises(self):
         # kve gives NaN far out at m = 1e8: the message names the Bessel ratio
-        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1e8), "exact")
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1e8))
         with pytest.raises(NumericError, match=r"Bessel ratio .* could not be evaluated at \d+ of 99"):
             kern.shift_ratio_bound(np.linspace(1.0, 50.0, 99))
 
@@ -238,7 +223,7 @@ class TestKernelMoments:
     def test_split_consistent_with_global_quadrature(self):
         from scipy import integrate
 
-        kern = LevyKernel(BernsteinSymbol("fractional", 0.5), "exact")
+        kern = LevyKernel(BernsteinSymbol("fractional", 0.5))
         h, R = 0.01, 100.0
         mom = kernel_moments(kern, h, R)
         assert mom.sigma2_local > 0 and mom.tail_mass > 0
@@ -262,7 +247,7 @@ class TestKernelMoments:
 
     def test_integrability_of_profile_kernels(self):
         # min(y^2,1)-integrability holds numerically for scaled profiles
-        kern = LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5), "scaled_profile")
+        kern = LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5))
         mom = kernel_moments(kern, h=0.05, R=20.0)
         assert math.isfinite(mom.sigma2_local + mom.mass_mid.sum() + mom.tail_mass)
 
@@ -279,11 +264,11 @@ def _cell_edges(h: float, far: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
 
 
 QUAD_KERNELS = [
-    LevyKernel(BernsteinSymbol("relativistic", a, m=m), "exact")
+    LevyKernel(BernsteinSymbol("relativistic", a, m=m))
     for a in (0.5, 1.0, 1.5) for m in (0.1, 1.0, 10.0)
 ] + [
-    LevyKernel(BernsteinSymbol("log_damped", 1.0, beta=0.5), "scaled_profile"),
-    LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5), "scaled_profile"),
+    LevyKernel(BernsteinSymbol("log_damped", 1.0, beta=0.5)),
+    LevyKernel(BernsteinSymbol("log_boosted", 1.0, beta=0.5)),
 ]
 
 
@@ -307,7 +292,7 @@ class TestCellIntegrals:
 
     @pytest.mark.parametrize("alpha, m, n, unresolved", [(1.5, 1e4, 63, 48), (1.0, 1000.0, 199, 1)])
     def test_fallback_runs_on_unresolved_cells_only(self, monkeypatch, alpha, m, n, unresolved):
-        kern = LevyKernel(BernsteinSymbol("relativistic", alpha, m=m), "exact")
+        kern = LevyKernel(BernsteinSymbol("relativistic", alpha, m=m))
         edges, _ = _cell_edges(2.0 / (n + 1))
         calls = []
         quad = LevyKernel._quad
@@ -333,7 +318,7 @@ class TestCellIntegrals:
                 r = np.asarray(r, dtype=float)
                 return np.where((r > 0.3) & (r < 0.31), np.nan, super().density(r))
 
-        kern = Planted(BernsteinSymbol("relativistic", 1.0, m=1.0), "exact")
+        kern = Planted(BernsteinSymbol("relativistic", 1.0, m=1.0))
         edges, mass_edges = _cell_edges(0.01)
         with pytest.raises(NumericError, match="did not converge"):
             kern.cell_second_moments(edges)
@@ -341,7 +326,7 @@ class TestCellIntegrals:
             kern.cell_masses(mass_edges)
 
     def test_relativistic_column_and_lambda1_match_reference(self):
-        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0), "exact")
+        kern = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0))
         grid = Grid1D(-1.0, 1.0, 199)
         op = assemble(grid, kern, far_cutoff=4.0)
         # the assembly's column from per-cell adaptive quadrature

@@ -253,6 +253,32 @@ class TestValidation:
             ("eigen", "discretization = { n = 31 }"),
             ("steady", 'problem = { a_rel = 2.0, f = { kind = "quadratic", p = 3.0 } }'),
             ("evolve", 'problem = { a_rel = 2.0 }\nparabolic = { u0 = { kind = "vortex" } }'),
+            ("validate-kernel", 'kernel = { mode = "auto" }'),
+            ("validate-kernel", "solver = { moment_h = 0.01 }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { u0 = { scale = nan } }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = [0.0, inf] }"),
+            ("longtime", "problem = { a_rel = 2.0 }\nparabolic = { verdict_tol = nan }"),
+            ("mc-check", "stochastic = { n_paths = 0 }"),
+            ("mc-check", "stochastic = { n_paths = 1 }"),
+            ("mc-check", "stochastic = { n_paths = -5 }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { dt = 0 }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = [] }"),
+            ("longtime", "problem = { a_rel = 2.0 }\nparabolic = { s_max = -1 }"),
+            ("mc-check", "stochastic = { n_t = 0 }"),
+            ("mc-check", "stochastic = { seed = -1 }"),
+            ("bifurcate", 'problem = { a_rel = 1.05, c = 0.001, h = { kind = "constant_yield" } }\n'
+                          "scan = { c_max = 0.2, ladder = -1 }"),
+            ("steady", "problem = { a_rel = nan }"),
+            ("eigen", "solver = { tol = nan }"),
+            ("bifurcate", 'problem = { a_rel = 1.05, c = 0.001, h = { kind = "constant_yield" } }\n'
+                          "scan = { c_max = inf }"),
+            ("steady", "problem = { a_rel = 2.0, f = { b = inf } }"),
+            ("bifurcate", 'problem = { a_rel = 1.05, c = 0.001, h = { kind = "constant_yield" } }\n'
+                          "scan = { c_max = 0.2, rel_tol = -1 }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { horizon = 1e400 }"),
+            pytest.param("evolve", "problem = { a_rel = 2.0 }\n"
+                         "parabolic = { u0 = { scale = 1" + "0" * 400 + " } }",
+                         id="evolve-integer-past-the-float-range"),
         ],
     )
     def test_bad_value_exits_2_before_assembly(self, tmp_path, monkeypatch, subcommand, extra):
@@ -619,6 +645,30 @@ class TestOtherCommands:
         report = json.loads((outdir / "kernel_report.json").read_text())
         assert report["scaling"]["passed"]
         assert report["shift_bound_b2"] > 1.0
+
+    @pytest.mark.parametrize("symbol", ['{ kind = "log_damped", alpha = 1.0, beta = 0.5 }',
+                                        '{ kind = "log_boosted", alpha = 1.0, beta = 0.5 }'])
+    def test_scaled_profile_symbols(self, tmp_path, symbol):
+        # the only symbols on the profile psi(r^-2) / r; no shipped config runs them
+        cfg = tmp_path / "log.cfg"
+        cfg.write_text(f"symbol = {symbol}\n"
+                       "domain = { left = -1.0, right = 1.0, n = 63 }\n"
+                       "problem = { a_rel = 2.0 }\n")
+
+        def run(subcommand):
+            outdir = tmp_path / subcommand
+            return main([subcommand, "--config", str(cfg), "--output", str(outdir)]), outdir
+
+        for subcommand in ("validate-kernel", "eigen", "steady"):
+            assert run(subcommand)[0] == 0
+        report = json.loads((tmp_path / "validate-kernel" / "kernel_report.json").read_text())
+        assert report["mode"] == "scaled_profile"
+        lam1 = json.loads((tmp_path / "eigen" / "eigen.json").read_text())["lambda1"]
+        assert math.isfinite(lam1) and lam1 > 0
+        assert json.loads((tmp_path / "steady" / "steady.json").read_text())["lambda1"] == lam1
+        code, outdir = run("mc-check")
+        assert code == 2
+        assert (outdir / "error.log").read_text().startswith("error: SamplerError: ")
 
     def test_diagnose(self, tmp_path):
         extra = "problem = { a_rel = 2.0 }"

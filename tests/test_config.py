@@ -97,6 +97,8 @@ def test_load_config_validates_blocks():
 def test_unknown_block_rejected():
     with pytest.raises(ConfigurationError, match="unknown config blocks"):
         load_config(SAMPLE + "\nmystery = { x = 1 }")
+    with pytest.raises(ConfigurationError, match="unknown config blocks"):
+        load_config(SAMPLE + '\nkernel = { mode = "auto" }')
 
 
 def test_unknown_symbol_kind_rejected():
@@ -131,6 +133,7 @@ def test_initial_field_catalog(op99, eig99):
     "block",
     [
         "solver = { tol = 1e-10, tolerance = 1e-8 }",
+        "solver = { tol = 1e-10, moment_h = 0.01 }",
         "scan = { c_max = 0.2, reltol = 1e-3 }",
         "parabolic = { dt = 0.01, horizn = 1.0 }",
         "stochastic = { n_paths = 1000, dt_paht = 0.05 }",
@@ -148,9 +151,7 @@ def test_unknown_key_inside_block_rejected(block):
 
 def test_every_documented_key_accepted():
     cfg = load_config(
-        SAMPLE.replace('solver = { tol = 1e-10 }',
-                       'solver = { tol = 1e-10, moment_h = 0.01, moment_R = 10.0 }')
-        .replace('parabolic = { snapshot_times = [0.0, 1.0] }',
+        SAMPLE.replace('parabolic = { snapshot_times = [0.0, 1.0] }',
                  'parabolic = { dt = 0.01, horizon = 1.0, s_max = 100.0, verdict_tol = 1e-4, '
                  'snapshot_times = [0.0, 1.0], u0 = { kind = "eigenfunction", scale = 0.01 } }')
         + 'scan = { c_max = 0.2, rel_tol = 1e-3, ladder = 4 }\n'
@@ -163,8 +164,6 @@ def test_every_documented_key_accepted():
 def test_block_defaults_filled_in():
     cfg = load_config(SAMPLE)
     assert cfg.tol == 1e-10
-    solver, _ = SCHEMA["solver"]
-    assert cfg.solver["moment_R"] == solver["moment_R"][1]
     stochastic, _ = SCHEMA["stochastic"]
     assert cfg.stochastic == {key: default for key, (_, default) in stochastic.items()}
     assert cfg.scan["c_max"] is None
@@ -225,9 +224,6 @@ def test_kernel_auto_mode():
     assert mode('{ kind = "sum_fractional", alpha = 1.0, beta = 2.0 }') == "scaled_profile"
     assert mode('{ kind = "relativistic", alpha = 1.0, m = 1.0 }') == "exact"
     assert mode('{ kind = "log_damped", alpha = 1.0, beta = 0.5 }') == "scaled_profile"
-    with pytest.raises(ConfigurationError, match="sum_fractional exact density"):
-        load_config('symbol = { kind = "sum_fractional", alpha = 1.0, beta = 2.0 }\n'
-                    'kernel = { mode = "exact" }')
 
 
 def _schema_keys(table):

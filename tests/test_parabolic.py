@@ -74,13 +74,6 @@ class TestEvolve:
         d2 = np.abs(finals[0.01] - finals[0.005]).max()
         assert 1.5 <= d1 / d2 <= 3.0
 
-    def test_snapshot_lookup(self, op199, spec2):
-        run = evolve(op199, spec2, np.zeros(op199.n), dt=0.01, horizon=0.1,
-                     snapshot_times=[0.0, 0.1])
-        assert run.snapshot_at(0.1) is not None
-        with pytest.raises(LookupError):
-            run.snapshot_at(0.05)
-
     def test_snapshots_reproducible(self, op199, spec2, eig199):
         u0 = 0.2 * eig199.phi
         r1 = evolve(op199, spec2, u0, dt=0.01, horizon=0.5, snapshot_times=[0.5])

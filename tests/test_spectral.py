@@ -29,7 +29,7 @@ class TestPrincipalEigenpair:
 
     def test_refinement_stability_three_digits(self, op799, eig799):
         grid = Grid1D(-1.0, 1.0, 1599)
-        kern = LevyKernel(BernsteinSymbol("fractional", 1.0), "exact")
+        kern = LevyKernel(BernsteinSymbol("fractional", 1.0))
         op_fine = assemble(grid, kern, far_cutoff=2.0 * grid.width)
         lam_fine = eigh(op_fine.matrix, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert abs(eig799.lam - lam_fine) / lam_fine < 5e-4

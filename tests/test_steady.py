@@ -52,11 +52,6 @@ class TestCatalog:
         assert term.value(-eps) == pytest.approx(term.value(eps), abs=1e-8)
         assert term.deriv(-eps) == pytest.approx(term.deriv(eps), abs=1e-6)
 
-    def test_a3_report(self):
-        spec = ReactionSpec(a=2.0, c=0.5, f=CrowdingTerm(), h=HarvestTerm())
-        report = spec.check_a3()
-        assert report["ok"]
-
     def test_invalid_catalog_entries(self):
         with pytest.raises(ConfigurationError):
             CrowdingTerm("power", p=1.0)
@@ -464,7 +459,7 @@ class TestNewtonDescent:
 def sum_fractional_op():
     grid = Grid1D(-1.0, 1.0, 199)
     symbol = BernsteinSymbol("sum_fractional", 1.0, beta=1.5)
-    op = assemble(grid, LevyKernel(symbol, "exact"), far_cutoff=2.0 * grid.width)
+    op = assemble(grid, LevyKernel(symbol), far_cutoff=2.0 * grid.width)
     return op, principal_eigenpair(op)
 
 
