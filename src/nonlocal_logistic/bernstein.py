@@ -30,19 +30,36 @@ form and the scaled profiles every cell is integrated in one vectorized
 pass by the 20-point Gauss-Legendre rule, checked against the 10-point
 rule on the same cell; only a cell where the two disagree goes to adaptive
 ``quad``, as do the near-field second moment and the tail mass.
+
+Only the Bessel form and adaptive ``quad`` need ``scipy.special`` and
+``scipy.integrate``; both are imported on first use, so a run on a
+power-law symbol never imports them.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as _gamma, kv as _bessel_k, kve as _bessel_ke
 
 from .errors import ConfigurationError, NumericError
+
+
+class _OnFirstUse:
+    """A module imported the first time one of its attributes is read."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+integrate = _OnFirstUse("scipy.integrate")
+special = _OnFirstUse("scipy.special")
 
 VARIANTS = ("fractional", "relativistic", "sum_fractional", "log_damped", "log_boosted")
 
@@ -86,8 +103,8 @@ def fractional_density_constant(alpha: float) -> float:
     return (
         alpha
         * 2.0 ** (alpha - 1.0)
-        * _gamma((1.0 + alpha) / 2.0)
-        / (math.sqrt(math.pi) * _gamma(1.0 - alpha / 2.0))
+        * math.gamma((1.0 + alpha) / 2.0)
+        / (math.sqrt(math.pi) * math.gamma(1.0 - alpha / 2.0))
     )
 
 
@@ -308,9 +325,9 @@ class LevyKernel:
             a = s.alpha
             theta = s.m ** (2.0 / a)
             nu = (1.0 + a) / 2.0
-            const = a / (2.0 * math.sqrt(math.pi) * _gamma(1.0 - a / 2.0))
+            const = a / (2.0 * math.sqrt(math.pi) * math.gamma(1.0 - a / 2.0))
             z = math.sqrt(theta) * r
-            out = const * (2.0 * math.sqrt(theta) / r) ** nu * _bessel_k(nu, z)
+            out = const * (2.0 * math.sqrt(theta) / r) ** nu * special.kv(nu, z)
         else:
             out = s.psi(r ** -2.0) / r
         return out if out.ndim else float(out)
@@ -380,7 +397,7 @@ class LevyKernel:
         nu = (1.0 + s.alpha) / 2.0
         sq = s.m ** (1.0 / s.alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_bessel = np.log(_bessel_ke(nu, sq * r)) - np.log(_bessel_ke(nu, sq * (r + 1.0)))
+            log_bessel = np.log(special.kve(nu, sq * r)) - np.log(special.kve(nu, sq * (r + 1.0)))
         bad = int(np.count_nonzero(~np.isfinite(log_bessel)))
         if bad:
             raise NumericError(

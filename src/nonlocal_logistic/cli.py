@@ -75,6 +75,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column_format(col):
+    """The formatter of every field of a column, chosen once by an array's dtype."""
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return float.__repr__
+        if col.dtype.kind in "iu":
+            return int.__repr__
+    return _fmt
+
+
 def _jsonable(value):
     """Plain JSON values; a non-finite float (NaN, an undefined residual) is null."""
     if isinstance(value, dict):
@@ -95,19 +105,21 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 
     Only the slice of each column in the current block becomes Python
     objects (``.tolist()`` of an array slice), so memory stays bounded by one
-    block whatever the file's length.
+    block whatever the file's length.  Each column's formatter is chosen
+    once (:func:`_column_format`), not per field.
     """
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
         raise ValueError(f"{path.name}: columns of unequal lengths {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
+    formats = [_column_format(col) for col in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CSV_BLOCK):
             fields = []
-            for col in columns:
+            for col, fmt in zip(columns, formats):
                 part = col[lo:lo + CSV_BLOCK]
-                fields.append(map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part))
+                fields.append(map(fmt, part.tolist() if isinstance(part, np.ndarray) else part))
             fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
 
 

@@ -15,9 +15,9 @@ character is ``{`` are parsed as JSON with the same block structure.
 ``SCHEMA`` declares every block and key with its type and default, and
 ``POSITIVE`` and ``AT_LEAST`` the keys with a lower bound;
 ``load_config`` rejects unknown blocks and keys, type-checks every value,
-requires every number to be finite and within its bound, and fills in the
-defaults before any computation starts, so invalid configs never produce
-partial outputs.
+requires every number to be finite and within its bound (every snapshot
+time within ``[0, parabolic.horizon]``), and fills in the defaults before
+any computation starts, so invalid configs never produce partial outputs.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ SCHEMA = {
 # Range rules by full key name, checked with the types: a float must be finite
 # everywhere, a key in POSITIVE above 0, and a key in AT_LEAST at least its
 # floor (the fewest paths the estimators take, the fewest survival-fit times,
-# a seed numpy accepts, no negative count of ladder samples).
+# a seed numpy accepts, no negative count of ladder samples).  One rule spans
+# two keys: ``load_config`` puts every snapshot time in [0, parabolic.horizon].
 POSITIVE = {"solver.tol", "scan.c_max", "scan.rel_tol", "parabolic.dt", "parabolic.horizon",
             "parabolic.s_max", "parabolic.verdict_tol", "stochastic.dt_path",
             "stochastic.horizon", "stochastic.t_max"}
@@ -213,6 +214,11 @@ def load_config(text: str) -> RunConfig:
             far = 2.0 * grid.width
     if blocks["problem"] is not None:
         build_reaction(blocks["problem"], lam1=1.0)  # validate now; a_rel resolved later
+    horizon = blocks["parabolic"]["horizon"]
+    for i, s in enumerate(blocks["parabolic"]["snapshot_times"] or ()):
+        if not 0.0 <= s <= horizon:
+            raise ConfigurationError(f"parabolic.snapshot_times[{i}] = {s!r} must lie in "
+                                     f"[0, parabolic.horizon] = [0, {horizon!r}]")
     u0_kind = blocks["parabolic"]["u0"]["kind"]
     if u0_kind not in INITIAL_FIELDS:
         raise ConfigurationError(f"unknown initial field kind {u0_kind!r}")

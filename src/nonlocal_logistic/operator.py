@@ -39,10 +39,14 @@ dense matrix is the transient ``A + diag(d)`` that ``diag_solver`` factors
 in place, for a variable diagonal (Jacobians, eigen potentials, the
 anti-maximum shift) and, by choice, the relaxation shift, whose many solves
 against one factor are faster dense at the grid sizes used.  One
-Gohberg-Semencul solve is four scipy FFT calls; on one pinned CPU of a
-2-core host with one BLAS thread (medians of 10 blocks) it takes 33, 37,
-67, 121 and 198 us at n = 63, 199, 799, 1599 and 3199, against 26 us for a
-dense Cholesky solve at n = 199.
+Gohberg-Semencul solve is four ``numpy.fft`` calls, bit for bit what
+``scipy.fft`` gives, so no run imports ``scipy.fft``.  On one pinned CPU of
+a 2-core host with one BLAS thread (medians of 10 blocks), a solve with
+scipy's transforms took 33, 37, 67, 121 and 198 us at n = 63, 199, 799,
+1599 and 3199, against 26 us for a dense Cholesky solve at n = 199.
+Timed against scipy's in alternating blocks of one process, numpy's is
+about 10-20% faster at n = 63, level at n = 199 and up to about 12% slower
+from n = 799 to 3199.
 Both of its factors, Cholesky (``potrf``/``potrs``) and LU
 (``getrf``/``getrs``), are called in LAPACK directly.  The independent
 Fourier-multiplier oracle that checks this assembly lives in
@@ -55,12 +59,32 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 from scipy.linalg import get_lapack_funcs, solve_toeplitz, toeplitz
 
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import ConfigurationError, DimensionError, NumericError
 from .grid import Grid1D
+
+
+def _fast_len(target: int) -> int:
+    """The smallest 5-smooth length ``2^a 3^b 5^c >= target``: a fast real FFT size.
+
+    The same rule as ``scipy.fft.next_fast_len(target, real=True)``, without
+    importing ``scipy.fft``.
+    """
+    best = 1 << (target - 1).bit_length()  # the next power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < target:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def toeplitz_row_sums(col: np.ndarray) -> np.ndarray:
@@ -95,7 +119,7 @@ class OperatorMatrix:
     def _circulant(self) -> tuple[int, np.ndarray]:
         """FFT length and eigenvalues of a circulant that embeds A."""
         n = self.n
-        size = next_fast_len(2 * n - 1, real=True)
+        size = _fast_len(2 * n - 1)
         first = np.zeros(size)
         first[:n] = self.col
         first[size - n + 1:] = self.col[:0:-1]
@@ -121,10 +145,11 @@ class OperatorMatrix:
         O(n^2).  With w = (0, x_{n-1}, ..., x_1) and L(v) the lower triangular
         Toeplitz matrix with first column v, the Gohberg-Semencul formula
         ``x_0 T^{-1} = L(x) L(x)^T - L(w) L(w)^T`` then applies the inverse
-        with four scipy FFT calls of length >= 2n per solve: ``b`` forward,
-        both correlations ``L(x)^T b`` and ``L(w)^T b`` back and forth as one
-        batch of two rows, and the combination back.  scipy transforms each
-        row of a batch bit for bit as it would transform it alone.
+        with four ``numpy.fft`` calls of length >= 2n per solve: ``b``
+        forward, both correlations ``L(x)^T b`` and ``L(w)^T b`` back and
+        forth as one batch of two rows, and the combination back.  numpy
+        transforms each row of a batch bit for bit as it would transform it
+        alone, and as ``scipy.fft`` would.
         """
         n = self.n
         t = scale * self.col
@@ -139,7 +164,7 @@ class OperatorMatrix:
             raise NumericError(f"scale A + sigma I is not positive definite (sigma={sigma})")
         w = np.zeros(n)
         w[1:] = x[:0:-1]
-        size = next_fast_len(2 * n, real=True)
+        size = _fast_len(2 * n)
         root = np.sqrt(x[0])
         fx, fw = rfft(x, size) / root, rfft(w, size) / root
         conj = np.stack((fx.conj(), fw.conj()))

@@ -24,7 +24,6 @@ one-path view.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -160,6 +159,8 @@ def _run_chunks(chunk_fn, n_paths: int, seed: int, n_workers: int) -> list:
     jobs = [(np.random.default_rng(s), m) for s, m in zip(seeds, sizes)]
     if n_workers <= 1:
         return [chunk_fn(rng, m) for rng, m in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs the pool
+
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [pool.submit(chunk_fn, rng, m) for rng, m in jobs]
         return [f.result() for f in futures]  # fixed chunk order

@@ -173,6 +173,20 @@ def csv_reference(header, rows) -> str:
     return "".join(",".join(field(v) for v in row) + "\n" for row in [header, *rows])
 
 
+def circulant_matvec_reference(col: np.ndarray):
+    """A function computing T v, T symmetric Toeplitz with first column ``col``,
+    by ``scipy.fft`` on the circulant of length ``next_fast_len(2n - 1)`` that
+    embeds T.
+    """
+    n = col.size
+    size = next_fast_len(2 * n - 1, real=True)
+    first = np.zeros(size)
+    first[:n] = col
+    first[size - n + 1:] = col[:0:-1]
+    spectrum = rfft(first).real
+    return lambda v: irfft(rfft(v, size) * spectrum, size)[:n]
+
+
 def gohberg_semencul_reference(col: np.ndarray, sigma: float, scale: float = 1.0):
     """A function solving ``(scale T + sigma I) x = b``, T symmetric Toeplitz with
     first column ``col``, by the Gohberg-Semencul formula with six FFTs per solve.

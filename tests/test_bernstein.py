@@ -122,6 +122,23 @@ class TestScaling:
 
 
 class TestLevyDensity:
+    @staticmethod
+    def _constant_by_scipy_gamma(alpha):
+        from scipy.special import gamma
+
+        return (alpha * 2.0 ** (alpha - 1.0) * gamma((1.0 + alpha) / 2.0)
+                / (math.sqrt(math.pi) * gamma(1.0 - alpha / 2.0)))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_density_constant_exact_at_common_orders(self, alpha):
+        assert fractional_density_constant(alpha) == self._constant_by_scipy_gamma(alpha)
+
+    def test_density_constant_matches_scipy_gamma(self):
+        alphas = np.linspace(0.0, 2.0, 401)[1:-1]
+        ref = np.array([self._constant_by_scipy_gamma(a) for a in alphas])
+        got = np.array([fractional_density_constant(a) for a in alphas])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
     def test_cauchy_value(self):
         kern = LevyKernel(BernsteinSymbol("fractional", 1.0))
         assert kern.density(2.0) == pytest.approx(1.0 / (math.pi * 4.0), rel=1e-12)

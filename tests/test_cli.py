@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import tomllib
 import tracemalloc
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nonlocal_logistic
 from nonlocal_logistic import (
     BernsteinSymbol, SubordinatorSampler, assemble, mc_green, survival_lambda1,
 )
@@ -82,14 +86,35 @@ class TestCsvWriter:
             [self.MIXED[i % len(self.MIXED)] for i in range(n)],
             [f"p{i}" for i in range(n)],
             rng.standard_normal(n).astype(np.float32),
+            rng.integers(-2**31, 2**31, n, dtype=np.int32),
+            np.arange(n, dtype=np.uint64) * np.uint64(2**43),
+            np.array([f"s{i}" for i in range(n)], dtype=str),
+            list(floats),
         ]
-        header = ["i", "x", "flag", "mixed", "name", "single"]
+        header = ["i", "x", "flag", "mixed", "name", "single", "i32", "u64", "label", "xlist"]
         rows = list(zip(*columns))  # numpy scalars, as a row-by-row writer sees them
         got, want = self._written(tmp_path, header, columns), csv_reference(header, rows)
         # the first differing line, not a diff of megabytes of text
         lines = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
         assert [pair for pair in lines if pair[0] != pair[1]][:1] == []
         assert len(got) == len(want)
+
+    def test_formatter_chosen_once_for_float_and_integer_arrays(self, tmp_path, monkeypatch):
+        import nonlocal_logistic.cli as cli
+
+        seen = []
+
+        def counting_fmt(value):
+            seen.append(value)
+            return fmt(value)
+
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", counting_fmt)
+        n = 10
+        columns = [np.linspace(0.0, 1.0, n), np.arange(n), np.arange(n) % 2 == 0, ["a"] * n]
+        got = self._written(tmp_path, ["x", "i", "flag", "name"], columns)
+        assert got == csv_reference(["x", "i", "flag", "name"], list(zip(*columns)))
+        assert len(seen) == 2 * n  # the bool array and the list only
 
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="unequal"):
@@ -263,6 +288,9 @@ class TestValidation:
             ("mc-check", "stochastic = { n_paths = -5 }"),
             ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { dt = 0 }"),
             ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = [] }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = [-1.0, 0.5] }"),
+            ("evolve", "problem = { a_rel = 2.0 }\n"
+                       "parabolic = { horizon = 0.2, snapshot_times = [0.0, 0.3] }"),
             ("longtime", "problem = { a_rel = 2.0 }\nparabolic = { s_max = -1 }"),
             ("mc-check", "stochastic = { n_t = 0 }"),
             ("mc-check", "stochastic = { seed = -1 }"),
@@ -401,6 +429,16 @@ class TestParabolicCommands:
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         log = (outdir / "error.log").read_text().splitlines()
         assert len(log) == 1 and "0.123" in log[0]
+
+    def test_evolve_snapshot_outside_the_horizon_names_entry_and_range(self, tmp_path):
+        # -1.0 is a whole number of steps: the range, not the step grid, rejects it
+        extra = ("problem = { a_rel = 2.0 }\n"
+                 "parabolic = { dt = 0.01, horizon = 0.2, snapshot_times = [-1.0, 0.1] }")
+        code, outdir = run_cli(tmp_path, "evolve", extra=extra)
+        assert code == 2
+        assert (outdir / "error.log").read_text() == (
+            "error: ConfigurationError: parabolic.snapshot_times[0] = -1.0 must lie in "
+            "[0, parabolic.horizon] = [0, 0.2]\n")
 
     def test_longtime_verdict(self, tmp_path):
         extra = (
@@ -724,3 +762,53 @@ class TestShippedConfigs:
         assert t_max / block == pytest.approx(round(t_max / block), abs=1e-9)
         last = (outdir / "survival.csv").read_text().splitlines()[-1].split(",")
         assert float(last[0]) == pytest.approx(t_max, rel=1e-12)
+
+
+class TestImports:
+    """A CLI process imports only the scipy its symbol needs."""
+
+    # numpy.testing, which scipy.linalg imports, loads concurrent.futures but
+    # not its thread pool; only the relativistic form needs scipy.special
+    UNUSED = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.optimize",
+              "scipy.sparse", "concurrent.futures.thread")
+
+    @staticmethod
+    def _modules_after(tmp_path, runs) -> set[str]:
+        """The modules a fresh process holds after importing the CLI and making ``runs``.
+
+        ``runs`` is a list of (subcommand, symbol); each runs on n = 31 with
+        ``a_rel = 2`` and must exit 0.
+        """
+        argvs = []
+        for i, (subcommand, symbol) in enumerate(runs):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(f"symbol = {symbol}\n"
+                           "domain = { left = -1.0, right = 1.0, n = 31 }\n"
+                           "problem = { a_rel = 2.0 }\n")
+            argvs.append([subcommand, "--config", str(cfg), "--output", str(tmp_path / f"out{i}")])
+        script = ("import json, sys\n"
+                  "from nonlocal_logistic.cli import main\n"
+                  f"codes = [main(argv) for argv in {argvs!r}]\n"
+                  "print(json.dumps([codes, sorted(sys.modules)]))\n")
+        src = str(Path(nonlocal_logistic.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        codes, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(runs)
+        return set(modules)
+
+    def test_power_law_runs_import_no_unused_scipy(self, tmp_path):
+        modules = self._modules_after(tmp_path, [
+            ("steady", '{ kind = "fractional", alpha = 1.0 }'),
+            ("evolve", '{ kind = "sum_fractional", alpha = 1.0, beta = 1.5 }'),
+        ])
+        assert [name for name in self.UNUSED if name in modules] == []
+
+    def test_bessel_form_loads_scipy_special_on_use(self, tmp_path):
+        modules = self._modules_after(tmp_path, [
+            ("eigen", '{ kind = "relativistic", alpha = 1.0, m = 1.0 }'),
+            ("validate-kernel", '{ kind = "relativistic", alpha = 1.0, m = 1.0 }'),
+        ])
+        assert "scipy.special" in modules

@@ -176,6 +176,19 @@ def test_block_defaults_filled_in():
         load_config(SAMPLE.replace("snapshot_times = [0.0, 1.0]", 'u0 = "bump"'))
 
 
+def test_snapshot_times_within_the_horizon():
+    def load(times):
+        return load_config('symbol = { kind = "fractional", alpha = 1.0 }\n'
+                           f"parabolic = {{ horizon = 1.0, snapshot_times = {times} }}\n")
+
+    assert load("[0.5, -0.0, 1.0]").parabolic["snapshot_times"] == [0.5, 0.0, 1.0]
+    for times, entry in (("[-1.0, 0.5]", "[0] = -1.0"), ("[0.0, 1.5]", "[1] = 1.5")):
+        with pytest.raises(ConfigurationError) as info:
+            load(times)
+        assert str(info.value) == (f"parabolic.snapshot_times{entry} must lie in "
+                                   "[0, parabolic.horizon] = [0, 1.0]")
+
+
 def test_float_keys_take_integers():
     cfg = load_config(
         'symbol = { kind = "fractional", alpha = 1 }\n'

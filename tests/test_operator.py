@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
 
 import nonlocal_logistic
@@ -29,11 +30,12 @@ from nonlocal_logistic import (
     stability_index,
     v_profile,
 )
-from nonlocal_logistic.operator import toeplitz_row_sums
+from nonlocal_logistic.operator import _fast_len, toeplitz_row_sums
 
 from oracles import (
     OracleDomainError,
     PeriodicBox,
+    circulant_matvec_reference,
     gohberg_semencul_reference,
     mollifier,
     multiplier_oracle,
@@ -256,7 +258,11 @@ class TestToeplitzColumn:
             x = op.solver(sigma, scale=scale)(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("n", [63, 199, 799])
+    def test_fast_len_is_scipys_real_fft_length(self):
+        targets = range(1, 20_001)
+        assert [_fast_len(t) for t in targets] == [next_fast_len(t, real=True) for t in targets]
+
+    @pytest.mark.parametrize("n", [63, 199, 799, 1599, 3199])
     def test_solver_matches_six_fft_reference_bit_for_bit(self, n):
         op = self._op(self.SYMBOLS[0], n)
         # principal_eigenpair's shift below the Gershgorin lower bound
@@ -269,6 +275,15 @@ class TestToeplitzColumn:
             for _ in range(3):
                 b = rng.standard_normal(n)
                 assert solve(b).tobytes() == ref(b).tobytes()
+
+    @pytest.mark.parametrize("n", [63, 199, 799, 1599])
+    def test_matvec_matches_scipy_fft_reference_bit_for_bit(self, n):
+        op = self._op(self.SYMBOLS[0], n)
+        ref = circulant_matvec_reference(op.col)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            assert op.matvec(v).tobytes() == ref(v).tobytes()
 
     @pytest.mark.parametrize("symbol", SYMBOLS, ids=lambda s: s.kind)
     def test_matvec_matches_dense_product(self, symbol):

@@ -6,10 +6,11 @@ Usage: python tools/run_shipped.py OUTDIR
 For each ``configs/*.cfg`` of this checkout and each subcommand on its
 ``# Subcommands:`` line, runs the ``nonlocal-logistic`` console script with
 every output flag that ``cli.FLAGS`` declares for that subcommand, writing
-to ``OUTDIR/<config>-<subcommand>``.  Exits 1 if a config has no such line
-or any run fails, after trying every run.  Run with each of two commits'
-packages installed, then ``diff -r -x manifest.json`` of the two trees, it
-is the byte check of a refactor.
+to ``OUTDIR/<config>-<subcommand>``, and prints each run's wall seconds
+(a fresh process, so start-up included) and their total.  Exits 1 if a
+config has no such line or any run fails, after trying every run.  Run with
+each of two commits' packages installed, then ``diff -r -x manifest.json``
+of the two trees, it is the byte check of a refactor.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from nonlocal_logistic.cli import FLAGS
@@ -43,6 +45,7 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     failed = []
+    total = 0.0
     for config in sorted(CONFIGS.glob("*.cfg")):
         subcommands = claimed_subcommands(config)
         if not subcommands:
@@ -51,10 +54,14 @@ def main(argv: list[str]) -> int:
             flags = [flag for flag, (honoured, _) in FLAGS.items() if name in honoured]
             cmd = [script, name, "--config", str(config),
                    "--output", str(outdir / f"{config.stem}-{name}"), *flags]
-            print(" ".join(cmd[1:]), flush=True)
+            start = time.perf_counter()
             code = subprocess.run(cmd).returncode
+            seconds = time.perf_counter() - start
+            total += seconds
+            print(f"{seconds:7.3f} s  {' '.join(cmd[1:])}", flush=True)
             if code != 0:
                 failed.append(f"{config.name} {name}: exit {code}")
+    print(f"{total:7.3f} s  total", flush=True)
     for line in failed:
         print(f"FAILED {line}", file=sys.stderr)
     return 1 if failed else 0
