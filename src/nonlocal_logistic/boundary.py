@@ -21,12 +21,9 @@ class RatioField:
     """u / gauge(delta) at the interior nodes with near-boundary statistics."""
 
     values: np.ndarray = field(repr=False)
-    delta: np.ndarray = field(repr=False)
     min: float
     max: float
     band_min: float
-    band_max: float
-    band_count: int
 
 
 def hopf_ratio(u: np.ndarray, grid: Grid1D, symbol: BernsteinSymbol) -> RatioField:
@@ -39,12 +36,9 @@ def hopf_ratio(u: np.ndarray, grid: Grid1D, symbol: BernsteinSymbol) -> RatioFie
     band = grid.delta <= 10.0 * grid.h
     return RatioField(
         values=ratio,
-        delta=grid.delta,
         min=float(ratio.min()),
         max=float(ratio.max()),
         band_min=float(ratio[band].min()),
-        band_max=float(ratio[band].max()),
-        band_count=int(band.sum()),
     )
 
 

@@ -40,18 +40,10 @@ from .operator import assemble, green_solve
 from .parabolic import evolve, longtime_classify
 from .spectral import principal_eigenpair
 from .steady import maximal_harvest, scan_cstar, small_branch, solve_logistic, stability_index
-from .stochastic import (
-    SubordinatorSampler, exit_pass, horizon_steps, survival_steps, trace_rows,
-)
+from .stochastic import SubordinatorSampler, exit_pass, survival_grid, trace_rows
 
 ENV_OUTDIR = "NONLOCAL_LOGISTIC_OUTDIR"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-SUBCOMMANDS = (
-    "validate-kernel", "eigen", "steady", "bifurcate",
-    "evolve", "longtime", "mc-check", "diagnose",
-)
-
 
 # the scales at which validate-kernel splits the kernel's moments (kernel_moments' h and R)
 MOMENT_H, MOMENT_R = 0.01, 10.0
@@ -442,19 +434,17 @@ def run_mc_check(cfg: RunConfig, args) -> RunOutput:
     n_paths, dt_path, seed, x0 = st["n_paths"], st["dt_path"], st["seed"], st["x0"]
     summary = {"n_paths": n_paths, "dt_path": dt_path, "seed": seed, "x0": x0}
     if cfg.grid is not None:
-        # x0, the horizon and the survival window are checked before any path is drawn
+        # x0 is checked before any path is drawn (load_config checks the step grids)
         if not cfg.grid.contains(x0):
             raise ConfigurationError(
                 f"stochastic.x0 = {x0} must lie inside the domain {cfg.grid.interval}"
             )
-        horizon_steps(st["horizon"], dt_path)
         op, pair = _eigenpair(cfg, out)
         n_t = st["n_t"]
         t_max = st["t_max"]
         if t_max is None:
             t_max = summary["t_max_derived"] = _survival_window(pair.lam, n_t, dt_path)
-        t_grid = np.linspace(t_max / n_t, t_max, n_t)
-        survival_steps(t_grid, dt_path)
+        t_grid = survival_grid(t_max, n_t)
     sampler = SubordinatorSampler(cfg.symbol)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
@@ -534,6 +524,7 @@ _HANDLERS = {
     "mc-check": run_mc_check,
     "diagnose": run_diagnose,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def _exit_code(exc: NonlocalLogisticError) -> int:

@@ -16,8 +16,9 @@ character is ``{`` are parsed as JSON with the same block structure.
 ``POSITIVE`` and ``AT_LEAST`` the keys with a lower bound;
 ``load_config`` rejects unknown blocks and keys, type-checks every value,
 requires every number to be finite and within its bound (every snapshot
-time within ``[0, parabolic.horizon]``), and fills in the defaults before
-any computation starts, so invalid configs never produce partial outputs.
+time within ``[0, parabolic.horizon]``) and every time a run steps to on
+its step grid, and fills in the defaults before any computation starts, so
+invalid configs never produce partial outputs.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import ConfigurationError
-from .grid import Grid1D
+from .grid import Grid1D, horizon_steps, time_steps
 from .steady import CrowdingTerm, HarvestTerm, ReactionSpec
+from .stochastic import survival_grid, survival_steps
 
 
 def parse_config_text(text: str) -> dict:
@@ -97,8 +99,8 @@ SCHEMA = {
 # Range rules by full key name, checked with the types: a float must be finite
 # everywhere, a key in POSITIVE above 0, and a key in AT_LEAST at least its
 # floor (the fewest paths the estimators take, the fewest survival-fit times,
-# a seed numpy accepts, no negative count of ladder samples).  One rule spans
-# two keys: ``load_config`` puts every snapshot time in [0, parabolic.horizon].
+# a seed numpy accepts, no negative count of ladder samples).  The rules that
+# span keys are in ``_check_time_grids``.
 POSITIVE = {"solver.tol", "scan.c_max", "scan.rel_tol", "parabolic.dt", "parabolic.horizon",
             "parabolic.s_max", "parabolic.verdict_tol", "stochastic.dt_path",
             "stochastic.horizon", "stochastic.t_max"}
@@ -158,14 +160,12 @@ def _fill(table: dict, raw, where: str) -> dict:
     return out
 
 
-def build_reaction(block: dict, lam1: float | None = None) -> ReactionSpec:
+def build_reaction(block: dict, lam1: float) -> ReactionSpec:
     """The reaction of a filled problem block; ``a_rel`` is in units of ``lam1``."""
     a, a_rel = block["a"], block["a_rel"]
     if (a is None) == (a_rel is None):
         raise ConfigurationError("problem block needs exactly one of 'a' or 'a_rel'")
     if a is None:
-        if lam1 is None:
-            raise ConfigurationError("a_rel requires the principal eigenvalue")
         a = a_rel * lam1
     h = None if block["h"] is None else HarvestTerm(**block["h"])
     return ReactionSpec(a=a, c=block["c"], f=CrowdingTerm(**block["f"]), h=h)
@@ -195,7 +195,7 @@ class RunConfig:
     def tol(self) -> float:
         return self.solver["tol"]
 
-    def reaction(self, lam1: float | None = None) -> ReactionSpec:
+    def reaction(self, lam1: float) -> ReactionSpec:
         if self.problem is None:
             raise ConfigurationError("config has no problem block")
         return build_reaction(self.problem, lam1)
@@ -214,11 +214,7 @@ def load_config(text: str) -> RunConfig:
             far = 2.0 * grid.width
     if blocks["problem"] is not None:
         build_reaction(blocks["problem"], lam1=1.0)  # validate now; a_rel resolved later
-    horizon = blocks["parabolic"]["horizon"]
-    for i, s in enumerate(blocks["parabolic"]["snapshot_times"] or ()):
-        if not 0.0 <= s <= horizon:
-            raise ConfigurationError(f"parabolic.snapshot_times[{i}] = {s!r} must lie in "
-                                     f"[0, parabolic.horizon] = [0, {horizon!r}]")
+    _check_time_grids(blocks["parabolic"], blocks["stochastic"])
     u0_kind = blocks["parabolic"]["u0"]["kind"]
     if u0_kind not in INITIAL_FIELDS:
         raise ConfigurationError(f"unknown initial field kind {u0_kind!r}")
@@ -235,6 +231,23 @@ def load_config(text: str) -> RunConfig:
         stochastic=blocks["stochastic"],
         output_dir=blocks["output"]["directory"],
     )
+
+
+def _check_time_grids(parabolic: dict, stochastic: dict) -> None:
+    """Put every time a run steps to on the grid of ``parabolic.dt`` or ``dt_path``."""
+    dt, horizon = parabolic["dt"], parabolic["horizon"]
+    horizon_steps(horizon, dt, "parabolic.horizon")
+    horizon_steps(parabolic["s_max"], dt, "parabolic.s_max")
+    for i, s in enumerate(parabolic["snapshot_times"] or ()):
+        name = f"parabolic.snapshot_times[{i}]"
+        if not 0.0 <= s <= horizon:
+            raise ConfigurationError(f"{name} = {s!r} must lie in "
+                                     f"[0, parabolic.horizon] = [0, {horizon!r}]")
+        time_steps(s, dt, name)
+    dt_path, t_max = stochastic["dt_path"], stochastic["t_max"]
+    horizon_steps(stochastic["horizon"], dt_path, "stochastic.horizon", step="dt_path")
+    if t_max is not None:
+        survival_steps(survival_grid(t_max, stochastic["n_t"]), dt_path)
 
 
 # The initial data build_initial_field knows

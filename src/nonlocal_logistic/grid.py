@@ -1,4 +1,4 @@
-"""Uniform interior grids on a bounded interval with zero exterior data."""
+"""Uniform interior grids on a bounded interval, and the one rule for times on a step grid."""
 
 from __future__ import annotations
 
@@ -47,3 +47,27 @@ class Grid1D:
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (x > self.x_left) & (x < self.x_right)
+
+
+def time_steps(times, dt: float, what: str, step: str = "dt") -> np.ndarray:
+    """The step ``k`` of each time ``k * dt``; an error unless within ``1e-9 * dt`` of one.
+
+    ``what`` names the times and ``step`` the step in the error.
+    """
+    if not dt > 0:
+        raise ConfigurationError(f"{step} must be positive")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    steps = np.round(times / dt).astype(int)
+    off = np.abs(steps * dt - times) > 1e-9 * dt
+    if np.any(off):
+        raise ConfigurationError(f"{what} {times[off][0]:.6g} is not a multiple of {step} = "
+                                 f"{dt:.6g}: it is off the step grid")
+    return steps
+
+
+def horizon_steps(horizon: float, dt: float, what: str = "horizon", step: str = "dt") -> int:
+    """The steps, at least one, to a positive ``horizon`` on the step grid."""
+    steps = int(time_steps(horizon, dt, what, step)[0]) if horizon > 0 else 0
+    if steps < 1:
+        raise ConfigurationError(f"{what} {horizon:.6g} must be at least one {step} step")
+    return steps

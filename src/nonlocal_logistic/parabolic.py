@@ -19,17 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError
-from .grid import Grid1D
+from .grid import Grid1D, horizon_steps, time_steps
 from .operator import OperatorMatrix
 from .spectral import EigenPair, principal_eigenpair
-from .steady import ReactionSpec, SteadyState, solve_logistic
+from .steady import ReactionSpec, solve_logistic
 
 @dataclass
 class ParabolicRun:
     """Snapshots of one forward evolution; reproducible given its config."""
 
     grid: Grid1D
-    spec: ReactionSpec
     dt: float
     horizon: float
     u0: np.ndarray = field(repr=False)
@@ -43,14 +42,16 @@ def max_stable_dt(spec: ReactionSpec, u0_max: float) -> float:
     return 1.0 / (spec.a + spec.f.lipschitz_on(s_max))
 
 
-def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, n_steps: int,
-                caller: str):
-    """Check the inputs, then return a generator of the IMEX states.
+def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, span: float,
+                span_name: str, caller: str):
+    """Check the inputs, then return ``(n_steps, generator of the IMEX states)``.
 
-    The generator yields ``(k, w)`` for k = 0..n_steps, w the state at time
-    k dt and a fresh array every step; ``caller`` names the solver in the
-    c = 0 error.  The checks run here, before the caller's own work, and
-    the Toeplitz solver of I + dt A is set up only once stepping starts.
+    ``span`` must be a whole number ``n_steps`` of steps ``dt``; ``span_name``
+    names it in the error.  The generator yields ``(k, w)`` for
+    k = 0..n_steps, w the state at time k dt and a fresh array every step;
+    ``caller`` names the solver in the c = 0 error.  The checks run here,
+    before the caller's own work, and the Toeplitz solver of I + dt A is set
+    up only once stepping starts.
     """
     if spec.c != 0:
         raise ConfigurationError(f"{caller} requires c = 0")
@@ -64,6 +65,7 @@ def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, n_steps: 
         raise ConfigurationError(
             f"dt={dt} exceeds the positivity-preserving bound {dt_max:.6g}"
         )
+    n_steps = horizon_steps(span, dt, span_name)
 
     def steps():
         solve = op.solver(1.0, scale=dt)
@@ -79,11 +81,7 @@ def _imex_steps(op: OperatorMatrix, spec: ReactionSpec, u0, dt: float, n_steps: 
             np.maximum(w, 0.0, out=w)
             yield k, w
 
-    return steps()
-
-
-def _step_count(horizon: float, dt: float) -> int:
-    return int(np.ceil(horizon / dt - 1e-12))
+    return n_steps, steps()
 
 
 def evolve(
@@ -96,20 +94,18 @@ def evolve(
 ) -> ParabolicRun:
     """March the reaction equation to the horizon, recording snapshots.
 
-    Snapshot times must be whole multiples of ``dt`` (to within
-    ``1e-9 * dt``) inside the horizon.  The harvest term is not part of the
-    parabolic suite, so the spec must carry c = 0.
+    The horizon and the snapshot times must be whole multiples of ``dt``
+    (to within ``1e-9 * dt``), the snapshots inside the horizon.  The
+    harvest term is not part of the parabolic suite, so the spec must carry
+    c = 0.
     """
-    n_steps = _step_count(horizon, dt)
-    steps = _imex_steps(op, spec, u0, dt, n_steps, "parabolic evolution")
+    n_steps, steps = _imex_steps(op, spec, u0, dt, horizon, "horizon", "parabolic evolution")
     if snapshot_times is None:
-        snapshot_times = [0.0, n_steps * dt]
-    wanted = {}
-    for s in snapshot_times:
-        k = int(round(s / dt))
-        if not (0 <= k <= n_steps) or abs(k * dt - s) > 1e-9 * dt:
-            raise ConfigurationError(f"snapshot time {s} is not on the step grid of dt = {dt}")
-        wanted[k] = k * dt
+        snapshot_times = [0.0, horizon]
+    ks = time_steps(snapshot_times, dt, "snapshot time")
+    if np.any((ks < 0) | (ks > n_steps)):
+        raise ConfigurationError(f"snapshot times must lie in [0, horizon] = [0, {horizon:.6g}]")
+    wanted = {k: k * dt for k in ks.tolist()}
 
     times, snaps = [], []
     for k, w in steps:
@@ -118,7 +114,6 @@ def evolve(
             snaps.append(w)
     return ParabolicRun(
         grid=op.grid,
-        spec=spec,
         dt=dt,
         horizon=n_steps * dt,
         u0=np.asarray(u0, dtype=float),
@@ -135,7 +130,6 @@ class LongtimeResult:
     times: np.ndarray = field(repr=False)
     sup_norms: np.ndarray = field(repr=False)
     steady_distances: np.ndarray | None = field(repr=False, default=None)
-    steady: SteadyState | None = None
 
 
 def longtime_classify(
@@ -156,8 +150,7 @@ def longtime_classify(
     tolerance; the internal steady solve is run at least a hundred times
     tighter to avoid chattering.
     """
-    n_steps = _step_count(s_max, dt)
-    steps = _imex_steps(op, spec, u0, dt, n_steps, "longtime classification")
+    n_steps, steps = _imex_steps(op, spec, u0, dt, s_max, "s_max", "longtime classification")
     pair = eigenpair if eigenpair is not None else principal_eigenpair(op)
     supercritical = spec.a > pair.lam * (1.0 + 1e-12)
     steady = None
@@ -192,5 +185,4 @@ def longtime_classify(
         times=times[sl].copy(),
         sup_norms=norms[sl].copy(),
         steady_distances=dists[sl].copy() if supercritical else None,
-        steady=steady,
     )

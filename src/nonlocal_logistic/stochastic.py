@@ -18,7 +18,8 @@ paths: the occupation time up to a horizon (``mc_green`` with f = 1) and
 the survival curve with its exit-rate fit; ``survival_lambda1`` is its
 survival half.  ``trace_rows`` records one batch of at most 1000 paths
 as path-major ``(path, t, x)`` columns; ``simulate_killed_path`` is its
-one-path view.
+one-path view.  Every horizon and survival time is a whole number of
+``dt_path`` steps (``grid.time_steps``, which ``load_config`` also runs).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .bernstein import BernsteinSymbol
 from .errors import ConfigurationError, SamplerError, StatisticalPowerError
+from .grid import horizon_steps, time_steps
 
 CHUNK = 8192
 REJECTION_CAP = 1_000_000
@@ -220,7 +222,7 @@ def trace_rows(sampler: SubordinatorSampler, x0: float, dt_path: float, horizon:
     Each step's moved paths are kept in time order, so a stable sort on the
     path id orders every path's rows by time; ``t`` is ``k * dt_path``.
     """
-    n_steps = horizon_steps(horizon, dt_path)
+    n_steps = horizon_steps(horizon, dt_path, step="dt_path")
     m = min(TRACE_PATHS, n_paths)
     paths, steps, xs = [np.arange(m)], [np.zeros(m, dtype=np.int64)], [np.full(m, float(x0))]
 
@@ -286,7 +288,7 @@ def feynman_kac(
     if not t < T:
         raise ConfigurationError("feynman_kac requires t < T")
     span = T - t
-    n_steps = horizon_steps(span, dt_path)
+    n_steps = horizon_steps(span, dt_path, step="dt_path")
     dt = span / n_steps
 
     def chunk(rng: np.random.Generator, m: int):
@@ -342,32 +344,13 @@ class SurvivalFit:
     lambda1_hat: float
     t_grid: np.ndarray
     survival: np.ndarray
-    tail_start: int
     survivors_at_end: int
-    n_paths: int
-    seed: int
     path_steps: int
 
 
-def _whole_steps(times, dt_path: float, what: str) -> np.ndarray:
-    """The path step of each time; an error unless within ``1e-9 * dt_path`` of one."""
-    if not dt_path > 0:
-        raise ConfigurationError("dt_path must be positive")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    steps = np.round(times / dt_path).astype(int)
-    off = np.abs(steps * dt_path - times) > 1e-9 * dt_path
-    if np.any(off):
-        raise ConfigurationError(
-            f"{what} {times[off][0]:.6g} is not a multiple of dt_path = {dt_path:.6g}")
-    return steps
-
-
-def horizon_steps(horizon: float, dt_path: float) -> int:
-    """The path steps, at least one, to a positive ``horizon`` on the step grid."""
-    steps = int(_whole_steps(horizon, dt_path, "horizon")[0]) if horizon > 0 else 0
-    if steps < 1:
-        raise ConfigurationError(f"horizon {horizon:.6g} must be at least one dt_path step")
-    return steps
+def survival_grid(t_max: float, n_t: int) -> np.ndarray:
+    """The ``n_t`` evenly spaced survival times ending at ``t_max``."""
+    return np.linspace(t_max / n_t, t_max, n_t)
 
 
 def survival_steps(t_grid, dt_path: float) -> np.ndarray:
@@ -380,10 +363,10 @@ def survival_steps(t_grid, dt_path: float) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 4 or np.any(np.diff(t_grid) <= 0) or t_grid[0] <= 0:
         raise ConfigurationError("t_grid must be increasing, positive, with >= 4 points")
-    return _whole_steps(t_grid, dt_path, "survival time")
+    return time_steps(t_grid, dt_path, "survival time", step="dt_path")
 
 
-def _survival_fit(counts, t_grid, n_paths: int, seed: int, path_steps: int) -> SurvivalFit:
+def _survival_fit(counts, t_grid, n_paths: int, path_steps: int) -> SurvivalFit:
     """Least-squares slope of -log P(tau > t) over the upper half of t_grid.
 
     Raises :class:`StatisticalPowerError` when fewer than 50 paths survive to
@@ -409,10 +392,7 @@ def _survival_fit(counts, t_grid, n_paths: int, seed: int, path_steps: int) -> S
         lambda1_hat=slope,
         t_grid=t_grid,
         survival=survival,
-        tail_start=tail_start,
         survivors_at_end=int(counts[-1]),
-        n_paths=n_paths,
-        seed=seed,
         path_steps=path_steps,
     )
 
@@ -443,7 +423,7 @@ def exit_pass(
         raise ConfigurationError("exit_pass requires n_paths >= 100")
     t_grid = np.asarray(t_grid, dtype=float)
     check_steps = survival_steps(t_grid, dt_path)
-    green_steps = horizon_steps(horizon, dt_path)
+    green_steps = horizon_steps(horizon, dt_path, step="dt_path")
     n_steps = max(int(check_steps[-1]), green_steps)
 
     def chunk(rng: np.random.Generator, m: int):
@@ -460,7 +440,7 @@ def exit_pass(
 
     counts, moments, moves = zip(*_run_chunks(chunk, n_paths, seed, n_workers))
     return (_combine(list(moments), n_paths, seed, dt_path),
-            _survival_fit(sum(counts), t_grid, n_paths, seed, sum(moves)))
+            _survival_fit(sum(counts), t_grid, n_paths, sum(moves)))
 
 
 def survival_lambda1(

@@ -304,6 +304,9 @@ class TestValidation:
             ("bifurcate", 'problem = { a_rel = 1.05, c = 0.001, h = { kind = "constant_yield" } }\n'
                           "scan = { c_max = 0.2, rel_tol = -1 }"),
             ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { horizon = 1e400 }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { dt = 0.1, horizon = 0.15 }"),
+            ("longtime", "problem = { a_rel = 2.0 }\nparabolic = { dt = 0.1, s_max = 0.15 }"),
+            ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = [0.0, 0.123] }"),
             pytest.param("evolve", "problem = { a_rel = 2.0 }\n"
                          "parabolic = { u0 = { scale = 1" + "0" * 400 + " } }",
                          id="evolve-integer-past-the-float-range"),
@@ -544,6 +547,27 @@ class TestMcCheck:
         assert code == 2
         assert [p.name for p in outdir.iterdir()] == ["error.log"]
         assert "horizon 0.505 is not a multiple of dt_path" in (outdir / "error.log").read_text()
+
+    @pytest.mark.parametrize("stochastic, message", [
+        ("horizon = 0.505", "horizon 0.505 is not a multiple of dt_path"),
+        ("dt_path = 0.1, t_max = 2.97, n_t = 6", "survival time 0.495 is not a multiple of dt_path"),
+    ])
+    def test_domain_free_off_grid_time_exits_2(self, tmp_path, monkeypatch, stochastic, message):
+        # without a domain, mc-check draws only the Laplace check: load rejects the times first
+        import nonlocal_logistic.cli as cli
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("drew increments for an off-grid time")
+
+        monkeypatch.setattr(cli.SubordinatorSampler, "increments", no_paths)
+        cfg, outdir = tmp_path / "free.cfg", tmp_path / "free"
+        cfg.write_text('symbol = { kind = "fractional", alpha = 1.0 }\n'
+                       f"stochastic = {{ n_paths = 2000, {stochastic} }}\n")
+        assert main(["mc-check", "--config", str(cfg), "--output", str(outdir)]) == 2
+        assert [p.name for p in outdir.iterdir()] == ["error.log"]
+        log = (outdir / "error.log").read_text().splitlines()
+        assert len(log) == 1 and log[0].startswith("error: ConfigurationError: ")
+        assert message in log[0]
 
     def test_green_and_survival_come_from_one_pass_at_seed_plus_2(self, tmp_path):
         code, outdir = run_cli(tmp_path, "mc-check", extra=self.EXTRA)

@@ -38,6 +38,12 @@ class TestEvolve:
             evolve(op199, spec2, 0.01 * eig199.phi, dt=0.01, horizon=0.2,
                    snapshot_times=[0.0, 0.123])
 
+    def test_snapshot_past_the_horizon_rejected(self, op199, spec2, eig199):
+        # 0.3 is on the step grid but after the last step
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, horizon\] = \[0, 0.2\]"):
+            evolve(op199, spec2, 0.01 * eig199.phi, dt=0.01, horizon=0.2,
+                   snapshot_times=[0.0, 0.3])
+
     def test_comparison_of_ordered_data(self, op199, spec2, eig199):
         lo = 0.01 * eig199.phi
         hi = 0.03 * eig199.phi
@@ -117,6 +123,11 @@ class TestInputGuards:
     def test_wrong_shape_rejected(self, run, op199, spec2):
         with pytest.raises(DimensionError):
             run(op199, spec2, np.zeros(op199.n - 1), 0.01)
+
+    def test_off_grid_span_rejected(self, run, op199, spec2):
+        # a span of 1.0 is not a whole number of steps 0.03; no step past it is taken
+        with pytest.raises(ConfigurationError, match="1 is not a multiple of dt = 0.03.*step grid"):
+            run(op199, spec2, np.zeros(op199.n), 0.03)
 
 
 class TestLongtime:
