@@ -52,12 +52,19 @@ class Grid1D:
 def time_steps(times, dt: float, what: str, step: str = "dt") -> np.ndarray:
     """The step ``k`` of each time ``k * dt``; an error unless within ``1e-9 * dt`` of one.
 
-    ``what`` names the times and ``step`` the step in the error.
+    A time more than ``2**53`` steps from 0 is an error of its own, before the
+    step counts are cast to int.  ``what`` names the times and ``step`` the
+    step in the error.
     """
     if not dt > 0:
         raise ConfigurationError(f"{step} must be positive")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    steps = np.round(times / dt).astype(int)
+    steps = np.round(times / dt)
+    far = np.abs(steps) > 2.0**53
+    if np.any(far):
+        raise ConfigurationError(f"{what} {times[far][0]:.6g} is more than 2**53 steps of "
+                                 f"{step} = {dt:.6g} from 0")
+    steps = steps.astype(int)
     off = np.abs(steps * dt - times) > 1e-9 * dt
     if np.any(off):
         raise ConfigurationError(f"{what} {times[off][0]:.6g} is not a multiple of {step} = "

@@ -48,23 +48,81 @@ Timed against scipy's in alternating blocks of one process, numpy's is
 about 10-20% faster at n = 63, level at n = 199 and up to about 12% slower
 from n = 799 to 3199.
 Both of its factors, Cholesky (``potrf``/``potrs``) and LU
-(``getrf``/``getrs``), are called in LAPACK directly.  The independent
-Fourier-multiplier oracle that checks this assembly lives in
-``tests/oracles.py``.
+(``getrf``/``getrs``), are called in LAPACK directly.
+
+LAPACK and the Levinson recursion (Levinson 1947) are scipy's compiled
+modules ``scipy.linalg._flapack`` and ``scipy.linalg._solve_toeplitz``,
+loaded from their files by :func:`_compiled` without running
+``scipy/linalg/__init__.py``.  That package ``__init__`` does no linear
+algebra, but its array-API shim imports ``numpy.f2py``, ``numpy.testing``,
+``numpy.ma`` and more: about half of a cold CLI start.  The objects are the
+binaries ``scipy.linalg`` hands out, so every factor and solve is bit for
+bit scipy's, and a later ``import scipy.linalg`` reuses the modules
+registered in ``sys.modules``.  ``toeplitz`` is scipy's strided
+construction in numpy.  The independent Fourier-multiplier oracle that
+checks this assembly lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.linalg import get_lapack_funcs, solve_toeplitz, toeplitz
+from numpy.lib.stride_tricks import as_strided
 
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import ConfigurationError, DimensionError, NumericError
 from .grid import Grid1D
+
+
+def _compiled(name: str):
+    """The compiled module ``scipy.linalg.<name>``, without the package ``__init__``.
+
+    A module already in ``sys.modules`` is reused; otherwise the extension
+    file in scipy's ``linalg/`` directory is loaded and registered there, so
+    a later ``import scipy.linalg`` reuses it.
+    """
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    linalg = Path(find_spec("scipy").origin).parent / "linalg"
+    for path in (linalg / (name + suffix) for suffix in EXTENSION_SUFFIXES):
+        if path.is_file():
+            loader = ExtensionFileLoader(fullname, str(path))
+            module = module_from_spec(spec_from_file_location(fullname, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules[fullname] = module
+            return module
+    suffixes = ", ".join(EXTENSION_SUFFIXES)
+    raise ImportError(f"no compiled {fullname} at {linalg / name} + one of {suffixes}",
+                      name=fullname, path=str(linalg / name))
+
+
+_flapack = _compiled("_flapack")
+levinson = _compiled("_solve_toeplitz").levinson
+
+
+def get_lapack_funcs(names, arrays):
+    """The double-precision LAPACK routines ``names``; ``arrays`` only mirrors scipy's call.
+
+    Every system here is float64, so each name maps to ``_flapack.d<name>``:
+    the objects ``scipy.linalg.get_lapack_funcs`` returns for float64 arrays.
+    """
+    return tuple(getattr(_flapack, "d" + name) for name in names)
+
+
+def toeplitz(col: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first column ``col``, as ``scipy.linalg.toeplitz``."""
+    n = len(col)
+    vals = np.concatenate((col[::-1], col[1:]))
+    stride = vals.strides[0]
+    return as_strided(vals[n - 1:], shape=(n, n), strides=(-stride, stride)).copy()
 
 
 def _fast_len(target: int) -> int:
@@ -157,7 +215,7 @@ class OperatorMatrix:
         e1 = np.zeros(n)
         e1[0] = 1.0
         try:
-            x = solve_toeplitz(t, e1)
+            x = levinson(np.concatenate((t[:0:-1], t)), e1)[0]
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"Toeplitz solve failed: {exc}") from exc
         if not (np.all(np.isfinite(x)) and x[0] > 0):

@@ -304,6 +304,9 @@ class TestValidation:
             ("bifurcate", 'problem = { a_rel = 1.05, c = 0.001, h = { kind = "constant_yield" } }\n'
                           "scan = { c_max = 0.2, rel_tol = -1 }"),
             ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { horizon = 1e400 }"),
+            pytest.param("evolve", "problem = { a_rel = 2.0 }\nparabolic = { horizon = 1e17 }",
+                         marks=pytest.mark.filterwarnings("error::RuntimeWarning"),
+                         id="evolve-horizon-past-2**53-steps"),
             ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { dt = 0.1, horizon = 0.15 }"),
             ("longtime", "problem = { a_rel = 2.0 }\nparabolic = { dt = 0.1, s_max = 0.15 }"),
             ("evolve", "problem = { a_rel = 2.0 }\nparabolic = { snapshot_times = [0.0, 0.123] }"),
@@ -791,10 +794,11 @@ class TestShippedConfigs:
 class TestImports:
     """A CLI process imports only the scipy its symbol needs."""
 
-    # numpy.testing, which scipy.linalg imports, loads concurrent.futures but
-    # not its thread pool; only the relativistic form needs scipy.special
-    UNUSED = ("scipy.integrate", "scipy.special", "scipy.fft", "scipy.optimize",
-              "scipy.sparse", "concurrent.futures.thread")
+    # LAPACK and Levinson come from scipy's compiled modules, without the
+    # scipy.linalg package; only the relativistic form needs scipy.special,
+    # and only mc-check on more than one worker the thread pool
+    UNUSED = ("scipy.linalg", "scipy.integrate", "scipy.special", "scipy.fft",
+              "scipy.optimize", "scipy.sparse", "concurrent.futures.thread")
 
     @staticmethod
     def _modules_after(tmp_path, runs) -> set[str]:

@@ -89,6 +89,16 @@ class TestTimeSteps:
         assert horizon_steps(0.1, 0.1) == 1
         assert horizon_steps(64.0, 0.01, step="dt_path") == 6400
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_more_than_2_53_steps_is_its_own_error(self):
+        # checked before the int cast, which would overflow past 2**63
+        assert time_steps(2.0**53 * 0.5, 0.5, "t").tolist() == [2**53]
+        message = r"^horizon 1e\+17 is more than 2\*\*53 steps of dt_path = 0\.01 from 0$"
+        with pytest.raises(ConfigurationError, match=message):
+            horizon_steps(1e17, 0.01, step="dt_path")
+        with pytest.raises(ConfigurationError, match="snapshot -inf is more than 2"):
+            time_steps([0.0, -np.inf], 0.1, "snapshot")
+
     @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
     def test_the_step_must_be_positive(self, dt):
         with pytest.raises(ConfigurationError, match="dt must be positive"):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
-from scipy.linalg import cho_factor, cho_solve, eigh, toeplitz
+from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs, toeplitz
 
 import nonlocal_logistic
 from nonlocal_logistic import operator as operator_module
@@ -142,6 +142,12 @@ class TestDiagSolver:
         with pytest.raises(NumericError, match="non-finite"):
             op199.diag_solver(d, definite=definite)
 
+    @pytest.mark.parametrize("sigma, scale", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_constant_shift_raises(self, op199, sigma, scale):
+        # the Levinson post-check rejects them: NumericError, exit 3 in the CLI
+        with pytest.raises(NumericError):
+            op199.solver(sigma, scale=scale)
+
     def test_exactly_singular_raises(self, frac1_kernel):
         # the second difference on three nodes has the eigenvalue 2 exactly:
         # A - 2 I has two equal rows
@@ -257,6 +263,25 @@ class TestToeplitzColumn:
             ref = cho_solve(cho_factor(scale * a + sigma * np.eye(n)), b)
             x = op.solver(sigma, scale=scale)(b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [63, 799])
+    def test_toeplitz_is_scipys(self, n):
+        col = self._op(self.SYMBOLS[0], n).col
+        ours, ref = operator_module.toeplitz(col), toeplitz(col)
+        assert ours.shape == ref.shape and ours.flags.c_contiguous
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_lapack_routines_are_scipys(self, op199):
+        # the compiled module the operator loads is the one scipy.linalg hands out
+        m = op199.shifted(1.0).T
+        names = ("potrf", "potrs", "getrf", "getrs", "gecon")
+        ours = operator_module.get_lapack_funcs(names, (m,))
+        assert len(ours) == len(names)
+        assert all(a is b for a, b in zip(ours, get_lapack_funcs(names, (m,))))
+
+    def test_missing_compiled_module_names_its_path(self):
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._absent at .*linalg._absent \+ one of"):
+            operator_module._compiled("_absent")
 
     def test_fast_len_is_scipys_real_fft_length(self):
         targets = range(1, 20_001)
