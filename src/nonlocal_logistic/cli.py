@@ -281,7 +281,7 @@ def run_steady(cfg: RunConfig, args) -> RunOutput:
     if spec.c > 0:
         maximal = maximal_harvest(op, spec, tol=cfg.tol, v_a=logistic, eigenpair=pair)
         out.solvers["descent_newton_steps"] = maximal.newton_steps
-        out.solvers["descent_relaxation_steps"] = maximal.iterations - maximal.newton_steps
+        out.solvers["descent_chord_steps"] = maximal.iterations - maximal.newton_steps
         summary["maximal_branch"] = maximal.branch
         summary["maximal_residual"] = maximal.residual
         summary["maximal_sup"] = float(maximal.u.max())
@@ -334,7 +334,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
     out.solvers.update({
         "scan_probes": len(scan.samples),
         "descent_newton_steps": sum(s.state.newton_steps for s in scan.samples),
-        "descent_relaxation_steps": sum(
+        "descent_chord_steps": sum(
             s.state.iterations - s.state.newton_steps for s in scan.samples),
         "small_branch_steps": continuation_steps,
     })

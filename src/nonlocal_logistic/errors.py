@@ -31,7 +31,7 @@ class ConvergenceError(NumericError):
 
 
 class MonotonicityError(NumericError):
-    """Ordered iteration lost monotonicity (shift parameter too small)."""
+    """Ordered iteration lost monotonicity (a slope bound was too small)."""
 
 
 class ConstructionError(NumericError):

@@ -36,9 +36,8 @@ are solved by Levinson recursion for the first column of the inverse,
 then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
 1972; Chan & Ng, SIAM Review 38, 1996).  No dense A is kept: the only
 dense matrix is the transient ``A + diag(d)`` that ``diag_solver`` factors
-in place, for a variable diagonal (Jacobians, eigen potentials, the
-anti-maximum shift) and, by choice, the relaxation shift, whose many solves
-against one factor are faster dense at the grid sizes used.  One
+in place, always for a variable diagonal (Jacobians, eigen potentials, the
+anti-maximum shift).  One
 Gohberg-Semencul solve is four ``numpy.fft`` calls, bit for bit what
 ``scipy.fft`` gives, so no run imports ``scipy.fft``.  On one pinned CPU of
 a 2-core host with one BLAS thread (medians of 10 blocks), a solve with

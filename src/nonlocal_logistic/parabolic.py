@@ -156,8 +156,8 @@ def longtime_classify(
     steady = None
     if supercritical:
         # the reference's error enters every distance compared with the verdict
-        # tolerance, so solve at least two orders tighter (a relaxation tail,
-        # if the descent needs one, stops on step size and understates its error)
+        # tolerance, so solve at least two orders tighter (a chord tail, if
+        # the descent needs one, stops on step size and understates its error)
         steady = solve_logistic(op, spec, tol=min(1e-9, tol / 100.0), eigenpair=pair)
 
     times = np.empty(n_steps + 1)

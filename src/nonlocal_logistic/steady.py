@@ -4,12 +4,12 @@ Solves ``A u = a u - f(x, u) - c h(x, u)`` on the interior nodes (zero
 exterior), where f is a crowding term from a catalog and h a harvesting
 term.  The pure logistic solution and the maximal harvested branch are the
 largest fixed point below a supersolution (the constant a-priori bound, or
-the harvest-free state), both reached by one ordered descent: monotone
-Newton steps first (Ortega & Rheinboldt 1970, sec. 13.3), then the shifted
-relaxation near the fold.  Also provides the small branch by Newton
-continuation in c, the critical-harvest scan, and linearized stability
-indices.  The descent's oracle, the monotone iteration between a sub- and a
-supersolution, lives in ``tests/oracles.py`` and shares none of this code.
+the harvest-free state), both reached by one ordered descent of Newton and
+then chord steps (Ortega & Rheinboldt 1970, sec. 13.3).  Also provides the
+small branch by Newton continuation in c, the critical-harvest scan, and
+linearized stability indices.  The descent's oracle, the monotone iteration
+between a sub- and a supersolution, lives in ``tests/oracles.py`` and
+shares none of this code.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .errors import (
 from .operator import OperatorMatrix, green_solve
 from .spectral import EigenPair, principal_eigenpair
 
-# Newton steps of the descent before the relaxation takes over; away from the
-# fold the descent converges in well under this many
+# Newton steps of the descent before chord steps on the last factor take
+# over; away from the fold the descent converges in well under this many
 NEWTON_DESCENT_CAP = 50
 RELAX_MAXITER = 200_000  # step cap of the descent
 SMALL_BRANCH_STEPS = 20  # increments of (0, c] when small_branch starts from zero
@@ -49,7 +49,7 @@ class CrowdingTerm:
     """Crowding nonlinearity b(x) * s^p with p > 1 (``quadratic`` requires p = 2).
 
     Evaluation is extended evenly to s < 0 (b |s|^p), which keeps the term
-    smooth where relaxation iterates may transiently dip below zero.
+    smooth where descent iterates may transiently dip below zero.
     """
 
     kind: str = "quadratic"
@@ -168,13 +168,6 @@ class ReactionSpec:
             out = out - self.c * self.h.deriv(u)
         return np.broadcast_to(out, np.shape(u)).astype(float)
 
-    def theta_for(self, s_max: float) -> float:
-        """Lipschitz shift for the relaxation map, with a 1.1 safety factor."""
-        slope = self.a + self.f.lipschitz_on(s_max)
-        if self.c > 0:
-            slope += self.c * self.h.deriv_bound()
-        return 1.1 * slope
-
     def apriori_bound(self) -> float:
         return self.f.supersolution_level(self.a)
 
@@ -212,49 +205,56 @@ def _descend(
 ) -> SteadyState:
     """Maximal fixed point below the supersolution ``top`` by one ordered descent.
 
-    The first up to ``NEWTON_DESCENT_CAP`` steps are monotone Newton,
-    u <- u - J(u)^{-1} (A u - F(u)) with J(u) = A - diag(a - f_s(u) - c L_h),
-    L_h the harvest slope bound.  A successful Cholesky factor
-    (``op.diag_solver``) proves J(u) an SPD Z-matrix, whose inverse is
-    nonnegative; with f convex and the harvest slope at most L_h the step
-    keeps the iterate a supersolution above every solution below it.  Once a
-    factor fails (only near or past the fold) or the cap is reached, the loop
-    continues with the relaxation u <- (A + theta I)^{-1} (F(u) + theta u),
-    which preserves the same ordering; its one factor is dense by choice (see
-    :mod:`.operator`).  Every step is checked to decrease and to stay below
-    ``top``, for at most ``RELAX_MAXITER`` steps.  A negative node certifies
-    that no positive solution lies below ``top`` (branch ``none``); otherwise
-    the limit is labeled ``branch``.  ``newton_steps`` counts the Newton steps
-    among ``iterations``.
+    Each step is u <- u - J(u_p)^{-1} (A u - F(u)) with
+    J(v) = A - diag(a - f_s(v) - c L_h), L_h the harvest slope bound: monotone
+    Newton (u_p = u) for the first up to ``NEWTON_DESCENT_CAP`` steps, then,
+    once a factor fails (only near or past the fold) or at the cap, chord
+    steps with u_p the last iterate factored at (factored again after a
+    failure: one n x n system is held at a time).  J(top) is SPD for both
+    tops used (J(M) >= A + (p-1) a I; J(v_a) is the Z-matrix
+    A - a + f(v_a)/v_a, null vector v_a > 0, plus (p-1) b v_a^(p-1)), so a
+    failure there raises.  A Cholesky factor (``op.diag_solver``) proves
+    J(u_p) an SPD Z-matrix with nonnegative inverse, and for u <= u_p,
+    G(u) = (J(u_p) - A) u + F(u) has derivative
+    f_s(u_p) - f_s(u) + c (L_h - h_s(u)) >= 0 (f_s is nondecreasing, also on
+    the even extension below 0, and h_s <= L_h): each step
+    u <- J(u_p)^{-1} G(u) decreases and stays above every solution.  Every
+    step is checked to decrease and to stay below ``top``, for at most
+    ``RELAX_MAXITER`` steps.  A negative node certifies that no positive
+    solution lies below ``top`` (branch ``none``); otherwise the limit is
+    labeled ``branch``.  ``newton_steps`` counts the Newton steps among
+    ``iterations``.
     """
-    theta = spec.theta_for(float(top.max()))
     scale = max(1.0, float(np.abs(top).max()))
     # starting points are themselves converged only to ~tol and the noise
     # compounds geometrically, so sub-100*tol drift in the wrong direction is
-    # solver noise, not lost ordering (true theta failures are solution-sized)
+    # solver noise, not lost ordering (true ordering failures are solution-sized)
     slack = max(1e-12 * scale, 100.0 * tol)
     harvest_bound = spec.c * spec.h.deriv_bound() if spec.c > 0 else 0.0
+
+    def jacobian(v):
+        return op.diag_solver(-(spec.a - spec.f.deriv(v) - harvest_bound))
+
     u = np.asarray(top, dtype=float).copy()
-    newton_cap, newton, factor = NEWTON_DESCENT_CAP, 0, None
+    u_p, jac = u, jacobian(u)
+    newton, newton_cap = 0, NEWTON_DESCENT_CAP
     for it in range(1, RELAX_MAXITER + 1):
-        if newton < newton_cap:
+        if newton < newton_cap and u_p is not u:
             jac = None  # free the last factor before the next dense system is built
             try:
-                jac = op.diag_solver(-(spec.a - spec.f.deriv(u) - harvest_bound))
-            except NumericError:
-                newton_cap = newton  # near or past the fold: relax from here on
-        if newton < newton_cap:
+                jac, u_p = jacobian(u), u
+            except NumericError:  # near or past the fold: chord steps from here on
+                newton_cap = newton
+            if jac is None:  # outside the handler, whose traceback holds the failed system
+                jac = jacobian(u_p)
+        if u_p is u:
             newton += 1
-            u_next = u - jac(op.matvec(u) - spec.reaction(u))
-        else:
-            if factor is None:
-                factor = op.diag_solver(theta)
-            u_next = factor(spec.reaction(u) + theta * u)
+        u_next = u - jac(op.matvec(u) - spec.reaction(u))
         drift = u_next - u
         if drift.max() > slack:
             raise MonotonicityError(
                 f"decreasing iteration lost monotonicity at step {it} "
-                f"(worst rise {drift.max():.3e}); shift theta={theta:.3g} too small"
+                f"(worst rise {drift.max():.3e})"
             )
         if (u_next - top).max() > slack:
             raise MonotonicityError(f"iterate exceeded the upper bracket at step {it}")
@@ -580,7 +580,7 @@ def newton_polish(
 ) -> SteadyState:
     """Tighten a converged state with at most 50 damped Newton steps.
 
-    Relaxation stops on step size, which can leave a solution error of
+    The descent stops on step size, which can leave a solution error of
     residual / gap when the linearization is nearly singular; polishing
     brings the residual down to ``max(tol, floor)`` without changing the
     branch.  ``floor = eps * max_i (|A| |u| + |F(u)|)_i`` at the input state

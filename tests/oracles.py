@@ -314,6 +314,19 @@ def oracle_on_grid(symbol, grid, func, pad: int = 6, kernel=None) -> np.ndarray:
 RELAX_MAXITER = 200_000
 
 
+def lipschitz_shift(spec, s_max: float) -> float:
+    """Shift theta that makes ``F(u) + theta u`` nondecreasing on [-s_max, s_max].
+
+    The reaction's slope is at least ``-(a + L_f + c L_h)`` there, with
+    ``L_f`` the crowding slope at ``s_max``; theta is that bound with a 1.1
+    safety factor.
+    """
+    slope = spec.a + spec.f.lipschitz_on(s_max)
+    if spec.c > 0:
+        slope += spec.c * spec.h.deriv_bound()
+    return 1.1 * slope
+
+
 def relax(op, spec, u0, theta: float, tol: float, direction: int,
           lower=None, upper=None, stop_on_negative: bool = False):
     """Shifted relaxation u <- (A + theta I)^{-1} (F(u) + theta u) from ``u0``.
@@ -380,7 +393,7 @@ def monotone_iterate(op, spec, u_lo, u_hi, theta=None, tol: float = 1e-10,
     if start not in ("lo", "hi"):
         raise ConfigurationError("start must be 'lo' or 'hi'")
     if theta is None:
-        theta = spec.theta_for(float(np.abs(u_hi).max()))
+        theta = lipschitz_shift(spec, float(np.abs(u_hi).max()))
     u0, direction = (u_lo, 1) if start == "lo" else (u_hi, -1)
     u, residual, it, _ = relax(op, spec, u0, theta, tol, direction, lower=u_lo, upper=u_hi)
     branch = "logistic" if u.min() > 0 else "none"

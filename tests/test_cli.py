@@ -368,10 +368,10 @@ class TestSteadyCommand:
         solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
         assert set(solvers) == {
             "eigen_iterations", "logistic_steps", "descent_newton_steps",
-            "descent_relaxation_steps"}
+            "descent_chord_steps"}
         assert solvers["logistic_steps"] > 0
         assert solvers["descent_newton_steps"] > 0
-        assert solvers["descent_relaxation_steps"] >= 0
+        assert solvers["descent_chord_steps"] >= 0
 
 
 class TestBifurcate:
@@ -408,7 +408,7 @@ class TestBifurcate:
         rows = (outdir / "bifurcation.csv").read_text().splitlines()[1:]
         assert solvers["scan_probes"] == len(rows)
         assert solvers["descent_newton_steps"] > 0
-        assert solvers["descent_relaxation_steps"] >= 0
+        assert solvers["descent_chord_steps"] >= 0
         # one 20-step continuation from zero, then a few steps per further sample
         existing = sum(r.split(",")[1] == "true" for r in rows)
         assert 20 <= solvers["small_branch_steps"] < 20 * existing

@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,9 @@ from nonlocal_logistic import (
     ConfigurationError,
     DimensionError,
     EigenPair,
+    CrowdingTerm,
     Grid1D,
+    HarvestTerm,
     LevyKernel,
     NumericError,
     OperatorMatrix,
@@ -25,12 +28,14 @@ from nonlocal_logistic import (
     assemble,
     evolve,
     green_solve,
+    maximal_harvest,
     principal_eigenpair,
     solve_logistic,
     stability_index,
     v_profile,
 )
 from nonlocal_logistic.operator import _fast_len, toeplitz_row_sums
+from nonlocal_logistic.steady import NEWTON_DESCENT_CAP
 
 from oracles import (
     OracleDomainError,
@@ -238,6 +243,18 @@ class TestNoDenseOperatorKept:
         spec = ReactionSpec(a=2.0 * eig799.lam)
         op = _frac_op(self.N)
         assert self._peak_bytes(lambda: solve_logistic(op, spec)) < self.ONE_SYSTEM
+
+    def test_descent_past_the_fold_holds_one_system(self, op799, eig799):
+        # c* lies in [0.3145, 0.3164] here: a Jacobian factor fails, and the chord
+        # steps factor the last good one again while the failed system is freed
+        spec = ReactionSpec(a=2.0 * eig799.lam, c=0.32, f=CrowdingTerm(), h=HarvestTerm())
+        va = solve_logistic(op799, replace(spec, c=0.0, h=None), eigenpair=eig799)
+        states = []
+        peak = self._peak_bytes(
+            lambda: states.append(maximal_harvest(op799, spec, v_a=va, eigenpair=eig799)))
+        assert states[0].newton_steps < states[0].iterations
+        assert states[0].newton_steps < NEWTON_DESCENT_CAP
+        assert peak < self.ONE_SYSTEM
 
 
 class TestToeplitzColumn:

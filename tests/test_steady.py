@@ -30,7 +30,7 @@ from nonlocal_logistic import (
 )
 from nonlocal_logistic.steady import NEWTON_DESCENT_CAP, SteadyState
 
-from oracles import monotone_iterate, relax
+from oracles import lipschitz_shift, monotone_iterate, relax
 
 
 class TestCatalog:
@@ -359,7 +359,7 @@ class TestMultistart:
 
 def _relaxation_only(op, spec, va, tol=1e-10):
     """The maximal descent by Lipschitz-shifted relaxation alone, from the logistic state."""
-    theta = spec.theta_for(float(va.u.max()))
+    theta = lipschitz_shift(spec, float(va.u.max()))
     u, residual, it, went_negative = relax(op, spec, va.u, theta, tol, -1, upper=va.u,
                                            stop_on_negative=True)
     assert not went_negative
@@ -400,7 +400,7 @@ class TestNewtonDescent:
         assert state.iterations == state.newton_steps
         assert state.iterations < relaxed.iterations / 10
 
-    def test_relaxation_takes_over_at_the_cap(self, op199, eig199, saturating_scan):
+    def test_chord_takes_over_at_the_cap(self, op199, eig199, saturating_scan):
         spec, scan = saturating_scan
         state, relaxed = self._compare(op199, eig199, replace(spec, c=0.999 * scan.bracket[0]))
         assert state.newton_steps == NEWTON_DESCENT_CAP
@@ -423,7 +423,8 @@ class TestNewtonDescent:
         spec = replace(spec, c=0.999 * scan.bracket[0])
         state = maximal_harvest(op199, spec, eigenpair=eig199)
         assert state.newton_steps == NEWTON_DESCENT_CAP < state.iterations
-        # Newton Jacobians, the relaxation factor, and the logistic solve's Jacobians
+        # the descent's Newton Jacobians (its chord steps reuse the last) and the
+        # logistic solve's Jacobians
         assert len(cholesky) > NEWTON_DESCENT_CAP + 1
         n_descent = len(cholesky)
         stability_index(op199, spec, state)  # the eigen potential
@@ -435,24 +436,70 @@ class TestNewtonDescent:
         assert len(lu) == n_newton + 1
         assert all(cholesky) and all(lu)
 
-    def test_rise_raises_monotonicity_error(self, op199, eig199, steady_cache, monkeypatch):
-        # unshifted relaxation from the logistic state is not monotone: the
-        # descent's rise check stops it at the first rise
-        monkeypatch.setattr(steady_module, "NEWTON_DESCENT_CAP", 0)
-        monkeypatch.setattr(ReactionSpec, "theta_for", lambda self, s_max: 0.0)
-        spec = ReactionSpec(a=2.0 * eig199.lam, c=0.01, f=CrowdingTerm(), h=HarvestTerm())
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
+    def test_rise_raises_monotonicity_error(self, op199, eig199, steady_cache,
+                                            saturating_scan, fraction, monkeypatch):
+        # without the harvest slope bound in J the step is no longer order-preserving
+        # for saturating harvest: the descent's rise check stops it at the first rise
+        monkeypatch.setattr(HarvestTerm, "deriv_bound", lambda self: 0.0)
+        spec, scan = saturating_scan
+        spec = replace(spec, c=fraction * scan.c_star)
         with pytest.raises(MonotonicityError, match="lost monotonicity"):
             maximal_harvest(op199, spec, v_a=steady_cache(2.0), eigenpair=eig199)
 
     def test_double_critical_none_without_monotonicity_error(self, op199, eig199, window_spec,
                                                               scan, saturating_scan):
-        # a negative iterate, of Newton or of the relaxation after it, certifies nonexistence
+        # a negative iterate, of Newton or of the chord steps after it, certifies nonexistence
         sat_spec, sat_scan = saturating_scan
         for spec, c_star in ((window_spec, scan.c_star), (sat_spec, sat_scan.c_star)):
             state = maximal_harvest(op199, replace(spec, c=2.0 * c_star), eigenpair=eig199)
             assert state.branch == "none"
             assert np.all(state.u == 0)
             assert 0 < state.newton_steps <= state.iterations
+
+
+@pytest.fixture(scope="module")
+def relativistic_fold():
+    # relativistic(1, 1), n = 99, a = 1.2 lambda_1, constant yield: the probe at
+    # bracket_hi lies just past the fold, where a Lipschitz-shifted relaxation
+    # after Newton takes 64,748 steps to go negative
+    grid = Grid1D(-1.0, 1.0, 99)
+    op = assemble(grid, LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0)),
+                  far_cutoff=2.0 * grid.width)
+    pair = principal_eigenpair(op)
+    spec = ReactionSpec(a=1.2 * pair.lam, c=1.0, f=CrowdingTerm(), h=HarvestTerm())
+    return op, pair, spec, scan_cstar(op, spec, c_max=1.0, eigenpair=pair)
+
+
+class TestChordDescentAtTheFold:
+    def test_probe_past_the_fold_is_cheap(self, relativistic_fold):
+        _, _, _, scan = relativistic_fold
+        hi = next(s for s in scan.samples if s.c == scan.bracket[1])
+        assert hi.state.branch == "none"
+        assert hi.state.iterations - hi.state.newton_steps < 100
+
+    def test_same_bracket_as_the_relaxation(self, relativistic_fold):
+        # the bracket that Newton plus Lipschitz-shifted relaxation finds;
+        # bisection from c_max = 1 gives dyadic intensities
+        _, _, _, scan = relativistic_fold
+        assert scan.bracket == (1009 / 2 ** 18, 1010 / 2 ** 18)
+        assert [s.exists for s in scan.samples] == [s.c <= scan.bracket[0]
+                                                    for s in scan.samples]
+
+    def test_chord_on_the_top_jacobian_only(self, relativistic_fold, monkeypatch):
+        # with no refactor, chord steps on J(v_a) reach the same state; the first
+        # step, on J(v_a) at v_a, is the one Newton step
+        op, pair, spec, scan = relativistic_fold
+        spec = replace(spec, c=scan.bracket[0])
+        va = solve_logistic(op, replace(spec, c=0.0, h=None), eigenpair=pair)
+        state = maximal_harvest(op, spec, v_a=va, eigenpair=pair)
+        reference = newton_polish(op, spec, state)
+        monkeypatch.setattr(steady_module, "NEWTON_DESCENT_CAP", 0)
+        chord = maximal_harvest(op, spec, v_a=va, eigenpair=pair)
+        assert chord.branch == state.branch == "maximal"
+        assert chord.newton_steps == 1 < chord.iterations
+        assert np.abs(chord.u - reference.u).max() <= 1e-7
+        assert np.abs(state.u - reference.u).max() <= 1e-7
 
 
 @pytest.fixture(scope="module")
