@@ -313,7 +313,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
     # samples come in increasing c: continue the small branch from the last
     # sample it was solved at
     start = None
-    continuation_steps = 0
+    small_newton_steps = 0
     for s in scan.samples:
         sup_u1 = float(s.state.u.max()) if s.exists else float("nan")
         lam_star = float("nan")
@@ -324,7 +324,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
             try:
                 u2 = small_branch(op, spec_c, tol=cfg.tol, start=start)
                 start = (s.c, u2.u)
-                continuation_steps += u2.iterations
+                small_newton_steps += u2.iterations
                 if u2.branch == "small":
                     sup_u2 = float(u2.u.max())
             except NumericError:
@@ -336,7 +336,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
         "descent_newton_steps": sum(s.state.newton_steps for s in scan.samples),
         "descent_chord_steps": sum(
             s.state.iterations - s.state.newton_steps for s in scan.samples),
-        "small_branch_steps": continuation_steps,
+        "small_branch_newton_steps": small_newton_steps,
     })
     out.csvs["bifurcation.csv"] = (
         ["c", "exists", "sup_u1", "sup_u2", "lambda_star"], list(columns)

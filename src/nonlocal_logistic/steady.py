@@ -35,8 +35,7 @@ from .spectral import EigenPair, principal_eigenpair
 # Newton steps of the descent before chord steps on the last factor take
 # over; away from the fold the descent converges in well under this many
 NEWTON_DESCENT_CAP = 50
-RELAX_MAXITER = 200_000  # step cap of the descent
-SMALL_BRANCH_STEPS = 20  # increments of (0, c] when small_branch starts from zero
+DESCENT_MAXITER = 200_000  # step cap of the descent
 
 
 def _field(v) -> np.ndarray | float:
@@ -179,8 +178,8 @@ class SteadyState:
     ``branch`` is one of ``logistic``, ``maximal``, ``small`` (strictly
     positive solutions) or ``none`` (no positive solution accepted; u is
     then the zero placeholder and the residual may be NaN).  ``iterations``
-    counts all solver steps; ``newton_steps`` the Newton steps of the
-    descent among them.
+    counts all solver steps (for the small branch, the Newton steps of every
+    continuation try); ``newton_steps`` the descent's Newton steps among them.
     """
 
     u: np.ndarray
@@ -220,7 +219,7 @@ def _descend(
     the even extension below 0, and h_s <= L_h): each step
     u <- J(u_p)^{-1} G(u) decreases and stays above every solution.  Every
     step is checked to decrease and to stay below ``top``, for at most
-    ``RELAX_MAXITER`` steps.  A negative node certifies that no positive
+    ``DESCENT_MAXITER`` steps.  A negative node certifies that no positive
     solution lies below ``top`` (branch ``none``); otherwise the limit is
     labeled ``branch``.  ``newton_steps`` counts the Newton steps among
     ``iterations``.
@@ -238,7 +237,7 @@ def _descend(
     u = np.asarray(top, dtype=float).copy()
     u_p, jac = u, jacobian(u)
     newton, newton_cap = 0, NEWTON_DESCENT_CAP
-    for it in range(1, RELAX_MAXITER + 1):
+    for it in range(1, DESCENT_MAXITER + 1):
         if newton < newton_cap and u_p is not u:
             jac = None  # free the last factor before the next dense system is built
             try:
@@ -269,7 +268,7 @@ def _descend(
             return SteadyState(u=u, residual=residual, branch=branch, iterations=it,
                                newton_steps=newton)
     raise ConvergenceError(
-        f"monotone iteration hit the cap {RELAX_MAXITER} (last step {step:.3e})"
+        f"monotone iteration hit the cap {DESCENT_MAXITER} (last step {step:.3e})"
     )
 
 
@@ -308,7 +307,7 @@ def maximal_harvest(
 
     The harvest-free solution dominates every harvested solution, so it is
     the supersolution the descent (see :func:`_descend`) starts from; a
-    negative iterate returns branch ``none``.  Each solve takes at most ``RELAX_MAXITER`` steps.
+    negative iterate returns branch ``none``.  Each solve takes at most ``DESCENT_MAXITER`` steps.
     """
     if v_a is None:
         v_a = solve_logistic(op, replace(spec, c=0.0, h=None), tol=tol, eigenpair=eigenpair)
@@ -317,39 +316,45 @@ def maximal_harvest(
     return _descend(op, spec, v_a.u, tol, "maximal")
 
 
-def _newton(
-    op: OperatorMatrix,
-    spec: ReactionSpec,
-    u0: np.ndarray,
-    tol: float,
-    maxiter: int,
-    damped: bool,
-):
-    """Newton iteration on the residual A u - F(u); returns (u, res, ok)."""
+def _newton(op: OperatorMatrix, spec: ReactionSpec, u0: np.ndarray, tol: float, maxiter: int):
+    """Newton iteration on the residual A u - F(u); returns (u, res, ok, steps).
+
+    Each step is halved (at most 50 times) until the residual falls; the one
+    that meets ``tol`` is followed by the simplified Newton correction on its
+    factor, kept if it lowers the residual (Deuflhard 2004): near a fold a
+    stopping residual leaves an error of residual / gap, which it removes.
+    """
+    def residual(v):
+        r = op.matvec(v) - spec.reaction(v)
+        return r, float(np.abs(r).max())
+
     u = np.asarray(u0, dtype=float).copy()
-    r = op.matvec(u) - spec.reaction(u)
-    rn = float(np.abs(r).max())
-    for _ in range(maxiter):
+    r, rn = residual(u)
+    for k in range(maxiter):
         if rn <= tol:
-            return u, rn, True
+            return u, rn, True, k
         try:
-            d = op.diag_solver(-spec.reaction_deriv(u), definite=False)(r)
+            solve = op.diag_solver(-spec.reaction_deriv(u), definite=False)
         except NumericError:
-            return u, rn, False
+            return u, rn, False, k
+        d = solve(r)
         if not np.all(np.isfinite(d)):
-            return u, rn, False
-        t = 1.0
-        for _ in range(50):
+            return u, rn, False, k
+        for t in 0.5 ** np.arange(50):
             u_try = u - t * d
-            r_try = op.matvec(u_try) - spec.reaction(u_try)
-            rn_try = float(np.abs(r_try).max())
-            if rn_try < rn or not damped:
+            r_try, rn_try = residual(u_try)
+            if rn_try < rn:
                 break
-            t *= 0.5
         else:
-            return u, rn, False
+            return u, rn, False, k
         u, r, rn = u_try, r_try, rn_try
-    return u, rn, rn <= tol
+        if rn <= tol:
+            u_try = u - solve(r)
+            r_try, rn_try = residual(u_try)
+            if rn_try < rn:
+                u, r, rn = u_try, r_try, rn_try
+        solve = None  # free this factor before the next one is built
+    return u, rn, rn <= tol, maxiter
 
 
 def small_branch(
@@ -361,36 +366,30 @@ def small_branch(
     """Small-amplitude branch by Newton continuation in c.
 
     Continues from ``start = (c0, u0)``, a solved point of the branch with
-    ``c0 <= spec.c`` (default ``(0, 0)``), to spec.c, re-solving with the
-    previous solution as predictor.  From zero the increment is
-    ``spec.c / SMALL_BRANCH_STEPS``; from ``c0 > 0`` the first try is the
-    whole gap, which bridges consecutive samples of a scan in one step (near
-    the fold they lie close together, and further down the branch is nearly
-    linear).  A Newton solve that fails in 40 steps or meets a singular
-    Jacobian halves the increment.  The result is labeled ``small`` only
-    when strictly positive; ``iterations`` counts accepted continuation
-    steps.  The continuation naturally stops at the branch fold: past it the
-    Jacobian degenerates and the step collapses, raising
-    :class:`ContinuationError`.
+    ``c0 <= spec.c`` (default ``(0, 0)``), to spec.c, first trying the whole
+    gap with the previous solution as predictor: well below the fold one
+    Newton solve bridges it, and near the fold a scan's samples lie close
+    together.  A failed Newton solve (40 steps, stalled backtracking or a
+    singular Jacobian) halves the increment; past the branch fold the
+    Jacobian degenerates and the increment falls below ``spec.c * 2**-16``,
+    raising :class:`ContinuationError`.  The result is labeled ``small`` only
+    when strictly positive; ``iterations`` counts the Newton steps of all tries.
     """
     if spec.c == 0:
         return _none_state(op.n, residual=0.0)
     cur, u = (0.0, np.zeros(op.n)) if start is None else start
     if not 0.0 <= cur <= spec.c:
         raise ConfigurationError("small_branch start must lie in [0, c]")
-    step = spec.c / SMALL_BRANCH_STEPS if cur == 0.0 else spec.c - cur
-    total_newton = 0
+    step, total_newton = spec.c - cur, 0
     while cur < spec.c - 1e-15 * spec.c:
         c_try = min(cur + step, spec.c)
-        u_new, rn, ok = _newton(
-            op, replace(spec, c=c_try), u, tol, 40, damped=False
-        )
+        u_new, _, ok, steps = _newton(op, replace(spec, c=c_try), u, tol, 40)
+        total_newton += steps
         if ok:
             cur, u = c_try, u_new
-            total_newton += 1
             continue
         step *= 0.5
-        if step < spec.c / (SMALL_BRANCH_STEPS * 4096):
+        if step < spec.c * 2**-16:
             raise ContinuationError(
                 f"continuation stalled at c={cur:.6g} (target {spec.c:.6g}); "
                 f"the branch folds before the requested intensity"
@@ -590,7 +589,7 @@ def newton_polish(
     au = np.abs(state.u)
     floor = np.finfo(float).eps * float(np.max(
         2.0 * op.col[0] * au - op.matvec(au) + np.abs(spec.reaction(state.u))))
-    u, rn, ok = _newton(op, spec, state.u, max(tol, floor), 50, damped=True)
+    u, rn, ok, _ = _newton(op, spec, state.u, max(tol, floor), 50)
     if not ok:
         raise ConvergenceError(f"polish stalled at residual {rn:.3e} (rounding floor {floor:.3e})")
     branch = state.branch if u.min() > 0 else "none"
@@ -621,7 +620,7 @@ def newton_multistart(
     for _ in range(n_starts):
         amp = 10.0 ** rng.uniform(-3.0, math.log10(1.2)) * scale
         u0 = amp * rng.uniform(0.5, 1.5, op.n)
-        u, rn, ok = _newton(op, spec, u0, tol, 300, damped=True)
+        u, rn, ok, _ = _newton(op, spec, u0, tol, 300)
         if ok:
             found.append(u)
     return found

@@ -409,9 +409,9 @@ class TestBifurcate:
         assert solvers["scan_probes"] == len(rows)
         assert solvers["descent_newton_steps"] > 0
         assert solvers["descent_chord_steps"] >= 0
-        # one 20-step continuation from zero, then a few steps per further sample
+        # each existing sample is one Newton solve of a few steps from the one below
         existing = sum(r.split(",")[1] == "true" for r in rows)
-        assert 20 <= solvers["small_branch_steps"] < 20 * existing
+        assert existing <= solvers["small_branch_newton_steps"] <= 5 * existing
 
 
 class TestParabolicCommands:

@@ -267,6 +267,21 @@ class TestSmallBranch:
         with pytest.raises(ContinuationError):
             small_branch(op199, replace(window_spec, c=0.1))
 
+    def test_from_zero_below_the_fold_is_one_newton_solve(self, op199, window_spec, scan,
+                                                          monkeypatch):
+        # far below the fold one Newton solve from zero bridges the whole gap,
+        # and each of its steps factors one LU system
+        lu = []
+
+        def recording_lapack(names, arrays):
+            lu.extend(name for name in names if name == "getrf")
+            return get_lapack_funcs(names, arrays)
+
+        monkeypatch.setattr(operator_module, "get_lapack_funcs", recording_lapack)
+        state = small_branch(op199, replace(window_spec, c=scan.bracket[0] / 8))
+        assert state.branch == "small"
+        assert 0 < state.iterations == len(lu) <= 5
+
 
 class TestScan:
     def test_bracket_contract(self, scan):
@@ -537,7 +552,8 @@ class TestNewtonPolish:
 class TestContinuedSmallBranch:
     # Near the fold the Jacobian is nearly singular and a solve's error is its
     # residual over the smallest singular value: at 1e-13 the two paths agree
-    # within 1e-9, at the shipped solver.tol = 1e-10 only within about 1e-5.
+    # within 1e-9, at the shipped solver.tol = 1e-10 only within about 1e-5;
+    # _newton's final simplified correction brings them to 1.1e-12 and 1.2e-9.
     @pytest.mark.parametrize("tol, bound", [(1e-13, 1e-9), (1e-10, 1e-5)])
     def test_matches_from_scratch(self, op199, window_spec, scan, tol, bound):
         samples = [s for s in scan.samples if s.c <= 1.05 * scan.bracket[1]]
@@ -559,9 +575,24 @@ class TestContinuedSmallBranch:
             if ok[0]:
                 err = np.abs(continued.u - scratch.u).max() / np.abs(scratch.u).max()
                 assert err <= bound, f"c = {sample.c}"
-                if sample.c > samples[0].c:
+                # both first try the whole gap: down the ladder from zero is as
+                # short as from the sample below, at bracket_lo it is not
+                assert continued.iterations <= scratch.iterations, f"c = {sample.c}"
+                if sample.c == scan.bracket[0]:
                     assert continued.iterations < scratch.iterations
         assert any(outcomes) and not all(outcomes)
+
+    def test_near_the_fold_accurate_beyond_the_stopping_residual(self, op199, window_spec, scan):
+        # at the shipped tol a residual-only stop leaves an error of residual / gap:
+        # 7.1e-7 relative next to bracket_lo, 3.8e-9 after the simplified correction
+        start = None
+        for sample in (s for s in scan.samples if s.exists):
+            spec = replace(window_spec, c=sample.c)
+            state = small_branch(op199, spec, tol=1e-10, start=start)
+            start = (sample.c, state.u)
+            reference = newton_polish(op199, spec, state, tol=0.0)
+            err = np.abs(state.u - reference.u).max() / np.abs(reference.u).max()
+            assert err <= 1e-8, f"c = {sample.c}"
 
     def test_start_outside_range_rejected(self, op199, window_spec):
         with pytest.raises(ConfigurationError):

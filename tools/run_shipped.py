@@ -1,29 +1,43 @@
 #!/usr/bin/env python3
 """Run every shipped config with every subcommand its header lists.
 
-Usage: python tools/run_shipped.py OUTDIR
+Usage: python tools/run_shipped.py [--rev REV] OUTDIR
 
-For each ``configs/*.cfg`` of this checkout and each subcommand on its
-``# Subcommands:`` line, runs the ``nonlocal-logistic`` console script with
-every output flag that ``cli.FLAGS`` declares for that subcommand, writing
-to ``OUTDIR/<config>-<subcommand>``, and prints each run's wall seconds
-(a fresh process, so start-up included) and their total.  Exits 1 if a
-config has no such line or any run fails, after trying every run.  Run with
-each of two commits' packages installed, then ``diff -r -x manifest.json``
-of the two trees, it is the byte check of a refactor.
+For each ``configs/*.cfg`` and each subcommand on its ``# Subcommands:``
+line, runs the CLI with every output flag that ``cli.FLAGS`` declares for
+that subcommand, writing to ``OUTDIR/<config>-<subcommand>``, and prints
+each run's wall seconds (a fresh process, so start-up included) and their
+total.  Exits 1 if a config has no such line or any run fails, after trying
+every run.
+
+Without ``--rev`` the runs use this checkout's configs and flags and the
+installed ``nonlocal-logistic`` console script.  With ``--rev`` they use a
+temporary ``git worktree`` of REV: its configs, its ``cli.FLAGS``, and
+``python -m nonlocal_logistic.cli`` with its ``src/`` first on
+``PYTHONPATH``, so no install is needed; the worktree is removed afterwards.
+Run for two commits, then ``python tools/compare_outputs.py`` of the two
+output trees, it is the byte check of a refactor.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from nonlocal_logistic.cli import FLAGS
+ROOT = Path(__file__).resolve().parents[1]
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# prints the module file and, per flag, the subcommands that honour it
+FLAGS_QUERY = (
+    "import json; from nonlocal_logistic import cli; "
+    "print(json.dumps([cli.__file__, {f: list(h) for f, (h, _) in cli.FLAGS.items()}]))"
+)
 
 
 def claimed_subcommands(config: Path) -> list[str]:
@@ -34,37 +48,71 @@ def claimed_subcommands(config: Path) -> list[str]:
     return []
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/run_shipped.py OUTDIR", file=sys.stderr)
-        return 2
-    outdir = Path(argv[0])
-    script = shutil.which("nonlocal-logistic")
-    if script is None:
-        print("the nonlocal-logistic console script is not on PATH: pip install -e .",
-              file=sys.stderr)
-        return 2
+def run_all(configs: Path, honoured: dict[str, list[str]], command: list[str],
+            outdir: Path, env: dict[str, str] | None = None) -> int:
+    """Run ``command`` for every config and claimed subcommand; 1 on any failure."""
     failed = []
     total = 0.0
-    for config in sorted(CONFIGS.glob("*.cfg")):
+    for config in sorted(configs.glob("*.cfg")):
         subcommands = claimed_subcommands(config)
         if not subcommands:
             failed.append(f"{config.name} has no '# Subcommands:' line")
         for name in subcommands:
-            flags = [flag for flag, (honoured, _) in FLAGS.items() if name in honoured]
-            cmd = [script, name, "--config", str(config),
+            flags = [flag for flag, names in honoured.items() if name in names]
+            cmd = [*command, name, "--config", str(config),
                    "--output", str(outdir / f"{config.stem}-{name}"), *flags]
             start = time.perf_counter()
-            code = subprocess.run(cmd).returncode
+            code = subprocess.run(cmd, env=env).returncode
             seconds = time.perf_counter() - start
             total += seconds
-            print(f"{seconds:7.3f} s  {' '.join(cmd[1:])}", flush=True)
+            print(f"{seconds:7.3f} s  {' '.join(cmd[len(command):])}", flush=True)
             if code != 0:
                 failed.append(f"{config.name} {name}: exit {code}")
     print(f"{total:7.3f} s  total", flush=True)
     for line in failed:
         print(f"FAILED {line}", file=sys.stderr)
     return 1 if failed else 0
+
+
+def run_rev(rev: str, outdir: Path) -> int:
+    """Run the shipped configs of ``rev`` from a temporary worktree of it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), rev],
+                       check=True)
+        try:
+            src = tree / "src"
+            path = os.environ.get("PYTHONPATH")
+            env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
+            query = subprocess.run([sys.executable, "-c", FLAGS_QUERY], env=env, check=True,
+                                   capture_output=True, text=True)
+            module, honoured = json.loads(query.stdout)
+            if not Path(module).resolve().is_relative_to(src.resolve()):
+                print(f"imported {module}, not the worktree's program", file=sys.stderr)
+                return 2
+            return run_all(tree / "configs", honoured,
+                           [sys.executable, "-m", "nonlocal_logistic.cli"], outdir, env)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--rev", help="run this commit's configs and program, from a worktree")
+    args = parser.parse_args(argv)
+    if args.rev is not None:
+        return run_rev(args.rev, args.outdir)
+    script = shutil.which("nonlocal-logistic")
+    if script is None:
+        print("the nonlocal-logistic console script is not on PATH: pip install -e .",
+              file=sys.stderr)
+        return 2
+    from nonlocal_logistic.cli import FLAGS
+
+    honoured = {flag: list(names) for flag, (names, _) in FLAGS.items()}
+    return run_all(ROOT / "configs", honoured, [script], args.outdir)
 
 
 if __name__ == "__main__":
