@@ -7,7 +7,8 @@ call per cell, operator values by direct quadrature of the singular
 integral on callables or by a Fourier multiplier on a periodic box, and
 the maximal steady state by the monotone iteration between a sub- and a
 supersolution, written as a plain loop over the dense matrix with one
-scipy Cholesky factor.  Killed paths are stepped one at a time by a scalar
+scipy Cholesky factor; a solution near a given state is refined by full
+Newton steps with numpy's dense solver.  Killed paths are stepped one at a time by a scalar
 loop instead of the batched path engine, and path traces are built as
 sorted row tuples.  Toeplitz solves apply the Gohberg-Semencul formula with
 six separate FFTs, and CSV text is formatted row by row.  No function here
@@ -398,6 +399,28 @@ def monotone_iterate(op, spec, u_lo, u_hi, theta=None, tol: float = 1e-10,
     u, residual, it, _ = relax(op, spec, u0, theta, tol, direction, lower=u_lo, upper=u_hi)
     branch = "logistic" if u.min() > 0 else "none"
     return SteadyState(u=u, residual=residual, branch=branch, iterations=it)
+
+
+def newton_reference(op, spec, u0, max_steps: int = 20) -> np.ndarray:
+    """A solution near ``u0`` by full Newton steps on the dense system.
+
+    Each step solves ``(A - diag F'(u)) d = A u - F(u)`` with numpy's dense
+    solver: no backtracking, no residual stop and no reuse of a factor.  It
+    stops before the first step that is not smaller than the one before, so
+    the error is set by the rounding of the steps, not by a residual over
+    the gap of a nearly singular Jacobian.
+    """
+    a = op.matrix
+    u = np.asarray(u0, dtype=float).copy()
+    last = math.inf
+    for _ in range(max_steps):
+        d = np.linalg.solve(a - np.diag(spec.reaction_deriv(u)), a @ u - spec.reaction(u))
+        size = float(np.abs(d).max())
+        if size >= last:
+            return u
+        u -= d
+        last = size
+    raise ConvergenceError(f"reference Newton still moving after {max_steps} steps ({last:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""tools/run_shipped.py --rev: the shipped runs of another commit, from a worktree."""
+"""tools/run_shipped.py: the shipped runs of a tree's program, this checkout or a worktree."""
 
 import importlib.util
 import json
@@ -15,20 +15,22 @@ run_shipped = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(run_shipped)
 
 HONOURED = {"--dump-matrix": ["eigen", "steady"], "--trace-paths": ["mc-check"]}
+GIT = ["git", "-C", str(run_shipped.ROOT), "worktree"]
 
 
-class FakeGit:
+class FakeRun:
     """Stands in for ``subprocess.run``: a worktree with two configs, scripted runs."""
 
-    def __init__(self, exit_code=0, module=None):
+    def __init__(self, exit_code=0, module=None, remove_code=0):
         self.calls = []
         self.tree = None
         self.exit_code = exit_code
         self.module = module
+        self.remove_code = remove_code
 
     def __call__(self, cmd, env=None, **kwargs):
         self.calls.append((list(cmd), env))
-        if cmd[:4] == ["git", "-C", str(run_shipped.ROOT), "worktree"] and cmd[4] == "add":
+        if cmd[:5] == [*GIT, "add"]:
             self.tree = Path(cmd[6])
             (self.tree / "configs").mkdir(parents=True)
             (self.tree / "src" / "nonlocal_logistic").mkdir(parents=True)
@@ -36,9 +38,13 @@ class FakeGit:
             (self.tree / "configs" / "b.cfg").write_text("# Subcommands: mc-check\n")
             return subprocess.CompletedProcess(cmd, 0)
         if cmd[1:3] == ["-c", run_shipped.FLAGS_QUERY]:
-            module = self.module or self.tree / "src" / "nonlocal_logistic" / "cli.py"
+            # the program the first PYTHONPATH entry holds, unless told otherwise
+            first = env["PYTHONPATH"].split(os.pathsep)[0]
+            module = self.module or Path(first) / "nonlocal_logistic" / "cli.py"
             return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps([str(module), HONOURED]))
-        if cmd[4:5] == ["remove"]:
+        if cmd[:5] == [*GIT, "remove"]:
+            return subprocess.CompletedProcess(cmd, self.remove_code)
+        if cmd[:5] == [*GIT, "prune"]:
             return subprocess.CompletedProcess(cmd, 0)
         return subprocess.CompletedProcess(cmd, self.exit_code)
 
@@ -46,48 +52,73 @@ class FakeGit:
 @pytest.fixture
 def fake(monkeypatch):
     def install(**kwargs):
-        git = FakeGit(**kwargs)
-        monkeypatch.setattr(run_shipped.subprocess, "run", git)
-        return git
+        run = FakeRun(**kwargs)
+        monkeypatch.setattr(run_shipped.subprocess, "run", run)
+        return run
     return install
 
 
-def _runs(git):
-    return [(cmd, env) for cmd, env in git.calls if cmd[1:3] == ["-m", "nonlocal_logistic.cli"]]
+def _runs(run):
+    return [(cmd, env) for cmd, env in run.calls if cmd[1:3] == ["-m", "nonlocal_logistic.cli"]]
+
+
+def _expected(configs, outdir, runs):
+    return [
+        [sys.executable, "-m", "nonlocal_logistic.cli", name, "--config",
+         str(configs / f"{stem}.cfg"), "--output", str(outdir / f"{stem}-{name}"), *flags]
+        for stem, name, flags in runs
+    ]
 
 
 def test_rev_runs_the_worktree_program_and_removes_it(fake, tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
-    git = fake()
+    run = fake()
     assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 0
-    add, remove = git.calls[0][0], git.calls[-1][0]
-    root = str(run_shipped.ROOT)
-    assert add == ["git", "-C", root, "worktree", "add", "--detach", str(git.tree), "abc123"]
-    assert remove == ["git", "-C", root, "worktree", "remove", "--force", str(git.tree)]
-    runs = _runs(git)
-    configs = git.tree / "configs"
-    expected = [
+    assert run.calls[0][0] == [*GIT, "add", "--detach", str(run.tree), "abc123"]
+    assert [cmd for cmd, _ in run.calls[-2:]] == [
+        [*GIT, "remove", "--force", str(run.tree)], [*GIT, "prune"]]
+    runs = _runs(run)
+    assert [cmd for cmd, _ in runs] == _expected(run.tree / "configs", tmp_path / "out", [
         ("a", "eigen", ["--dump-matrix"]), ("a", "steady", ["--dump-matrix"]),
         ("b", "mc-check", ["--trace-paths"]),
-    ]
-    assert [cmd for cmd, _ in runs] == [
-        [sys.executable, "-m", "nonlocal_logistic.cli", name, "--config",
-         str(configs / f"{stem}.cfg"), "--output", str(tmp_path / "out" / f"{stem}-{name}"), *flags]
-        for stem, name, flags in expected
-    ]
-    src = str(git.tree / "src")
+    ])
+    src = str(run.tree / "src")
     assert all(env["PYTHONPATH"] == f"{src}{os.pathsep}elsewhere" for _, env in runs)
 
 
+def test_checkout_runs_its_own_program(fake, tmp_path, monkeypatch):
+    # without --rev the same command runs this checkout's configs, with no worktree
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    run = fake()
+    assert run_shipped.main([str(tmp_path / "out")]) == 0
+    assert not any(cmd[:2] == ["git", "-C"] for cmd, _ in run.calls)
+    configs = run_shipped.ROOT / "configs"
+    claimed = [(config.stem, name) for config in sorted(configs.glob("*.cfg"))
+               for name in run_shipped.claimed_subcommands(config)]
+    runs = _runs(run)
+    assert claimed and [cmd for cmd, _ in runs] == _expected(configs, tmp_path / "out", [
+        (stem, name, [flag for flag, names in HONOURED.items() if name in names])
+        for stem, name in claimed
+    ])
+    assert all(env["PYTHONPATH"] == str(run_shipped.ROOT / "src") for _, env in runs)
+
+
 def test_rev_removes_the_worktree_after_a_failed_run(fake, tmp_path):
-    git = fake(exit_code=3)
+    run = fake(exit_code=3)
     assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 1
-    assert len(_runs(git)) == 3
-    assert git.calls[-1][0][3:5] == ["worktree", "remove"]
+    assert len(_runs(run)) == 3
+    assert [cmd[3:5] for cmd, _ in run.calls[-2:]] == [["worktree", "remove"], ["worktree", "prune"]]
+
+
+def test_failed_removal_keeps_the_result_and_prunes(fake, tmp_path, capsys):
+    run = fake(exit_code=3, remove_code=128)
+    assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 1
+    assert run.calls[-1][0] == [*GIT, "prune"]
+    assert "could not remove the worktree" in capsys.readouterr().err
 
 
 def test_rev_refuses_a_program_from_outside_the_worktree(fake, tmp_path):
-    git = fake(module=tmp_path / "installed" / "cli.py")
+    run = fake(module=tmp_path / "installed" / "cli.py")
     assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 2
-    assert _runs(git) == []
-    assert git.calls[-1][0][3:5] == ["worktree", "remove"]
+    assert _runs(run) == []
+    assert [cmd[3:5] for cmd, _ in run.calls[-2:]] == [["worktree", "remove"], ["worktree", "prune"]]

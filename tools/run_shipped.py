@@ -10,13 +10,12 @@ each run's wall seconds (a fresh process, so start-up included) and their
 total.  Exits 1 if a config has no such line or any run fails, after trying
 every run.
 
-Without ``--rev`` the runs use this checkout's configs and flags and the
-installed ``nonlocal-logistic`` console script.  With ``--rev`` they use a
-temporary ``git worktree`` of REV: its configs, its ``cli.FLAGS``, and
-``python -m nonlocal_logistic.cli`` with its ``src/`` first on
-``PYTHONPATH``, so no install is needed; the worktree is removed afterwards.
-Run for two commits, then ``python tools/compare_outputs.py`` of the two
-output trees, it is the byte check of a refactor.
+The runs take a tree's configs and ``cli.FLAGS`` and run
+``python -m nonlocal_logistic.cli`` with the tree's ``src/`` first on
+``PYTHONPATH``, so no install is needed.  The tree is this checkout, or with
+``--rev`` a temporary ``git worktree`` of REV, removed afterwards.  Run for
+two commits, then ``python tools/compare_outputs.py`` of the two output
+trees, it is the byte check of a refactor.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -74,27 +72,37 @@ def run_all(configs: Path, honoured: dict[str, list[str]], command: list[str],
     return 1 if failed else 0
 
 
+def run_tree(tree: Path, outdir: Path) -> int:
+    """Run the shipped configs of ``tree`` by its own program; 2 if another is imported."""
+    src = tree / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
+    query = subprocess.run([sys.executable, "-c", FLAGS_QUERY], env=env, check=True,
+                           capture_output=True, text=True)
+    module, honoured = json.loads(query.stdout)
+    if not Path(module).resolve().is_relative_to(src.resolve()):
+        print(f"imported {module}, not the program of {tree}", file=sys.stderr)
+        return 2
+    return run_all(tree / "configs", honoured,
+                   [sys.executable, "-m", "nonlocal_logistic.cli"], outdir, env)
+
+
 def run_rev(rev: str, outdir: Path) -> int:
     """Run the shipped configs of ``rev`` from a temporary worktree of it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), rev],
-                       check=True)
-        try:
-            src = tree / "src"
-            path = os.environ.get("PYTHONPATH")
-            env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else str(src))
-            query = subprocess.run([sys.executable, "-c", FLAGS_QUERY], env=env, check=True,
-                                   capture_output=True, text=True)
-            module, honoured = json.loads(query.stdout)
-            if not Path(module).resolve().is_relative_to(src.resolve()):
-                print(f"imported {module}, not the worktree's program", file=sys.stderr)
-                return 2
-            return run_all(tree / "configs", honoured,
-                           [sys.executable, "-m", "nonlocal_logistic.cli"], outdir, env)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+    git = ["git", "-C", str(ROOT), "worktree"]
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "tree"
+            subprocess.run([*git, "add", "--detach", str(tree), rev], check=True)
+            try:
+                return run_tree(tree, outdir)
+            finally:
+                if subprocess.run([*git, "remove", "--force", str(tree)]).returncode != 0:
+                    print(f"warning: could not remove the worktree {tree}", file=sys.stderr)
+    finally:
+        # drops the registration of a worktree whose directory is gone: a failed
+        # remove above, or an earlier run that was killed
+        subprocess.run([*git, "prune"])
 
 
 def main(argv: list[str]) -> int:
@@ -102,17 +110,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--rev", help="run this commit's configs and program, from a worktree")
     args = parser.parse_args(argv)
-    if args.rev is not None:
-        return run_rev(args.rev, args.outdir)
-    script = shutil.which("nonlocal-logistic")
-    if script is None:
-        print("the nonlocal-logistic console script is not on PATH: pip install -e .",
-              file=sys.stderr)
-        return 2
-    from nonlocal_logistic.cli import FLAGS
-
-    honoured = {flag: list(names) for flag, (names, _) in FLAGS.items()}
-    return run_all(ROOT / "configs", honoured, [script], args.outdir)
+    if args.rev is None:
+        return run_tree(ROOT, args.outdir)
+    return run_rev(args.rev, args.outdir)
 
 
 if __name__ == "__main__":
