@@ -310,10 +310,10 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
         tol=cfg.tol, eigenpair=pair,
     )
     columns = ([], [], [], [], [])  # c, exists, sup_u1, sup_u2, lambda_star
-    # samples come in increasing c: continue the small branch from the last
-    # sample it was solved at
-    start = None
-    small_newton_steps = 0
+    # samples come in increasing c: the last small state is the predictor of
+    # the next sample's small-branch solve
+    u0 = None
+    small_newton_steps = small_failures = 0
     for s in scan.samples:
         sup_u1 = float(s.state.u.max()) if s.exists else float("nan")
         lam_star = float("nan")
@@ -322,13 +322,15 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
             spec_c = replace(spec, c=s.c)
             lam_star = stability_index(op, spec_c, s.state, tol=cfg.tol).lambda_star
             try:
-                u2 = small_branch(op, spec_c, tol=cfg.tol, start=start)
-                start = (s.c, u2.u)
+                u2 = small_branch(op, spec_c, tol=cfg.tol, u0=u0)
                 small_newton_steps += u2.iterations
-                if u2.branch == "small":
-                    sup_u2 = float(u2.u.max())
             except NumericError:
-                pass
+                u2 = None
+            if u2 is not None and u2.branch == "small":
+                sup_u2 = float(u2.u.max())
+                u0 = u2.u
+            else:
+                small_failures += 1
         for col, value in zip(columns, (s.c, s.exists, sup_u1, sup_u2, lam_star)):
             col.append(value)
     out.solvers.update({
@@ -337,6 +339,7 @@ def run_bifurcate(cfg: RunConfig, args) -> RunOutput:
         "descent_chord_steps": sum(
             s.state.iterations - s.state.newton_steps for s in scan.samples),
         "small_branch_newton_steps": small_newton_steps,
+        "small_branch_failures": small_failures,
     })
     out.csvs["bifurcation.csv"] = (
         ["c", "exists", "sup_u1", "sup_u2", "lambda_star"], list(columns)

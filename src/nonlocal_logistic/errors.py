@@ -39,7 +39,7 @@ class ConstructionError(NumericError):
 
 
 class ContinuationError(NumericError):
-    """Parameter continuation failed (singular Jacobian or divergence)."""
+    """A small-branch Newton solve failed from its predictor (singular Jacobian or no descent)."""
 
 
 class SpectralProximityError(NumericError):

@@ -279,8 +279,6 @@ class OperatorMatrix:
                 return potrs(factor, b, lower=False)[0]
 
             return cholesky_solve
-        # 1-norm of the system from the column (it is symmetric)
-        anorm = float(np.max(self.radii() + np.abs(np.diagonal(m))))
         getrf, getrs, gecon = get_lapack_funcs(("getrf", "getrs", "gecon"), (m,))
         lu, piv, info = getrf(m, overwrite_a=True)
         if info > 0:
@@ -290,6 +288,9 @@ class OperatorMatrix:
             return getrs(lu, piv, b)[0]
 
         def gap() -> float:
+            # 1-norm of the system from the column (it is symmetric); its
+            # diagonal as shifted() forms it
+            anorm = float(np.max(self.radii() + np.abs(self.col[0] + np.asarray(d, dtype=float))))
             return float(gecon(lu, anorm, norm="1")[0] * anorm)
 
         solve.gap = gap

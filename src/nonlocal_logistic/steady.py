@@ -6,7 +6,7 @@ term.  The pure logistic solution and the maximal harvested branch are the
 largest fixed point below a supersolution (the constant a-priori bound, or
 the harvest-free state), both reached by one ordered descent of Newton and
 then chord steps (Ortega & Rheinboldt 1970, sec. 13.3).  Also provides the
-small branch by Newton continuation in c, the critical-harvest scan, and
+small branch by Newton from a predictor, the critical-harvest scan, and
 linearized stability indices.  The descent's oracle, the monotone iteration
 between a sub- and a supersolution, lives in ``tests/oracles.py`` and
 shares none of this code.
@@ -99,7 +99,7 @@ class HarvestTerm:
 
     The saturating factor has value q > 0 at s = 0 and tends to 1; for
     s < 0 it continues linearly with its slope at zero, matching the C^1
-    extension used by the small-branch continuation.
+    extension used by the small-branch Newton solve.
     """
 
     kind: str = "constant_yield"
@@ -178,8 +178,8 @@ class SteadyState:
     ``branch`` is one of ``logistic``, ``maximal``, ``small`` (strictly
     positive solutions) or ``none`` (no positive solution accepted; u is
     then the zero placeholder and the residual may be NaN).  ``iterations``
-    counts all solver steps (for the small branch, the Newton steps of every
-    continuation try); ``newton_steps`` the descent's Newton steps among them.
+    counts all solver steps (for the small branch, the steps of its one Newton
+    solve); ``newton_steps`` the descent's Newton steps among them.
     """
 
     u: np.ndarray
@@ -361,42 +361,26 @@ def small_branch(
     op: OperatorMatrix,
     spec: ReactionSpec,
     tol: float = 1e-10,
-    start: tuple[float, np.ndarray] | None = None,
+    u0: np.ndarray | None = None,
 ) -> SteadyState:
-    """Small-amplitude branch by Newton continuation in c.
+    """Small-amplitude branch at spec.c by one Newton solve from the predictor ``u0``.
 
-    Continues from ``start = (c0, u0)``, a solved point of the branch with
-    ``c0 <= spec.c`` (default ``(0, 0)``), to spec.c, first trying the whole
-    gap with the previous solution as predictor: well below the fold one
-    Newton solve bridges it, and near the fold a scan's samples lie close
-    together.  A failed Newton solve (40 steps, stalled backtracking or a
-    singular Jacobian) halves the increment; past the branch fold the
-    Jacobian degenerates and the increment falls below ``spec.c * 2**-16``,
-    raising :class:`ContinuationError`.  The result is labeled ``small`` only
-    when strictly positive; ``iterations`` counts the Newton steps of all tries.
+    The predictor is zero (the default) or a solved state of the branch at a
+    lower c, so a scan's samples in increasing c are a continuation: well
+    below the fold the solve from zero reaches the branch, and near the fold
+    the samples lie close together.  A failed solve (40 steps, stalled
+    backtracking or a singular Jacobian, as past the branch fold) raises
+    :class:`ContinuationError`.  The result is labeled ``small`` only when
+    strictly positive; at c = 0 it is the zero state, labeled ``none``.
     """
-    if spec.c == 0:
-        return _none_state(op.n, residual=0.0)
-    cur, u = (0.0, np.zeros(op.n)) if start is None else start
-    if not 0.0 <= cur <= spec.c:
-        raise ConfigurationError("small_branch start must lie in [0, c]")
-    step, total_newton = spec.c - cur, 0
-    while cur < spec.c - 1e-15 * spec.c:
-        c_try = min(cur + step, spec.c)
-        u_new, _, ok, steps = _newton(op, replace(spec, c=c_try), u, tol, 40)
-        total_newton += steps
-        if ok:
-            cur, u = c_try, u_new
-            continue
-        step *= 0.5
-        if step < spec.c * 2**-16:
-            raise ContinuationError(
-                f"continuation stalled at c={cur:.6g} (target {spec.c:.6g}); "
-                f"the branch folds before the requested intensity"
-            )
-    residual = float(np.abs(op.matvec(u) - spec.reaction(u)).max())
+    u, residual, ok, steps = _newton(op, spec, np.zeros(op.n) if u0 is None else u0, tol, 40)
+    if not ok:
+        raise ContinuationError(
+            f"Newton failed at c={spec.c:.6g} after {steps} steps (residual {residual:.3g}); "
+            f"the branch may fold before the requested intensity"
+        )
     branch = "small" if u.min() > 0 else "none"
-    return SteadyState(u=u, residual=residual, branch=branch, iterations=total_newton)
+    return SteadyState(u=u, residual=residual, branch=branch, iterations=steps)
 
 
 @dataclass

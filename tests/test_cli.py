@@ -13,7 +13,8 @@ import pytest
 
 import nonlocal_logistic
 from nonlocal_logistic import (
-    BernsteinSymbol, SubordinatorSampler, assemble, mc_green, survival_lambda1,
+    BernsteinSymbol, ContinuationError, SubordinatorSampler, assemble, mc_green,
+    survival_lambda1,
 )
 from nonlocal_logistic.cli import CSV_BLOCK, SUBCOMMANDS, RunOutput, build_parser, main
 from nonlocal_logistic.config import load_config
@@ -412,6 +413,32 @@ class TestBifurcate:
         # each existing sample is one Newton solve of a few steps from the one below
         existing = sum(r.split(",")[1] == "true" for r in rows)
         assert existing <= solvers["small_branch_newton_steps"] <= 5 * existing
+        assert solvers["small_branch_failures"] == 0
+
+    def test_failed_small_branch_is_counted(self, tmp_path, monkeypatch):
+        # a sample whose small-branch solve raises keeps sup_u2 = nan, the
+        # manifest counts it, and the next sample starts from the last good state
+        import nonlocal_logistic.cli as cli
+
+        solve = cli.small_branch
+        predictors, states = [], []
+
+        def failing_third(op, spec, tol, u0=None):
+            predictors.append(u0)
+            if len(predictors) == 3:
+                raise ContinuationError("planted failure")
+            states.append(solve(op, spec, tol=tol, u0=u0))
+            return states[-1]
+
+        monkeypatch.setattr(cli, "small_branch", failing_third)
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
+        outdir = tmp_path / "bifurcate"
+        assert main(["bifurcate", "--config", str(cfg), "--output", str(outdir)]) == 0
+        solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
+        rows = [r.split(",") for r in (outdir / "bifurcation.csv").read_text().splitlines()[1:]]
+        lost = sum(r[1] == "true" and r[3] == "nan" for r in rows)
+        assert solvers["small_branch_failures"] == 1 == lost
+        assert len(predictors) > 3 and predictors[3] is states[1].u
 
 
 class TestParabolicCommands:

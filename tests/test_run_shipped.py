@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from nonlocal_logistic.config import load_config
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "run_shipped.py"
 _spec = importlib.util.spec_from_file_location("run_shipped", TOOL)
 run_shipped = importlib.util.module_from_spec(_spec)
@@ -17,12 +19,38 @@ _spec.loader.exec_module(run_shipped)
 HONOURED = {"--dump-matrix": ["eigen", "steady"], "--trace-paths": ["mc-check"]}
 GIT = ["git", "-C", str(run_shipped.ROOT), "worktree"]
 
+# the worktree's own workload table: two runs, the interface of perfbench/workloads.py
+FAKE_WORKLOADS = """
+from dataclasses import dataclass
+
+WORKLOADS = ("scan",)
+
+
+@dataclass
+class CliRun:
+    name: str
+    config: dict
+
+    def argv(self, config_path, outdir):
+        return ["bifurcate", "--config", str(config_path), "--output", str(outdir),
+                "--workers", "1"]
+
+
+def runs_for(workload):
+    return [CliRun("scan-63", {"n": 63}), CliRun("scan-99", {"n": 99})]
+
+
+def config_text(blocks):
+    return "".join(f"{key} = {value}\\n" for key, value in blocks.items())
+"""
+
 
 class FakeRun:
     """Stands in for ``subprocess.run``: a worktree with two configs, scripted runs."""
 
     def __init__(self, exit_code=0, module=None, remove_code=0):
         self.calls = []
+        self.configs = {}  # config text of each CLI run, read when it is issued
         self.tree = None
         self.exit_code = exit_code
         self.module = module
@@ -36,6 +64,8 @@ class FakeRun:
             (self.tree / "src" / "nonlocal_logistic").mkdir(parents=True)
             (self.tree / "configs" / "a.cfg").write_text("# Subcommands: eigen, steady\n")
             (self.tree / "configs" / "b.cfg").write_text("# Subcommands: mc-check\n")
+            (self.tree / "perfbench").mkdir()
+            (self.tree / "perfbench" / "workloads.py").write_text(FAKE_WORKLOADS)
             return subprocess.CompletedProcess(cmd, 0)
         if cmd[1:3] == ["-c", run_shipped.FLAGS_QUERY]:
             # the program the first PYTHONPATH entry holds, unless told otherwise
@@ -46,6 +76,8 @@ class FakeRun:
             return subprocess.CompletedProcess(cmd, self.remove_code)
         if cmd[:5] == [*GIT, "prune"]:
             return subprocess.CompletedProcess(cmd, 0)
+        config = Path(cmd[cmd.index("--config") + 1])
+        self.configs[config] = config.read_text()
         return subprocess.CompletedProcess(cmd, self.exit_code)
 
 
@@ -58,8 +90,21 @@ def fake(monkeypatch):
     return install
 
 
-def _runs(run):
+def _cli_runs(run):
     return [(cmd, env) for cmd, env in run.calls if cmd[1:3] == ["-m", "nonlocal_logistic.cli"]]
+
+
+def _workload(cmd):
+    return Path(cmd[cmd.index("--output") + 1]).parent.name == "workloads"
+
+
+def _runs(run):
+    """The runs of the shipped configs."""
+    return [(cmd, env) for cmd, env in _cli_runs(run) if not _workload(cmd)]
+
+
+def _workload_runs(run):
+    return [(cmd, env) for cmd, env in _cli_runs(run) if _workload(cmd)]
 
 
 def _expected(configs, outdir, runs):
@@ -101,6 +146,32 @@ def test_checkout_runs_its_own_program(fake, tmp_path, monkeypatch):
         for stem, name in claimed
     ])
     assert all(env["PYTHONPATH"] == str(run_shipped.ROOT / "src") for _, env in runs)
+    # then every benchmark workload run, each with a config the program loads
+    workload_runs = _workload_runs(run)
+    outputs = [cmd[cmd.index("--output") + 1] for cmd, _ in workload_runs]
+    assert workload_runs and len(set(outputs)) == len(outputs)
+    assert _cli_runs(run)[-len(workload_runs):] == workload_runs
+    for cmd, env in workload_runs:
+        assert env["PYTHONPATH"] == str(run_shipped.ROOT / "src")
+        load_config(run.configs[Path(cmd[cmd.index("--config") + 1])])
+
+
+def test_rev_runs_the_worktree_workloads(fake, tmp_path):
+    # the worktree's own workload table, each run with its rendered config,
+    # into OUTDIR/workloads/<run name>
+    run = fake()
+    assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 0
+    workload_runs = _workload_runs(run)
+    assert [cmd[3:5] + cmd[6:] for cmd, _ in workload_runs] == [
+        ["bifurcate", "--config", "--output", str(tmp_path / "out" / "workloads" / name),
+         "--workers", "1"]
+        for name in ("scan-63", "scan-99")
+    ]
+    assert [(config.name, text) for config, text in run.configs.items()
+            if config.name.startswith("scan")] == [("scan-63.cfg", "n = 63\n"),
+                                                   ("scan-99.cfg", "n = 99\n")]
+    src = str(run.tree / "src")
+    assert all(env["PYTHONPATH"].split(os.pathsep)[0] == src for _, env in workload_runs)
 
 
 def test_rev_removes_the_worktree_after_a_failed_run(fake, tmp_path):
@@ -120,5 +191,5 @@ def test_failed_removal_keeps_the_result_and_prunes(fake, tmp_path, capsys):
 def test_rev_refuses_a_program_from_outside_the_worktree(fake, tmp_path):
     run = fake(module=tmp_path / "installed" / "cli.py")
     assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 2
-    assert _runs(run) == []
+    assert _cli_runs(run) == []
     assert [cmd[3:5] for cmd, _ in run.calls[-2:]] == [["worktree", "remove"], ["worktree", "prune"]]

@@ -263,9 +263,26 @@ class TestSmallBranch:
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 0.4 * norms[0]
 
-    def test_fold_raises_continuation_error(self, op199, window_spec):
+    def test_fold_raises_continuation_error(self, op199, window_spec, monkeypatch):
+        # past the fold the one Newton solve fails, with no further tries:
+        # at most one LU factor per step of its 40
+        calls, lu = [], []
+        newton = steady_module._newton
+
+        def recording_newton(*args):
+            calls.append(args)
+            return newton(*args)
+
+        def recording_lapack(names, arrays):
+            lu.extend(name for name in names if name == "getrf")
+            return get_lapack_funcs(names, arrays)
+
+        monkeypatch.setattr(steady_module, "_newton", recording_newton)
+        monkeypatch.setattr(operator_module, "get_lapack_funcs", recording_lapack)
         with pytest.raises(ContinuationError):
             small_branch(op199, replace(window_spec, c=0.1))
+        assert len(calls) == 1
+        assert len(lu) <= 40
 
     def test_from_zero_below_the_fold_is_one_newton_solve(self, op199, window_spec, scan,
                                                           monkeypatch):
@@ -557,7 +574,7 @@ class TestContinuedSmallBranch:
     @pytest.mark.parametrize("tol, bound", [(1e-13, 1e-9), (1e-10, 1e-5)])
     def test_matches_from_scratch(self, op199, window_spec, scan, tol, bound):
         samples = [s for s in scan.samples if s.c <= 1.05 * scan.bracket[1]]
-        start, outcomes = None, []
+        u0, outcomes = None, []
         for sample in samples:
             spec = replace(window_spec, c=sample.c)
             try:
@@ -565,8 +582,8 @@ class TestContinuedSmallBranch:
             except ContinuationError:
                 scratch = None
             try:
-                continued = small_branch(op199, spec, tol=tol, start=start)
-                start = (sample.c, continued.u)
+                continued = small_branch(op199, spec, tol=tol, u0=u0)
+                u0 = continued.u
             except ContinuationError:
                 continued = None
             ok = [s is not None and s.branch == "small" for s in (scratch, continued)]
@@ -575,8 +592,8 @@ class TestContinuedSmallBranch:
             if ok[0]:
                 err = np.abs(continued.u - scratch.u).max() / np.abs(scratch.u).max()
                 assert err <= bound, f"c = {sample.c}"
-                # both first try the whole gap: down the ladder from zero is as
-                # short as from the sample below, at bracket_lo it is not
+                # both are one Newton solve: down the ladder the one from zero is
+                # as short as the one from the sample below, at bracket_lo it is not
                 assert continued.iterations <= scratch.iterations, f"c = {sample.c}"
                 if sample.c == scan.bracket[0]:
                     assert continued.iterations < scratch.iterations
@@ -586,15 +603,11 @@ class TestContinuedSmallBranch:
         # at the shipped tol a residual-only stop leaves an error of residual / gap:
         # 7.1e-7 relative next to bracket_lo, 3.8e-9 after the simplified correction;
         # the dense reference, run from either path, agrees with itself within 4e-12
-        start = None
+        u0 = None
         for sample in (s for s in scan.samples if s.exists):
             spec = replace(window_spec, c=sample.c)
-            state = small_branch(op199, spec, tol=1e-10, start=start)
-            start = (sample.c, state.u)
+            state = small_branch(op199, spec, tol=1e-10, u0=u0)
+            u0 = state.u
             reference = newton_reference(op199, spec, state.u)
             err = np.abs(state.u - reference).max() / np.abs(reference).max()
             assert err <= 1e-8, f"c = {sample.c}"
-
-    def test_start_outside_range_rejected(self, op199, window_spec):
-        with pytest.raises(ConfigurationError):
-            small_branch(op199, replace(window_spec, c=1e-4), start=(2e-4, np.zeros(op199.n)))
