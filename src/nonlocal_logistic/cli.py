@@ -274,6 +274,7 @@ def run_steady(cfg: RunConfig, args) -> RunOutput:
     }
     columns = {"logistic": logistic.u}
     out.solvers["logistic_steps"] = logistic.iterations
+    out.solvers["logistic_cg_iterations"] = logistic.cg_iterations
     if logistic.branch != "none":
         summary["logistic_lambda_star"] = stability_index(
             op, spec0, logistic, tol=cfg.tol,
@@ -400,6 +401,8 @@ def run_longtime(cfg: RunConfig, args) -> RunOutput:
     u0 = _initial_field(cfg, op, pair, spec)
     res = longtime_classify(op, spec, u0, dt, s_max, verdict_tol, eigenpair=pair)
     out.solvers["imex_steps"] = res.times.size - 1
+    if res.logistic_cg_iterations is not None:
+        out.solvers["logistic_cg_iterations"] = res.logistic_cg_iterations
     stride = max(1, res.times.size // 2000)
     dist = res.steady_distances
     if dist is None:
@@ -495,6 +498,7 @@ def run_diagnose(cfg: RunConfig, args) -> RunOutput:
     if cfg.problem is not None:
         spec = cfg.reaction(pair.lam)
         base = solve_logistic(op, replace(spec, c=0.0, h=None), tol=cfg.tol, eigenpair=pair)
+        out.solvers["logistic_cg_iterations"] = base.cg_iterations
         if base.branch != "none":
             fields["steady"] = base.u
     torsion = green_solve(op, np.ones(op.n))

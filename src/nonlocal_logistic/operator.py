@@ -30,14 +30,11 @@ positive diagonal, hence an entrywise-nonnegative inverse (discrete
 maximum principle).
 
 The stencil depends only on the node offset, so A is symmetric Toeplitz
-and is stored as its first column.  Products with A go through a circulant
-embedding and the FFT.  Systems ``scale A + sigma I`` with a constant shift
-are solved by Levinson recursion for the first column of the inverse,
-then applied by the Gohberg-Semencul formula with FFTs (Gohberg & Semencul
-1972; Chan & Ng, SIAM Review 38, 1996).  No dense A is kept: the only
-dense matrix is the transient ``A + diag(d)`` that ``diag_solver`` factors
-in place, always for a variable diagonal (Jacobians, eigen potentials, the
-anti-maximum shift).  One
+and is stored as its first column; no dense A is kept.  Products with A go
+through a circulant embedding and the FFT.  Systems ``scale A + sigma I``
+with a constant shift are solved by Levinson recursion for the first column
+of the inverse, then applied by the Gohberg-Semencul formula with FFTs
+(Gohberg & Semencul 1972; Chan & Ng, SIAM Review 38, 1996).  One
 Gohberg-Semencul solve is four ``numpy.fft`` calls, bit for bit what
 ``scipy.fft`` gives, so no run imports ``scipy.fft``.  On one pinned CPU of
 a 2-core host with one BLAS thread (medians of 10 blocks), a solve with
@@ -46,8 +43,19 @@ scipy's transforms took 33, 37, 67, 121 and 198 us at n = 63, 199, 799,
 Timed against scipy's in alternating blocks of one process, numpy's is
 about 10-20% faster at n = 63, level at n = 199 and up to about 12% slower
 from n = 799 to 3199.
-Both of its factors, Cholesky (``potrf``/``potrs``) and LU
-(``getrf``/``getrs``), are called in LAPACK directly.
+
+Systems ``A + diag(d)`` with a variable diagonal have two solvers.
+``cg_solver`` runs conjugate gradients on :meth:`OperatorMatrix.matvec`,
+preconditioned by Strang's circulant of A shifted by ``max(mean(d), 0)``:
+O(n log n) per iteration and no n x n array, for SPD systems only.  The
+harvest-free descent uses it from ``steady.CG_MIN_N`` = 300 nodes up: 7-14
+iterations per Newton step, flat from n = 799 to 3199, and dense / CG
+``solve_logistic`` times of 3.1 / 6.3 ms at n = 199, 6.2 / 5.2 ms at
+n = 299 and 70 / 12.6 ms at n = 799 (the full table is at ``CG_MIN_N``).
+Every other variable-diagonal system (the other Jacobians, eigen
+potentials, the anti-maximum shift) is the transient dense ``A + diag(d)``
+that ``diag_solver`` factors in place, by Cholesky (``potrf``/``potrs``)
+or LU (``getrf``/``getrs``) called in LAPACK directly.
 
 LAPACK and the Levinson recursion (Levinson 1947) are scipy's compiled
 modules ``scipy.linalg._flapack`` and ``scipy.linalg._solve_toeplitz``,
@@ -78,6 +86,9 @@ from numpy.lib.stride_tricks import as_strided
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import ConfigurationError, DimensionError, NumericError
 from .grid import Grid1D
+
+CG_RTOL = 1e-12  # relative 2-norm residual at which cg_solver stops
+CG_MAXITER = 200  # cg_solver's iteration cap
 
 
 def _compiled(name: str):
@@ -246,6 +257,65 @@ class OperatorMatrix:
         out = self.matrix
         out[np.diag_indices(self.n)] += d
         return out
+
+    def cg_solver(self, d):
+        """A function solving SPD ``(A + diag(d)) x = b`` by preconditioned CG.
+
+        Each iteration is one :meth:`matvec` plus the diagonal, and one
+        preconditioner solve.  The preconditioner is Strang's circulant of A
+        (the central diagonals of the column, wrapped), shifted by
+        ``max(mean(d), 0)``; its eigenvalues are one ``rfft`` of length n.
+        The circulant's eigenvalues are at least the middle row sum of A
+        (``t0 - 2 sum_{k<=n/2} |t_k|`` for odd n), which is positive, so the
+        preconditioner is SPD for every kind.  Iteration stops at a 2-norm residual of
+        ``CG_RTOL |b|``.  A non-finite diagonal or right-hand side,
+        non-positive curvature (the system is not SPD) and ``CG_MAXITER``
+        iterations without convergence raise :class:`NumericError`.  The
+        returned function's attribute ``iterations`` is the count of its
+        last call.
+        """
+        n = self.n
+        d = np.asarray(d, dtype=float)
+        if d.ndim and d.shape != (n,):
+            raise DimensionError(f"diagonal must be scalar or length {n}, got shape {d.shape}")
+        d = np.broadcast_to(d, (n,))
+        if not np.all(np.isfinite(d)):
+            raise NumericError("A + diag(d) has a non-finite diagonal")
+        strang = self.col.copy()
+        half = n // 2
+        strang[half + 1:] = self.col[1:n - half][::-1]
+        spectrum = rfft(strang).real + max(float(d.mean()), 0.0)
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            b = np.asarray(b, dtype=float)
+            stop = CG_RTOL * float(np.linalg.norm(b))
+            if not np.isfinite(stop):
+                raise NumericError("right-hand side of A + diag(d) is non-finite")
+            x = np.zeros(n)
+            r = b.copy()
+            for k in range(CG_MAXITER + 1):
+                if np.linalg.norm(r) <= stop:
+                    solve.iterations = k
+                    return x
+                z = irfft(rfft(r) / spectrum, n)
+                rz_next = float(r @ z)
+                p = z if k == 0 else z + (rz_next / rz) * p
+                rz = rz_next
+                q = self.matvec(p) + d * p
+                curvature = float(p @ q)
+                if not curvature > 0:
+                    raise NumericError(
+                        f"A + diag(d) is not positive definite (CG curvature {curvature:.3g} "
+                        f"at iteration {k + 1})")
+                step = rz / curvature
+                x += step * p
+                r -= step * q
+            raise NumericError(
+                f"CG did not converge in {CG_MAXITER} iterations (residual "
+                f"{np.linalg.norm(r):.3g}, target {stop:.3g})")
+
+        solve.iterations = 0
+        return solve
 
     def diag_solver(self, d, definite: bool = True):
         """A function solving ``(A + diag(d)) x = b`` by a dense factor.

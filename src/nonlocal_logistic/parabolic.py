@@ -130,6 +130,7 @@ class LongtimeResult:
     times: np.ndarray = field(repr=False)
     sup_norms: np.ndarray = field(repr=False)
     steady_distances: np.ndarray | None = field(repr=False, default=None)
+    logistic_cg_iterations: int | None = None  # of the reference solve, when there is one
 
 
 def longtime_classify(
@@ -185,4 +186,5 @@ def longtime_classify(
         times=times[sl].copy(),
         sup_norms=norms[sl].copy(),
         steady_distances=dists[sl].copy() if supercritical else None,
+        logistic_cg_iterations=steady.cg_iterations if supercritical else None,
     )

@@ -36,6 +36,16 @@ from .spectral import EigenPair, principal_eigenpair
 # over; away from the fold the descent converges in well under this many
 NEWTON_DESCENT_CAP = 50
 DESCENT_MAXITER = 200_000  # step cap of the descent
+# Smallest n at which the harvest-free descent solves by CG (operator.py's
+# cg_solver) instead of a dense Cholesky factor per step.  solve_logistic at
+# a = 2 lambda_1, fractional alpha = 1, medians of 20 alternating solves on
+# one pinned CPU of a 2-core host with one BLAS thread, dense / CG in ms:
+#     n = 127: 1.4 / 5.6     n = 199: 3.1 / 6.3     n = 255: 5.1 / 4.7
+#     n = 299: 6.2 / 5.2     n = 331: 11.7 / 11.1   n = 399: 11.3 / 5.5
+#     n = 799: 70 / 12.6
+# A prime n (199, 331) pays for a slow length-n FFT in the preconditioner,
+# which moves its break-even up to about 330.
+CG_MIN_N = 300
 
 
 def _field(v) -> np.ndarray | float:
@@ -187,12 +197,13 @@ class SteadyState:
     branch: str
     iterations: int
     newton_steps: int = 0
+    cg_iterations: int = 0
 
 
 def _none_state(n: int, iterations: int = 0, residual: float = float("nan"),
-                newton_steps: int = 0) -> SteadyState:
+                newton_steps: int = 0, cg_iterations: int = 0) -> SteadyState:
     return SteadyState(u=np.zeros(n), residual=residual, branch="none", iterations=iterations,
-                       newton_steps=newton_steps)
+                       newton_steps=newton_steps, cg_iterations=cg_iterations)
 
 
 def _descend(
@@ -223,6 +234,18 @@ def _descend(
     solution lies below ``top`` (branch ``none``); otherwise the limit is
     labeled ``branch``.  ``newton_steps`` counts the Newton steps among
     ``iterations``.
+
+    Without harvest (c = 0) and from ``CG_MIN_N`` nodes up, the steps solve
+    by preconditioned CG (``op.cg_solver``), with no factor, and
+    ``cg_iterations`` counts its iterations.  There no factor is needed to
+    prove J(u_p) SPD: every iterate stays at or above v_a, the limit, and
+    f_s is nondecreasing, so J(u) >= J(v_a) = (A - a + f(v_a)/v_a) +
+    (p-1) b v_a^(p-1) > 0 (a Z-matrix with the null vector v_a > 0, hence
+    positive semidefinite, plus a positive diagonal): J(u_p) is an SPD
+    Z-matrix with nonnegative inverse, as a factor would prove.  A CG
+    breakdown raises :class:`NumericError`.  With
+    c > 0 a failed Cholesky factor is the fold signal that switches to chord
+    steps, so that path stays dense.
     """
     scale = max(1.0, float(np.abs(top).max()))
     # starting points are themselves converged only to ~tol and the noise
@@ -230,13 +253,15 @@ def _descend(
     # solver noise, not lost ordering (true ordering failures are solution-sized)
     slack = max(1e-12 * scale, 100.0 * tol)
     harvest_bound = spec.c * spec.h.deriv_bound() if spec.c > 0 else 0.0
+    use_cg = spec.c == 0 and op.n >= CG_MIN_N
 
     def jacobian(v):
-        return op.diag_solver(-(spec.a - spec.f.deriv(v) - harvest_bound))
+        d = -(spec.a - spec.f.deriv(v) - harvest_bound)
+        return op.cg_solver(d) if use_cg else op.diag_solver(d)
 
     u = np.asarray(top, dtype=float).copy()
     u_p, jac = u, jacobian(u)
-    newton, newton_cap = 0, NEWTON_DESCENT_CAP
+    newton, newton_cap, cg = 0, NEWTON_DESCENT_CAP, 0
     for it in range(1, DESCENT_MAXITER + 1):
         if newton < newton_cap and u_p is not u:
             jac = None  # free the last factor before the next dense system is built
@@ -249,6 +274,7 @@ def _descend(
         if u_p is u:
             newton += 1
         u_next = u - jac(op.matvec(u) - spec.reaction(u))
+        cg += jac.iterations if use_cg else 0
         drift = u_next - u
         if drift.max() > slack:
             raise MonotonicityError(
@@ -258,15 +284,15 @@ def _descend(
         if (u_next - top).max() > slack:
             raise MonotonicityError(f"iterate exceeded the upper bracket at step {it}")
         if u_next.min() < -1e3 * slack:
-            return _none_state(op.n, iterations=it, newton_steps=newton)
+            return _none_state(op.n, iterations=it, newton_steps=newton, cg_iterations=cg)
         step = float(np.abs(drift).max())
         u = u_next
         if step <= tol:
             if u.min() <= 0:
-                return _none_state(op.n, iterations=it, newton_steps=newton)
+                return _none_state(op.n, iterations=it, newton_steps=newton, cg_iterations=cg)
             residual = float(np.abs(op.matvec(u) - spec.reaction(u)).max())
             return SteadyState(u=u, residual=residual, branch=branch, iterations=it,
-                               newton_steps=newton)
+                               newton_steps=newton, cg_iterations=cg)
     raise ConvergenceError(
         f"monotone iteration hit the cap {DESCENT_MAXITER} (last step {step:.3e})"
     )

@@ -27,7 +27,7 @@ PENDING = {
 }
 
 # the package's solvers, which an independent oracle must not call
-PACKAGE_SOLVERS = {"_descend", "diag_solver", "solver", "matvec", "green_solve",
+PACKAGE_SOLVERS = {"_descend", "diag_solver", "cg_solver", "solver", "matvec", "green_solve",
                    "principal_eigenpair", "_killed_steps"}
 
 

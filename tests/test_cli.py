@@ -368,11 +368,30 @@ class TestSteadyCommand:
         assert summary["maximal_sup"] <= summary["logistic_sup"]
         solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
         assert set(solvers) == {
-            "eigen_iterations", "logistic_steps", "descent_newton_steps",
-            "descent_chord_steps"}
+            "eigen_iterations", "logistic_steps", "logistic_cg_iterations",
+            "descent_newton_steps", "descent_chord_steps"}
         assert solvers["logistic_steps"] > 0
+        assert solvers["logistic_cg_iterations"] == 0  # n = 63: the dense path
         assert solvers["descent_newton_steps"] > 0
         assert solvers["descent_chord_steps"] >= 0
+
+    def test_cg_iterations_reach_the_manifest(self, tmp_path, monkeypatch):
+        # the CG path at n = 63, where the dense path is the default
+        monkeypatch.setattr(nonlocal_logistic.steady, "CG_MIN_N", 63)
+        extra = (
+            "problem = { a_rel = 2.0 }\n"
+            "parabolic = { dt = 0.02, horizon = 0.2, s_max = 200.0, verdict_tol = 1e-4, "
+            'u0 = { kind = "eigenfunction", scale = 0.01 } }'
+        )
+        counts = {}
+        for sub in ("steady", "diagnose", "longtime"):
+            code, outdir = run_cli(tmp_path, sub, extra=extra, name=sub)
+            assert code == 0
+            solvers = json.loads((outdir / "manifest.json").read_text())["solvers"]
+            counts[sub] = solvers["logistic_cg_iterations"]
+        # steady and diagnose run the same solve; longtime's reference is tighter
+        assert counts["steady"] == counts["diagnose"] > 0
+        assert counts["longtime"] > 0
 
 
 class TestBifurcate:
@@ -497,10 +516,13 @@ class TestParabolicCommands:
             assert code == 0
             counts[sub] = json.loads((outdir / "manifest.json").read_text())["solvers"]
         iterations = json.loads((tmp_path / "eigen" / "eigen.json").read_text())["iterations"]
-        assert counts["eigen"] == counts["diagnose"] == {"eigen_iterations": iterations}
+        assert counts["eigen"] == {"eigen_iterations": iterations}
+        # the logistic solve's CG iterations: 0 on the dense path at this n
+        assert counts["diagnose"] == {"eigen_iterations": iterations, "logistic_cg_iterations": 0}
         assert counts["evolve"] == {"eigen_iterations": iterations, "imex_steps": 10}
         curve = (tmp_path / "longtime" / "distance_curve.csv").read_text().splitlines()
         assert counts["longtime"]["eigen_iterations"] == iterations
+        assert counts["longtime"]["logistic_cg_iterations"] == 0
         assert counts["longtime"]["imex_steps"] == round(float(curve[-1].split(",")[0]) / 0.02)
 
 

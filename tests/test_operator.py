@@ -153,6 +153,43 @@ class TestDiagSolver:
         with pytest.raises(NumericError):
             op199.solver(sigma, scale=scale)
 
+    @pytest.mark.parametrize("d", ["field", "constant"])
+    def test_cg_matches_dense_solve(self, op799, eig799, d):
+        # an SPD A + diag(d) whose diagonal changes sign across the interval
+        d = -0.5 * eig799.lam + 2.0 * op799.grid.nodes ** 2 if d == "field" else 1.0
+        b = np.random.default_rng(13).standard_normal(op799.n)
+        ref = np.linalg.solve(op799.shifted(d), b)
+        solve = op799.cg_solver(d)
+        assert np.abs(solve(b) - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert 0 < solve.iterations <= 20
+        assert not solve(np.zeros(op799.n)).any() and solve.iterations == 0
+
+    @pytest.mark.parametrize("planted", ["one node", "below lambda_1"])
+    def test_cg_indefinite_diagonal_raises(self, op799, eig799, planted):
+        n = op799.n
+        d = (np.where(np.arange(n) == n // 2, -10.0 * op799.col[0], 0.0) if planted == "one node"
+             else np.full(n, -1.5 * eig799.lam))
+        with pytest.raises(NumericError, match="not positive definite"):
+            op799.cg_solver(d)(np.ones(n))
+
+    def test_cg_cap_raises(self, op799):
+        # SPD, but a diagonal over 12 decades defeats the circulant preconditioner
+        d = 10.0 ** np.random.default_rng(0).uniform(0.0, 12.0, op799.n)
+        with pytest.raises(NumericError, match=f"in {operator_module.CG_MAXITER} iterations"):
+            op799.cg_solver(d)(np.ones(op799.n))
+
+    def test_cg_non_finite_input_raises(self, op199):
+        d = np.ones(op199.n)
+        b = np.ones(op199.n)
+        b[7] = np.nan
+        with pytest.raises(NumericError, match="right-hand side .* non-finite"):
+            op199.cg_solver(d)(b)
+        d[7] = np.inf
+        with pytest.raises(NumericError, match="non-finite diagonal"):
+            op199.cg_solver(d)
+        with pytest.raises(DimensionError):
+            op199.cg_solver(np.ones(op199.n + 1))
+
     def test_exactly_singular_raises(self, frac1_kernel):
         # the second difference on three nodes has the eigenvalue 2 exactly:
         # A - 2 I has two equal rows

@@ -165,6 +165,90 @@ class TestSolveLogistic:
         assert state.u.max() <= a / b.min()
 
 
+LARGE_N_SYMBOLS = (
+    BernsteinSymbol("fractional", 0.5),
+    BernsteinSymbol("fractional", 1.0),
+    BernsteinSymbol("fractional", 1.5),
+    BernsteinSymbol("relativistic", 1.0, m=1.0),
+)
+
+
+def _large_op(symbol, n):
+    grid = Grid1D(-1.0, 1.0, n)
+    return assemble(grid, LevyKernel(symbol), far_cutoff=2.0 * grid.width)
+
+
+def _cg_counts(monkeypatch) -> list[int]:
+    """Record the iterations of every CG solve from here on."""
+    counts = []
+    build = operator_module.OperatorMatrix.cg_solver
+
+    def counted(self, d):
+        solve = build(self, d)
+
+        def wrapped(b):
+            x = solve(b)
+            wrapped.iterations = solve.iterations
+            counts.append(solve.iterations)
+            return x
+        return wrapped
+
+    monkeypatch.setattr(operator_module.OperatorMatrix, "cg_solver", counted)
+    return counts
+
+
+class TestLogisticByCG:
+    """At n >= CG_MIN_N the harvest-free descent solves its Jacobians by CG."""
+
+    @pytest.mark.parametrize("symbol", LARGE_N_SYMBOLS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_matches_the_dense_path(self, monkeypatch, symbol):
+        op = _large_op(symbol, 799)
+        assert op.n >= steady_module.CG_MIN_N
+        pair = principal_eigenpair(op)
+        spec = ReactionSpec(a=2.0 * pair.lam)
+        cg = solve_logistic(op, spec, eigenpair=pair)
+        monkeypatch.setattr(steady_module, "CG_MIN_N", op.n + 1)
+        dense = solve_logistic(op, spec, eigenpair=pair)
+        assert cg.branch == dense.branch == "logistic"
+        assert cg.iterations == cg.newton_steps == dense.newton_steps == dense.iterations
+        assert cg.cg_iterations > 0 and dense.cg_iterations == 0
+        assert np.abs(cg.u - dense.u).max() <= 1e-13 * np.abs(dense.u).max()
+
+    @pytest.mark.parametrize("symbol", LARGE_N_SYMBOLS[:3], ids=lambda s: f"alpha-{s.alpha}")
+    def test_iterations_flat_in_n(self, monkeypatch, symbol):
+        counts = _cg_counts(monkeypatch)
+        totals = []
+        for n in (799, 1599):
+            op = _large_op(symbol, n)
+            pair = principal_eigenpair(op)
+            start = len(counts)
+            state = solve_logistic(op, ReactionSpec(a=2.0 * pair.lam), eigenpair=pair)
+            per_solve = counts[start:]
+            assert len(per_solve) == state.newton_steps
+            assert max(per_solve) <= 20
+            assert sum(per_solve) == state.cg_iterations
+            totals.append(state.cg_iterations)
+        # flat in n: the totals grew by 1%, 4% and 11% for alpha = 0.5, 1, 1.5
+        # when measured, while unpreconditioned CG grows like the square root of
+        # the condition number, 2^(alpha/2) per doubling of n
+        assert totals[1] <= 1.2 * totals[0]
+
+    def test_small_n_and_harvest_stay_dense(self, monkeypatch, op199, eig199, op799, eig799):
+        spec = ReactionSpec(a=2.0 * eig799.lam, c=0.1, f=CrowdingTerm(), h=HarvestTerm())
+        va = solve_logistic(op799, replace(spec, c=0.0, h=None), eigenpair=eig799)
+
+        def refuse(self, d):
+            raise AssertionError("cg_solver called")
+
+        monkeypatch.setattr(operator_module.OperatorMatrix, "cg_solver", refuse)
+        assert op199.n < steady_module.CG_MIN_N
+        state = solve_logistic(op199, ReactionSpec(a=2.0 * eig199.lam), eigenpair=eig199)
+        assert state.branch == "logistic" and state.cg_iterations == 0
+        # with c > 0 a failed Cholesky factor is the fold signal: dense at any n
+        state = maximal_harvest(op799, spec, v_a=va, eigenpair=eig799)
+        assert state.branch == "maximal" and state.cg_iterations == 0
+
+
 class TestMaximalHarvest:
     def test_zero_intensity_returns_logistic_state(self, op199, eig199, steady_cache):
         va = steady_cache(2.0)
