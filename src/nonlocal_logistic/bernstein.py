@@ -31,35 +31,57 @@ pass by the 20-point Gauss-Legendre rule, checked against the 10-point
 rule on the same cell; only a cell where the two disagree goes to adaptive
 ``quad``, as do the near-field second moment and the tail mass.
 
-Only the Bessel form and adaptive ``quad`` need ``scipy.special`` and
-``scipy.integrate``; both are imported on first use, so a run on a
-power-law symbol never imports them.
+The Bessel ``kv``/``kve`` and adaptive ``quad`` are scipy's binaries,
+called without the ``scipy.special`` and ``scipy.integrate`` packages: the
+ufuncs of ``scipy.special._special_ufuncs`` and the QUADPACK routines of
+``scipy.integrate._quadpack``, each loaded by :func:`compiled.load` on first
+use, so a run on a power-law symbol loads neither.  Every Bessel value and
+quadrature is bit for bit scipy's.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import compiled
 from .errors import ConfigurationError, NumericError
 
 
-class _OnFirstUse:
-    """A module imported the first time one of its attributes is read."""
+class _Quadpack:
+    """``scipy.integrate.quad`` on ``[lo, hi]`` or ``[lo, inf)`` (``lo < hi``), by QUADPACK.
 
-    def __init__(self, name: str):
-        self._name = name
+    Its one instance is the module attribute ``integrate``, which
+    ``perfbench/tracing.py`` swaps for a wrapper that counts the calls.
+    """
 
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
+    @staticmethod
+    def quad(f, lo, hi, epsrel, epsabs, limit):
+        """QUADPACK's ``(value, error, ier)``, by ``_qagse`` for finite ``hi`` and
+        ``_qagie`` for ``hi = inf``, with the arguments ``scipy.integrate.quad`` passes."""
+        quadpack = compiled.load("integrate", "_quadpack")
+        if hi == math.inf:
+            return quadpack._qagie(f, lo, 1, (), 0, epsabs, epsrel, limit)
+        return quadpack._qagse(f, lo, hi, (), 0, epsabs, epsrel, limit)
 
 
-integrate = _OnFirstUse("scipy.integrate")
-special = _OnFirstUse("scipy.special")
+class _Bessel:
+    """``kv`` and ``kve``: the ufuncs ``scipy.special`` hands out, loaded on first use."""
+
+    @property
+    def kv(self):
+        return compiled.load("special", "_special_ufuncs").kv
+
+    @property
+    def kve(self):
+        return compiled.load("special", "_special_ufuncs").kve
+
+
+integrate = _Quadpack()
+special = _Bessel()
 
 VARIANTS = ("fractional", "relativistic", "sum_fractional", "log_damped", "log_boosted")
 
@@ -438,11 +460,13 @@ class LevyKernel:
         return out
 
     def _quad(self, f, lo, hi) -> float:
-        val, err = integrate.quad(f, lo, hi, epsrel=QUAD_RTOL, epsabs=0.0, limit=QUAD_LIMIT)
-        if not math.isfinite(val) or (val != 0.0 and err > 1e-6 * abs(val)):
+        """Adaptive quadrature of f on [lo, hi]; QUADPACK's ``ier != 0``, a
+        non-finite value and an error above 1e-6 relative raise :class:`NumericError`."""
+        val, err, ier = integrate.quad(f, lo, hi, epsrel=QUAD_RTOL, epsabs=0.0, limit=QUAD_LIMIT)
+        if ier != 0 or not math.isfinite(val) or (val != 0.0 and err > 1e-6 * abs(val)):
             raise NumericError(
                 f"kernel quadrature did not converge on [{lo}, {hi}] "
-                f"(value={val}, err={err})"
+                f"(value={val}, err={err}, ier={ier})"
             )
         return val
 

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -630,6 +631,10 @@ def main(argv=None) -> int:
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
             "solvers": out.solvers,
             "elapsed_seconds": round(time.time() - started, 3),
+            # the process high-water mark (ru_maxrss is in KiB), in MB of 10^6
+            # bytes; a caller of main() sees the peak of every run so far
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6, 3),
             "created_unix": round(started, 3),
         }
         out.write(outdir)

@@ -59,30 +59,26 @@ or LU (``getrf``/``getrs``) called in LAPACK directly.
 
 LAPACK and the Levinson recursion (Levinson 1947) are scipy's compiled
 modules ``scipy.linalg._flapack`` and ``scipy.linalg._solve_toeplitz``,
-loaded from their files by :func:`_compiled` without running
-``scipy/linalg/__init__.py``.  That package ``__init__`` does no linear
-algebra, but its array-API shim imports ``numpy.f2py``, ``numpy.testing``,
-``numpy.ma`` and more: about half of a cold CLI start.  The objects are the
-binaries ``scipy.linalg`` hands out, so every factor and solve is bit for
-bit scipy's, and a later ``import scipy.linalg`` reuses the modules
-registered in ``sys.modules``.  ``toeplitz`` is scipy's strided
-construction in numpy.  The independent Fourier-multiplier oracle that
-checks this assembly lives in ``tests/oracles.py``.
+loaded from their files by :func:`compiled.load` without running
+``scipy/linalg/__init__.py``, whose array-API shim is about half of a cold
+CLI start.  The objects are the binaries ``scipy.linalg`` hands out, so
+every factor and solve is bit for bit scipy's, and a later
+``import scipy.linalg`` reuses the modules registered in ``sys.modules``.
+``toeplitz`` is scipy's strided construction in numpy.  The independent
+Fourier-multiplier oracle that checks this assembly lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
-from pathlib import Path
 
 import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import as_strided
 
+from . import compiled
 from .bernstein import BernsteinSymbol, LevyKernel
 from .errors import ConfigurationError, DimensionError, NumericError
 from .grid import Grid1D
@@ -90,32 +86,8 @@ from .grid import Grid1D
 CG_RTOL = 1e-12  # relative 2-norm residual at which cg_solver stops
 CG_MAXITER = 200  # cg_solver's iteration cap
 
-
-def _compiled(name: str):
-    """The compiled module ``scipy.linalg.<name>``, without the package ``__init__``.
-
-    A module already in ``sys.modules`` is reused; otherwise the extension
-    file in scipy's ``linalg/`` directory is loaded and registered there, so
-    a later ``import scipy.linalg`` reuses it.
-    """
-    fullname = f"scipy.linalg.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    linalg = Path(find_spec("scipy").origin).parent / "linalg"
-    for path in (linalg / (name + suffix) for suffix in EXTENSION_SUFFIXES):
-        if path.is_file():
-            loader = ExtensionFileLoader(fullname, str(path))
-            module = module_from_spec(spec_from_file_location(fullname, path, loader=loader))
-            loader.exec_module(module)
-            sys.modules[fullname] = module
-            return module
-    suffixes = ", ".join(EXTENSION_SUFFIXES)
-    raise ImportError(f"no compiled {fullname} at {linalg / name} + one of {suffixes}",
-                      name=fullname, path=str(linalg / name))
-
-
-_flapack = _compiled("_flapack")
-levinson = _compiled("_solve_toeplitz").levinson
+_flapack = compiled.load("linalg", "_flapack")
+levinson = compiled.load("linalg", "_solve_toeplitz").levinson
 
 
 def get_lapack_funcs(names, arrays):

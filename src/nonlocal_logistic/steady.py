@@ -43,8 +43,9 @@ DESCENT_MAXITER = 200_000  # step cap of the descent
 #     n = 127: 1.4 / 5.6     n = 199: 3.1 / 6.3     n = 255: 5.1 / 4.7
 #     n = 299: 6.2 / 5.2     n = 331: 11.7 / 11.1   n = 399: 11.3 / 5.5
 #     n = 799: 70 / 12.6
-# A prime n (199, 331) pays for a slow length-n FFT in the preconditioner,
-# which moves its break-even up to about 330.
+# The crossover depends on the factors of n, not on n alone: a prime n (199,
+# 331) pays for a slow length-n FFT in the preconditioner, so CG already wins
+# at n = 255 and 299 but is only level at the prime 331.
 CG_MIN_N = 300
 
 

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +21,8 @@ from nonlocal_logistic import (
     kernel_moments,
     v_profile,
 )
-from nonlocal_logistic.bernstein import fractional_density_constant
+from nonlocal_logistic import bernstein
+from nonlocal_logistic.bernstein import QUAD_LIMIT, QUAD_RTOL, fractional_density_constant
 
 from oracles import cell_integrals_by_quad, symbol_from_kernel
 
@@ -360,6 +366,58 @@ class TestCellIntegrals:
         lam = eigvalsh(toeplitz(op.col), subset_by_index=[0, 0])[0]
         lam_ref = eigvalsh(toeplitz(ref), subset_by_index=[0, 0])[0]
         assert lam == pytest.approx(lam_ref, rel=1e-12)
+
+
+class TestScipyBinaries:
+    """QUADPACK and the Bessel ufuncs, called without their scipy packages."""
+
+    REL = LevyKernel(BernsteinSymbol("relativistic", 1.0, m=1.0))
+
+    def test_quad_is_scipys_bit_for_bit(self):
+        from scipy import integrate
+
+        damped = LevyKernel(BernsteinSymbol("log_damped", 1.0, beta=0.5))
+        cases = [
+            (lambda r: r * r * self.REL.density(r), 0.0, 0.005),  # near-field moment
+            (self.REL.density, 4.005, np.inf),  # tail mass
+            (damped.density, 0.005, 0.015),  # one mass cell, where the tolerances bind
+        ]
+        for f, lo, hi in cases:
+            val, err, ier = bernstein.integrate.quad(f, lo, hi, epsrel=QUAD_RTOL, epsabs=0.0,
+                                                     limit=QUAD_LIMIT)
+            ref = integrate.quad(f, lo, hi, epsrel=QUAD_RTOL, epsabs=0.0, limit=QUAD_LIMIT)
+            assert ier == 0
+            assert (val, err) == ref
+
+    def test_bessel_values_are_scipys(self):
+        from scipy import special
+
+        z = np.logspace(-3, 2, 50)
+        for nu in (0.75, 1.0, 1.25):
+            assert np.array_equal(bernstein.special.kv(nu, z), special.kv(nu, z))
+            assert np.array_equal(bernstein.special.kve(nu, z), special.kve(nu, z))
+
+    def test_quadpack_failure_code_raises(self, monkeypatch):
+        # ier = 2 (roundoff detected), which scipy's quad only warns about, with a tiny error
+        monkeypatch.setattr(bernstein, "integrate",
+                            SimpleNamespace(quad=lambda *args, **kwargs: (1.0, 1e-20, 2)))
+        with pytest.raises(NumericError, match=r"did not converge on \[0\.0, 0\.1\].*ier=2"):
+            self.REL.sigma2_local(0.1)
+
+    def test_scipy_imported_later_reuses_the_loaded_modules(self):
+        script = ("import sys\n"
+                  "from nonlocal_logistic import bernstein, compiled\n"
+                  "kv, quadpack = bernstein.special.kv, compiled.load('integrate', '_quadpack')\n"
+                  "before = [m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules]\n"
+                  "import scipy.special, scipy.integrate\n"
+                  "print(before, scipy.special.kv is kv,\n"
+                  "      sys.modules['scipy.integrate._quadpack'] is quadpack)\n")
+        src = str(Path(bernstein.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.split() == ["[]", "True", "True"]
 
 
 class TestVProfile:

@@ -146,6 +146,8 @@ class TestEigen:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["subcommand"] == "eigen"
         assert len(manifest["config_sha256"]) == 64
+        # in MB, not KiB or bytes: a process with numpy loaded holds some tens of MB
+        assert 10.0 < manifest["peak_rss_mb"] < 10_000.0
         header = (outdir / "eigen.csv").read_text().splitlines()[0]
         assert header == "node,x,phi"
 
@@ -843,11 +845,13 @@ class TestShippedConfigs:
 class TestImports:
     """A CLI process imports only the scipy its symbol needs."""
 
-    # LAPACK and Levinson come from scipy's compiled modules, without the
-    # scipy.linalg package; only the relativistic form needs scipy.special,
-    # and only mc-check on more than one worker the thread pool
+    # LAPACK, Levinson, QUADPACK and the Bessel ufuncs come from scipy's
+    # compiled modules, without their packages; only mc-check on more than
+    # one worker needs the thread pool
     UNUSED = ("scipy.linalg", "scipy.integrate", "scipy.special", "scipy.fft",
               "scipy.optimize", "scipy.sparse", "concurrent.futures.thread")
+    # only the Bessel form and adaptive quadrature load these
+    ON_FIRST_USE = ("scipy.special._special_ufuncs", "scipy.integrate._quadpack")
 
     @staticmethod
     def _modules_after(tmp_path, runs) -> set[str]:
@@ -881,11 +885,12 @@ class TestImports:
             ("steady", '{ kind = "fractional", alpha = 1.0 }'),
             ("evolve", '{ kind = "sum_fractional", alpha = 1.0, beta = 1.5 }'),
         ])
-        assert [name for name in self.UNUSED if name in modules] == []
+        assert [name for name in self.UNUSED + self.ON_FIRST_USE if name in modules] == []
 
-    def test_bessel_form_loads_scipy_special_on_use(self, tmp_path):
+    def test_bessel_form_loads_only_compiled_quadpack_and_bessel(self, tmp_path):
         modules = self._modules_after(tmp_path, [
             ("eigen", '{ kind = "relativistic", alpha = 1.0, m = 1.0 }'),
             ("validate-kernel", '{ kind = "relativistic", alpha = 1.0, m = 1.0 }'),
         ])
-        assert "scipy.special" in modules
+        assert [name for name in self.ON_FIRST_USE if name not in modules] == []
+        assert [name for name in self.UNUSED if name in modules] == []

@@ -9,6 +9,7 @@ from scipy.fft import next_fast_len
 from scipy.linalg import cho_factor, cho_solve, eigh, get_lapack_funcs, toeplitz
 
 import nonlocal_logistic
+from nonlocal_logistic import compiled
 from nonlocal_logistic import operator as operator_module
 from nonlocal_logistic import (
     BernsteinSymbol,
@@ -335,7 +336,7 @@ class TestToeplitzColumn:
 
     def test_missing_compiled_module_names_its_path(self):
         with pytest.raises(ImportError, match=r"scipy\.linalg\._absent at .*linalg._absent \+ one of"):
-            operator_module._compiled("_absent")
+            compiled.load("linalg", "_absent")
 
     def test_fast_len_is_scipys_real_fft_length(self):
         targets = range(1, 20_001)

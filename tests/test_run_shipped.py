@@ -48,13 +48,14 @@ def config_text(blocks):
 class FakeRun:
     """Stands in for ``subprocess.run``: a worktree with two configs, scripted runs."""
 
-    def __init__(self, exit_code=0, module=None, remove_code=0):
+    def __init__(self, exit_code=0, module=None, remove_code=0, rss=None):
         self.calls = []
         self.configs = {}  # config text of each CLI run, read when it is issued
         self.tree = None
         self.exit_code = exit_code
         self.module = module
         self.remove_code = remove_code
+        self.rss = rss  # with it, eigen runs write it as peak_rss_mb, others an older manifest
 
     def __call__(self, cmd, env=None, **kwargs):
         self.calls.append((list(cmd), env))
@@ -78,6 +79,11 @@ class FakeRun:
             return subprocess.CompletedProcess(cmd, 0)
         config = Path(cmd[cmd.index("--config") + 1])
         self.configs[config] = config.read_text()
+        if self.rss is not None:
+            outdir = Path(cmd[cmd.index("--output") + 1])
+            outdir.mkdir(parents=True)
+            manifest = {"peak_rss_mb": self.rss} if cmd[3] == "eigen" else {}
+            (outdir / "manifest.json").write_text(json.dumps(manifest))
         return subprocess.CompletedProcess(cmd, self.exit_code)
 
 
@@ -193,3 +199,11 @@ def test_rev_refuses_a_program_from_outside_the_worktree(fake, tmp_path):
     assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 2
     assert _cli_runs(run) == []
     assert [cmd[3:5] for cmd, _ in run.calls[-2:]] == [["worktree", "remove"], ["worktree", "prune"]]
+
+
+def test_prints_each_runs_peak_rss_or_a_dash(fake, tmp_path, capsys):
+    fake(rss=44.272)
+    assert run_shipped.main(["--rev", "abc123", str(tmp_path / "out")]) == 0
+    rows = [line.split()[2:5] for line in capsys.readouterr().out.splitlines() if "--config" in line]
+    assert rows == [["44.3", "MB", "eigen"], ["-", "MB", "steady"], ["-", "MB", "mc-check"],
+                    ["-", "MB", "bifurcate"], ["-", "MB", "bifurcate"]]

@@ -9,8 +9,10 @@ that subcommand, writing to ``OUTDIR/<config>-<subcommand>``.  Then runs
 every run of every benchmark workload, with the config and arguments that
 ``perfbench/workloads.py`` renders for it, writing to
 ``OUTDIR/workloads/<run name>``.  Prints each run's wall seconds (a fresh
-process, so start-up included) and their total.  Exits 1 if a config has
-no such line or any run fails, after trying every run.
+process, so start-up included) beside its ``peak_rss_mb`` from the run's
+``manifest.json`` (``-`` where the manifest lacks it or was not written),
+and the total seconds.  Exits 1 if a config has no such line or any run
+fails, after trying every run.
 
 The runs take a tree's configs, ``cli.FLAGS`` and ``perfbench/workloads.py``
 and run ``python -m nonlocal_logistic.cli`` with the tree's ``src/`` first
@@ -84,6 +86,15 @@ def workload_argvs(bench: Path, config_dir: Path, outdir: Path) -> list[list[str
     return argvs
 
 
+def peak_rss(argv: list[str]) -> str:
+    """``peak_rss_mb`` of the manifest in the run's ``--output`` directory, or ``-``."""
+    manifest = Path(argv[argv.index("--output") + 1]) / "manifest.json"
+    try:
+        return f"{json.loads(manifest.read_text())['peak_rss_mb']:.1f}"
+    except (OSError, KeyError):
+        return "-"
+
+
 def run_all(argvs: list[list[str]], command: list[str], env: dict[str, str],
             failed: list[str]) -> int:
     """Run ``command`` with each argument list; 1 if any run or ``failed`` failed."""
@@ -93,7 +104,7 @@ def run_all(argvs: list[list[str]], command: list[str], env: dict[str, str],
         code = subprocess.run([*command, *argv], env=env).returncode
         seconds = time.perf_counter() - start
         total += seconds
-        print(f"{seconds:7.3f} s  {' '.join(argv)}", flush=True)
+        print(f"{seconds:7.3f} s  {peak_rss(argv):>6} MB  {' '.join(argv)}", flush=True)
         if code != 0:
             failed.append(f"{' '.join(argv)}: exit {code}")
     print(f"{total:7.3f} s  total", flush=True)
