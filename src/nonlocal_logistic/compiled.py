@@ -4,8 +4,11 @@ The package calls four of scipy's binaries: LAPACK (``linalg._flapack``)
 and the Levinson recursion (``linalg._solve_toeplitz``) for every operator,
 and, for the Bessel form and adaptive quadrature only, the special-function
 ufuncs (``special._special_ufuncs``) and QUADPACK (``integrate._quadpack``).
-Each is one extension file that imports nothing of scipy.  The package
-``__init__`` files around them do no numerics but import most of scipy:
+Each is one extension file.  Three of them import nothing of scipy, but
+the Cython-built ``_solve_toeplitz`` imports ``scipy._cyutility`` and with
+it the top-level ``scipy`` package, so loading it runs that package's
+``__init__`` (and no subpackage's).  The subpackage ``__init__`` files
+around the four do no numerics but import most of scipy:
 ``scipy.linalg``'s array-API shim pulls in ``numpy.f2py``, ``numpy.testing``
 and ``numpy.ma``, ``scipy.integrate`` imports ``scipy.linalg``, and
 ``scipy.special`` loads every special-function binary, about 40 MB of

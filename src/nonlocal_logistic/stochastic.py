@@ -1,25 +1,33 @@
 """Simulation of the jump process and its expectation functionals.
 
 The process is Brownian motion run at twice the standard speed, time
-changed by an independent subordinator with Laplace exponent psi: one
-time step draws a subordinator increment dS and then a Gaussian move of
-variance 2 dS.  Killing happens at the first grid time the position
-leaves the interval; the jump that overshoots is kept, sub-step
-excursions are missed, giving a documented O(dt) bias.
+changed by an independent subordinator with Laplace exponent psi, so a
+move over a time step dt has characteristic function exp(-dt psi(xi^2)).
+For ``fractional`` with alpha < 2 that is exp(-dt |xi|^alpha), and a move
+is one exact symmetric alpha-stable draw (Chambers, Mallows & Stuck, JASA
+71, 1976).  Every other kind draws a subordinator increment dS and then a
+Gaussian move of variance 2 dS.  ``relativistic`` and ``sum_fractional``
+keep that draw stream although exact moves exist for some of their
+parameters: the 5% survival-rate checks on their benchmark runs sit within
+one seed's spread of the exit bias, so a fresh stream can fail them.
+Killing happens at the first grid time the position leaves the interval;
+the jump that overshoots is kept, sub-step excursions are missed, giving
+a documented O(dt) bias, the same for both kinds of move.
 
 Every Monte Carlo consumer runs on one step-major engine,
-:func:`_killed_steps`, that advances a batch of paths together and
-compacts away the killed ones.  ``feynman_kac`` (and ``mc_green``, its
-source-only case) and ``exit_pass`` reduce over chunks with independent
-substreams spawned from the master seed, combined in fixed chunk order, so
-results are byte-identical for any worker count and reproducible from
-(seed, config).  ``exit_pass`` reads two functionals of one set of killed
-paths: the occupation time up to a horizon (``mc_green`` with f = 1) and
-the survival curve with its exit-rate fit; ``survival_lambda1`` is its
-survival half.  ``trace_rows`` records one batch of at most 1000 paths
-as path-major ``(path, t, x)`` columns; ``simulate_killed_path`` is its
-one-path view.  Every horizon and survival time is a whole number of
-``dt_path`` steps (``grid.time_steps``, which ``load_config`` also runs).
+:func:`_killed_steps`, that advances a batch of paths together and keeps
+only the alive ones, compact, for the next step.  ``feynman_kac`` (and
+``mc_green``, its source-only case) and ``exit_pass`` reduce over chunks
+with independent substreams spawned from the master seed, combined in
+fixed chunk order, so results are byte-identical for any worker count and
+reproducible from (seed, config).  ``exit_pass`` reads two functionals of
+one set of killed paths: the occupation time up to a horizon
+(``mc_green`` with f = 1) and the survival curve with its exit-rate fit;
+``survival_lambda1`` is its survival half.  ``trace_rows`` records one
+batch of at most 1000 paths as path-major ``(path, t, x)`` columns;
+``simulate_killed_path`` is its one-path view.  Every horizon and
+survival time is a whole number of ``dt_path`` steps (``grid.time_steps``,
+which ``load_config`` also runs).
 """
 
 from __future__ import annotations
@@ -64,9 +72,32 @@ def _stable_oneside(rho: float, size: int, rng: np.random.Generator) -> np.ndarr
     return out
 
 
+def _symmetric_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draws with characteristic function exp(-|xi|^alpha), alpha in (0, 2).
+
+    Chambers, Mallows & Stuck: X = sin(alpha V) / cos(V)^(1/alpha)
+    * (cos((1 - alpha) V) / W)^((1 - alpha)/alpha) with V uniform on
+    (-pi/2, pi/2) and W unit exponential.  alpha = 1 is the Cauchy draw
+    tan(V), one uniform per draw.
+    """
+    v = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+    if alpha == 1.0:
+        return np.tan(v, out=v)
+    w = rng.exponential(1.0, size)
+    out = np.sin(alpha * v)
+    cos_v = np.cos(v)
+    cos_v **= 1.0 / alpha
+    out /= cos_v
+    np.cos((1.0 - alpha) * v, out=v)
+    v /= w
+    v **= (1.0 - alpha) / alpha
+    out *= v
+    return out
+
+
 @dataclass
 class SubordinatorSampler:
-    """Increment sampler for the subordinator of a catalog symbol.
+    """Increment and move sampler for the subordinator of a catalog symbol.
 
     Supports the stable, sum-of-stables, and relativistic (exponentially
     tilted stable with rejection) subordinators; the log-perturbed symbols
@@ -94,24 +125,51 @@ class SubordinatorSampler:
         if s.kind == "fractional":
             return self._stable_part(s.alpha, dt, size)
         if s.kind == "sum_fractional":
-            return self._stable_part(s.alpha, dt, size) + self._stable_part(
-                s.beta, dt, size
-            )
+            out = self._stable_part(s.alpha, dt, size)
+            out += self._stable_part(s.beta, dt, size)
+            return out
         return self._relativistic(dt, size)
+
+    def moves(self, dt: float, size: int) -> np.ndarray:
+        """Independent draws of the move X_dt - X_0 = B(2 S_dt).
+
+        ``fractional`` with alpha < 2 draws exact symmetric alpha-stable
+        moves scaled by dt^(1/alpha).  Every other kind draws the increments
+        S_dt, then as many standard normals, and scales each normal by
+        sqrt(2 dS).
+        """
+        if dt <= 0:
+            raise ConfigurationError("move step dt must be positive")
+        s = self.symbol
+        if s.kind == "fractional" and s.alpha < 2.0:
+            out = _symmetric_stable(s.alpha, size, self.rng)
+            out *= dt ** (1.0 / s.alpha)
+            return out
+        scale = self.increments(dt, size)
+        out = self.rng.standard_normal(size)
+        scale *= 2.0
+        out *= np.sqrt(scale, out=scale)
+        return out
 
     def _stable_part(self, alpha: float, dt: float, size: int) -> np.ndarray:
         rho = alpha / 2.0
         if rho >= 1.0:
             return np.full(size, dt)
-        return dt ** (1.0 / rho) * _stable_oneside(rho, size, self.rng)
+        out = _stable_oneside(rho, size, self.rng)
+        out *= dt ** (1.0 / rho)
+        return out
 
     def _relativistic(self, dt: float, size: int) -> np.ndarray:
-        """Tilted stable: accept a stable draw S with probability e^(-theta S)."""
+        """Tilted stable: accept a stable draw S with probability e^(-theta S).
+
+        The first round's draws stay in place; each later round redraws
+        only the rejected positions.
+        """
         alpha = self.symbol.alpha
         theta = self.symbol.m ** (2.0 / alpha)
-        out = np.empty(size)
-        pending = np.arange(size)
-        rounds = 0
+        out = self._stable_part(alpha, dt, size)
+        pending = np.flatnonzero(~(self.rng.uniform(size=size) < np.exp(-theta * out)))
+        rounds = 1
         while pending.size:
             rounds += 1
             if rounds > REJECTION_CAP:
@@ -189,27 +247,28 @@ def _combine(moments: list[tuple[float, float, int]], n_paths, seed, dt_path) ->
 def _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
     """Advance m paths from x0 together, killing each on leaving the domain.
 
-    Yields ``(k, idx, pos)`` for k = 0..n_steps while any path is alive:
-    ``idx`` holds the paths alive at time k dt and ``pos`` each path's last
-    position (for a killed path, its first position outside).  Each step
-    draws the alive paths' subordinator increments, then their Gaussian
-    moves, both from ``rng``.  Consumers read ``idx`` and ``pos`` only.
+    Yields ``(k, idx, x, inside)`` for k = 0..n_steps while any path is
+    alive: ``idx`` holds the paths alive at time (k - 1) dt (all m at
+    k = 0), ``x`` their positions at time k dt and ``inside`` which of them
+    are still in the domain.  The step kills the others, so each path shows
+    up one last time at its first position outside.  The alive paths are
+    kept compact, ids and positions, and each step draws their moves from
+    ``rng`` with :meth:`SubordinatorSampler.moves`.  Consumers must not
+    change ``idx`` or ``x``.
     """
     xl, xr = domain
-    if not (xl < x0 < xr):
-        return
     samp = sampler.with_rng(rng)
-    pos = np.full(m, float(x0))
     idx = np.arange(m)
-    yield 0, idx, pos
+    x = np.full(m, float(x0))
+    inside = np.full(m, xl < x0 < xr)
+    yield 0, idx, x, inside
     for k in range(1, n_steps + 1):
-        ds = samp.increments(dt, idx.size)
-        x = pos[idx] + rng.standard_normal(idx.size) * np.sqrt(2.0 * ds)
-        pos[idx] = x
-        idx = idx[(x > xl) & (x < xr)]
+        idx, x = idx[inside], x[inside]
         if idx.size == 0:
             return
-        yield k, idx, pos
+        x += samp.moves(dt, idx.size)
+        inside = (x > xl) & (x < xr)
+        yield k, idx, x, inside
 
 
 def trace_rows(sampler: SubordinatorSampler, x0: float, dt_path: float, horizon: float,
@@ -223,21 +282,12 @@ def trace_rows(sampler: SubordinatorSampler, x0: float, dt_path: float, horizon:
     path id orders every path's rows by time; ``t`` is ``k * dt_path``.
     """
     n_steps = horizon_steps(horizon, dt_path, step="dt_path")
-    m = min(TRACE_PATHS, n_paths)
-    paths, steps, xs = [np.arange(m)], [np.zeros(m, dtype=np.int64)], [np.full(m, float(x0))]
-
-    def record(moved, k, pos):
-        paths.append(moved)
-        steps.append(np.full(moved.size, k, dtype=np.int64))
-        xs.append(pos[moved])
-
-    moved = None  # the paths that moved into the current step
-    for k, idx, pos in _killed_steps(sampler, sampler.rng, m, x0, domain, dt_path, n_steps):
-        if k:
-            record(moved, k, pos)
-        moved = idx
-    if moved is not None and k < n_steps:  # every path alive at k left at step k + 1
-        record(moved, k + 1, pos)
+    paths, steps, xs = [], [], []
+    for k, idx, x, _ in _killed_steps(sampler, sampler.rng, min(TRACE_PATHS, n_paths), x0,
+                                      domain, dt_path, n_steps):
+        paths.append(idx)
+        steps.append(np.full(idx.size, k, dtype=np.int64))
+        xs.append(x)
     path = np.concatenate(paths)
     order = np.argsort(path, kind="stable")
     return path[order], np.concatenate(steps)[order] * dt_path, np.concatenate(xs)[order]
@@ -294,8 +344,8 @@ def feynman_kac(
     def chunk(rng: np.random.Generator, m: int):
         vals = np.zeros(m)
         exp_pot = np.ones(m)
-        for k, idx, pos in _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
-            x = pos[idx]
+        for k, idx, x, inside in _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
+            idx, x = idx[inside], x[inside]
             if k == n_steps:  # alive at the horizon: terminal datum
                 if g is not None:
                     vals[idx] += exp_pot[idx] * np.asarray(g(x), dtype=float)
@@ -411,13 +461,14 @@ def exit_pass(
     """The Green occupation time and the survival fit from one set of killed paths.
 
     One pass of ``max(horizon, t_grid[-1])`` (both whole numbers of path
-    steps) reduces each path's occupation time up to ``horizon``, adding
-    ``dt_path`` for every step it starts alive as ``feynman_kac`` does for
-    the source 1, and the alive counts at the ``t_grid`` steps.  The
-    estimate is ``mc_green``'s with f = 1 (bit for bit when ``horizon /
-    steps`` rounds to ``dt_path``).  The draws at step k do not depend on
-    the pass length, so the fit is that of any pass reaching ``t_grid[-1]``
-    at the same seed.
+    steps) records each path's exit step and the alive counts at the
+    ``t_grid`` steps.  A path's occupation time up to ``horizon`` adds
+    ``dt_path`` once for every step it starts alive, as ``feynman_kac``
+    does for the source 1; it is read from a running sum of ``dt_path``,
+    added in the same order.  The estimate is ``mc_green``'s with f = 1
+    (bit for bit when ``horizon / steps`` rounds to ``dt_path``).  The draws
+    at step k do not depend on the pass length, so the fit is that of any
+    pass reaching ``t_grid[-1]`` at the same seed.
     """
     if n_paths < 100:
         raise ConfigurationError("exit_pass requires n_paths >= 100")
@@ -425,17 +476,22 @@ def exit_pass(
     check_steps = survival_steps(t_grid, dt_path)
     green_steps = horizon_steps(horizon, dt_path, step="dt_path")
     n_steps = max(int(check_steps[-1]), green_steps)
+    check = {int(k): j for j, k in enumerate(check_steps)}
+    # occupied[j]: the occupation time of a path alive at steps 0..j-1
+    occupied = np.concatenate(([0.0], np.cumsum(np.full(green_steps, dt_path))))
 
     def chunk(rng: np.random.Generator, m: int):
         counts = np.zeros(t_grid.size, dtype=np.int64)
-        occupation = np.zeros(m)
+        exits = np.full(m, green_steps)  # a later exit occupies every step below the horizon
         moves = 0
-        for k, idx, _ in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
-            counts[check_steps == k] = idx.size
-            if k < green_steps:
-                occupation[idx] += dt_path
-            if k < n_steps:
+        for k, idx, _, inside in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
+            if k:
                 moves += idx.size
+            if k in check:
+                counts[check[k]] = np.count_nonzero(inside)
+            if k < green_steps:
+                exits[idx[~inside]] = k
+        occupation = occupied[exits]
         return counts, (float(occupation.sum()), float((occupation ** 2).sum()), m), moves
 
     counts, moments, moves = zip(*_run_chunks(chunk, n_paths, seed, n_workers))

@@ -100,9 +100,8 @@ def mollifier(x, width: float = 0.6):
 def scalar_killed_path(sampler, x0: float, dt_path: float, horizon: float, domain):
     """Positions of one path stepped alone until it leaves the domain or the horizon.
 
-    Each step draws one subordinator increment, then one standard normal,
-    from the sampler's generator and moves by ``sqrt(2 dS)`` times it; the
-    first position outside the domain is kept.
+    Each step draws one move with ``sampler.moves``; the first position
+    outside the domain is kept.
     """
     xl, xr = domain
     pos = [x0]
@@ -110,8 +109,7 @@ def scalar_killed_path(sampler, x0: float, dt_path: float, horizon: float, domai
         return np.array(pos)
     x = x0
     for _ in range(int(round(horizon / dt_path))):
-        ds = sampler.increments(dt_path, 1)[0]
-        x = x + sampler.rng.standard_normal() * math.sqrt(2.0 * ds)
+        x = x + sampler.moves(dt_path, 1)[0]
         pos.append(x)
         if not (xl < x < xr):
             break
@@ -122,9 +120,8 @@ def trace_rows_reference(sampler, x0: float, dt_path: float, horizon: float, dom
                          n_paths: int, cap: int = 1000) -> list[tuple[int, float, float]]:
     """Sorted ``(path, t, x)`` row tuples of ``min(cap, n_paths)`` paths stepped together.
 
-    Each step draws the alive paths' subordinator increments, then their
-    standard normals, from the sampler's generator; every path moves by
-    ``sqrt(2 dS)`` times its normal and gets a row at ``t = k * dt_path``;
+    Each step draws the alive paths' moves, in path order, with
+    ``sampler.moves``; every path moves and gets a row at ``t = k * dt_path``;
     a path's first position outside the domain is its last row.
     """
     xl, xr = domain
@@ -135,10 +132,8 @@ def trace_rows_reference(sampler, x0: float, dt_path: float, horizon: float, dom
     k = 0
     while alive and k < int(round(horizon / dt_path)):
         k += 1
-        ds = sampler.increments(dt_path, len(alive)).tolist()
-        z = sampler.rng.standard_normal(len(alive)).tolist()
-        for p, d, g in zip(alive, ds, z):
-            x[p] = x[p] + g * math.sqrt(2.0 * d)
+        for p, d in zip(alive, sampler.moves(dt_path, len(alive)).tolist()):
+            x[p] = x[p] + d
             rows.append((p, k * dt_path, x[p]))
         alive = [p for p in alive if xl < x[p] < xr]
     rows.sort()

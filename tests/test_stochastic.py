@@ -94,6 +94,35 @@ class TestIncrements:
             sampler_for("log_damped", alpha=1.0, beta=0.5)
 
 
+class TestMoves:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_characteristic_function_fractional(self, alpha):
+        # X_dt - X_0 is symmetric alpha-stable: E cos(xi X) = exp(-dt |xi|^alpha)
+        dt = 0.3
+        draws = sampler_for("fractional", alpha=alpha).moves(dt, 100_000)
+        for xi in (0.5, 1.0, 2.0):
+            vals = np.cos(xi * draws)
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - math.exp(-dt * xi ** alpha)) <= 4.0 * se
+
+    @pytest.mark.parametrize("kind, kw", [
+        ("relativistic", {"alpha": 1.0, "m": 1.0}),
+        ("sum_fractional", {"alpha": 1.0, "beta": 1.5}),
+        ("fractional", {"alpha": 2.0}),
+    ])
+    def test_gaussian_move_of_the_increments_bytes(self, kind, kw):
+        engine, twin = sampler_for(kind, **kw), sampler_for(kind, **kw)
+        for size in (1, 4096):
+            ds = twin.increments(0.01, size)
+            ref = twin.rng.standard_normal(size) * np.sqrt(2.0 * ds)
+            assert engine.moves(0.01, size).tobytes() == ref.tobytes()
+        assert engine.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="positive"):
+            sampler_for("fractional", alpha=1.0).moves(0.0, 10)
+
+
 class TestKilledPath:
     def test_outside_start_exits_immediately(self):
         s = sampler_for("fractional", alpha=1.0)
