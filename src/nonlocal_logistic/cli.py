@@ -78,6 +78,23 @@ def _column_format(col):
     return _fmt
 
 
+def _block_fields(part, fmt):
+    """The CSV fields of one block of a column, formatted by ``fmt``.
+
+    A repeated integer or float array (at most half as many distinct values
+    as rows) formats each distinct value once.  Values are keyed by their
+    bit pattern, so -0.0 and 0.0, and NaNs, keep their own fields.
+    """
+    if not isinstance(part, np.ndarray):
+        return map(fmt, part)
+    if part.dtype.kind in "iuf" and part.dtype.itemsize <= 8:
+        keys, inverse = np.unique(part.view(f"i{part.dtype.itemsize}"), return_inverse=True)
+        if 2 * keys.size <= part.size:
+            texts = np.array(list(map(fmt, keys.view(part.dtype).tolist())), dtype=object)
+            return texts[inverse].tolist()
+    return map(fmt, part.tolist())
+
+
 def _jsonable(value):
     """Plain JSON values; a non-finite float (NaN, an undefined residual) is null."""
     if isinstance(value, dict):
@@ -99,7 +116,8 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     Only the slice of each column in the current block becomes Python
     objects (``.tolist()`` of an array slice), so memory stays bounded by one
     block whatever the file's length.  Each column's formatter is chosen
-    once (:func:`_column_format`), not per field.
+    once (:func:`_column_format`), not per field, and a repeated value once
+    per block (:func:`_block_fields`).
     """
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
@@ -109,11 +127,10 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, CSV_BLOCK):
-            fields = []
-            for col, fmt in zip(columns, formats):
-                part = col[lo:lo + CSV_BLOCK]
-                fields.append(map(fmt, part.tolist() if isinstance(part, np.ndarray) else part))
-            fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
+            fields = [_block_fields(col[lo:lo + CSV_BLOCK], fmt)
+                      for col, fmt in zip(columns, formats)]
+            fh.write("\n".join(map(",".join, zip(*fields))))
+            fh.write("\n")
 
 
 class RunOutput:

@@ -9,7 +9,11 @@ is one exact symmetric alpha-stable draw (Chambers, Mallows & Stuck, JASA
 Gaussian move of variance 2 dS.  ``relativistic`` and ``sum_fractional``
 keep that draw stream although exact moves exist for some of their
 parameters: the 5% survival-rate checks on their benchmark runs sit within
-one seed's spread of the exit bias, so a fresh stream can fail them.
+one seed's spread of the exit bias, so a fresh stream can fail them.  At
+alpha = 1 the increments use the closed Levy form of Kanter's formula on
+the same draws (:func:`_stable_oneside`), so the stream and the kill
+decisions are unchanged; ``np.tan`` may take a SIMD path, so the last bits
+of a value depend on the numpy build and the CPU.
 Killing happens at the first grid time the position leaves the interval;
 the jump that overshoots is kept, sub-step excursions are missed, giving
 a documented O(dt) bias, the same for both kinds of move.
@@ -53,16 +57,27 @@ def _stable_oneside(rho: float, size: int, rng: np.random.Generator) -> np.ndarr
 
     Kanter's representation: S = (sin(rho U) / sin(U)^(1/rho))
     * (sin((1-rho) U) / W)^((1-rho)/rho) with U uniform on (0, pi) and W
-    unit exponential.  rho = 1 degenerates to the unit drift.
+    unit exponential.  At rho = 1/2 (every alpha = 1 symbol) that is
+    exactly the Levy law (1 + tan(U/2)^2) / (4 W), drawn from the same
+    uniforms as U/2 (the same bits as halving U) and the same exponentials.
+    rho = 1 degenerates to the unit drift.
     """
     if rho >= 1.0:
         return np.ones(size)
+    if rho == 0.5:
+        out = rng.uniform(0.0, 0.5 * np.pi, size)
+        w = rng.exponential(1.0, size)
+        np.tan(out, out=out)
+        out *= out
+        out += 1.0
+        w *= 4.0
+        out /= w
+        return out
     u = rng.uniform(0.0, np.pi, size)
     w = rng.exponential(1.0, size)
-    # elementwise the same operations as the formula, on fresh temporaries;
-    # at rho = 1/2 both sines are sin(u / 2)
+    # elementwise the same operations as the formula, on fresh temporaries
     sin_rho = np.sin(rho * u)
-    sin_rest = sin_rho if rho == 0.5 else np.sin((1.0 - rho) * u)
+    sin_rest = np.sin((1.0 - rho) * u)
     out = np.sin(u)
     out **= 1.0 / rho
     np.divide(sin_rho, out, out=out)

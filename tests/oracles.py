@@ -153,6 +153,17 @@ def kanter_reference(rho: float, size: int, rng) -> np.ndarray:
     ) ** ((1.0 - rho) / rho)
 
 
+def levy_reference(size: int, rng) -> np.ndarray:
+    """One-sided 1/2-stable (Levy) draws (1 + tan(V)^2) / (4 W) as one expression.
+
+    Draws ``size`` uniforms V on (0, pi/2), then ``size`` unit exponentials W,
+    from ``rng``: Kanter's formula at rho = 1/2 with V = U/2.
+    """
+    return (1.0 + np.tan(rng.uniform(0.0, 0.5 * np.pi, size)) ** 2) / (
+        4.0 * rng.exponential(1.0, size)
+    )
+
+
 def csv_reference(header, rows) -> str:
     """CSV text of a header and row tuples, one line each ending in a newline.
 

@@ -117,6 +117,35 @@ class TestCsvWriter:
         assert got == csv_reference(["x", "i", "flag", "name"], list(zip(*columns)))
         assert len(seen) == 2 * n  # the bool array and the list only
 
+    # every block has at least twice as many rows as any column has distinct values
+    @pytest.mark.parametrize("n", [CSV_BLOCK - 1, CSV_BLOCK + 40, 2 * CSV_BLOCK + 50])
+    def test_repeated_values_match_the_row_formatter(self, tmp_path, monkeypatch, n):
+        import nonlocal_logistic.cli as cli
+
+        seen = []
+
+        def counting_fmt(value):
+            seen.append(value)
+            return fmt(value)
+
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", counting_fmt)
+        specials = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                             -5e-324, 2.2e-308, 0.1])
+        singles = np.array([0.1, -0.0, 0.0, 1e-45, math.nan, -3.5], dtype=np.float32)
+        rng = np.random.default_rng(n)
+        columns = [
+            specials[rng.integers(0, specials.size, n)],
+            rng.integers(-3, 4, n) * np.int64(10 ** 17),  # int64
+            singles[np.arange(n) % singles.size],
+            rng.standard_normal(n),  # distinct: formatted field by field
+        ]
+        header = ["special", "i", "single", "x"]
+        got = self._written(tmp_path, header, columns)
+        assert got == csv_reference(header, list(zip(*columns)))
+        # the float32 column goes through _fmt once per distinct value per block
+        assert len(seen) == singles.size * -(-n // CSV_BLOCK)
+
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="unequal"):
             self._written(tmp_path, ["a", "b"], [np.arange(5), [1.0] * 4])

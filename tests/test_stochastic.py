@@ -18,11 +18,17 @@ from nonlocal_logistic import (
     green_solve,
     mc_green,
     simulate_killed_path,
+    stochastic,
     survival_lambda1,
     trace_rows,
 )
 from nonlocal_logistic.stochastic import _stable_oneside
-from oracles import kanter_reference, scalar_killed_path, trace_rows_reference
+from oracles import (
+    kanter_reference,
+    levy_reference,
+    scalar_killed_path,
+    trace_rows_reference,
+)
 
 DOMAIN = (-1.0, 1.0)
 
@@ -75,10 +81,60 @@ class TestIncrements:
 
     @pytest.mark.parametrize("rho", [0.5, 0.75, 0.3])
     def test_kanter_draws_match_the_formula_bytes(self, rho):
-        # rho = 1/2 (every alpha = 1 symbol) shares one sine between the factors
+        # rho = 1/2 (every alpha = 1 symbol) is Kanter's formula in closed Levy form
         draws = _stable_oneside(rho, 4096, np.random.default_rng(17))
-        ref = kanter_reference(rho, 4096, np.random.default_rng(17))
+        if rho == 0.5:
+            ref = levy_reference(4096, np.random.default_rng(17))
+        else:
+            ref = kanter_reference(rho, 4096, np.random.default_rng(17))
         assert draws.tobytes() == ref.tobytes()
+
+    def test_levy_form_is_kanter_to_rounding(self):
+        # the same uniforms and exponentials; 8.1e-16 relative was measured on 1e6 draws
+        draws = _stable_oneside(0.5, 100_000, np.random.default_rng(23))
+        ref = kanter_reference(0.5, 100_000, np.random.default_rng(23))
+        assert np.max(np.abs(draws - ref) / ref) <= 2e-15
+
+    def test_levy_form_is_finite_at_a_zero_uniform(self):
+        # U = 0 has probability 2^-53 per draw: Kanter's sines give 0/0 there,
+        # the closed form its limit 1 / (4 W)
+        class ZeroUniform:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def uniform(self, low, high, size):
+                return np.full(size, float(low))
+
+            def exponential(self, scale, size):
+                return self.rng.exponential(scale, size)
+
+        w = np.random.default_rng(5).exponential(1.0, 64)
+        draws = _stable_oneside(0.5, 64, ZeroUniform(5))
+        assert draws.tobytes() == (1.0 / (4.0 * w)).tobytes()
+        with np.errstate(invalid="ignore"):
+            assert np.all(np.isnan(kanter_reference(0.5, 64, ZeroUniform(5))))
+
+    @pytest.mark.parametrize("kind, kw, t_max", [
+        ("relativistic", {"alpha": 1.0, "m": 1.0}, 5.0),
+        ("sum_fractional", {"alpha": 1.0, "beta": 1.5}, 1.2),
+    ])
+    def test_levy_form_keeps_the_kill_decisions(self, monkeypatch, kind, kw, t_max):
+        # every path dies at the same step as with Kanter's sines: the counts,
+        # occupation moments and moves drawn are equal, not merely close
+        t_grid = np.linspace(t_max / 10, t_max, 10)  # whole steps of 0.02
+
+        def run():
+            return exit_pass(sampler_for(kind, **kw), DOMAIN, 0.0, t_grid, 3000, 0.02,
+                             seed=13, horizon=t_max)
+
+        est, fit = run()
+        monkeypatch.setattr(stochastic, "_stable_oneside", kanter_reference)
+        ref_est, ref_fit = run()
+        assert est == ref_est
+        assert fit.survival.tobytes() == ref_fit.survival.tobytes()
+        assert fit.lambda1_hat == ref_fit.lambda1_hat
+        assert fit.survivors_at_end == ref_fit.survivors_at_end
+        assert fit.path_steps == ref_fit.path_steps
 
     def test_brownian_case_is_drift(self):
         s = sampler_for("fractional", alpha=2.0)
