@@ -10,26 +10,33 @@ Gaussian move of variance 2 dS.  ``relativistic`` and ``sum_fractional``
 keep that draw stream although exact moves exist for some of their
 parameters: the 5% survival-rate checks on their benchmark runs sit within
 one seed's spread of the exit bias, so a fresh stream can fail them.  At
-alpha = 1 the increments use the closed Levy form of Kanter's formula on
-the same draws (:func:`_stable_oneside`), so the stream and the kill
-decisions are unchanged; ``np.tan`` may take a SIMD path, so the last bits
-of a value depend on the numpy build and the CPU.
+alpha = 1 and at alpha = 3/2 (``sum_fractional``'s beta = 1.5 part) the
+increments use closed forms of Kanter's formula on the same draws
+(:func:`_stable_oneside`), so the stream and the kill decisions are
+unchanged; ``np.tan`` may take a SIMD path, so the last bits of a value
+depend on the numpy build and the CPU.
 Killing happens at the first grid time the position leaves the interval;
 the jump that overshoots is kept, sub-step excursions are missed, giving
 a documented O(dt) bias, the same for both kinds of move.
 
 Every Monte Carlo consumer runs on one step-major engine,
-:func:`_killed_steps`, that advances a batch of paths together and keeps
-only the alive ones, compact, for the next step.  ``feynman_kac`` (and
-``mc_green``, its source-only case) and ``exit_pass`` reduce over chunks
-with independent substreams spawned from the master seed, combined in
-fixed chunk order, so results are byte-identical for any worker count and
+:func:`_killed_steps`, that advances a group of chunks of paths together
+and keeps only the alive ones, compact, for the next step.  ``feynman_kac``
+(and ``mc_green``, its source-only case) and ``exit_pass`` cut their paths
+into chunks with independent substreams spawned from the master seed and
+step up to ``GROUP`` chunks (65,536 paths, so memory is bounded for any
+path count) in lockstep: one draw call per step for the whole group, in
+which each chunk's segment comes from its own substream
+(:class:`_Streams`).  Each substream sees the draws, and each chunk the
+kills, of the chunk stepped alone; the reductions run per chunk and are
+combined in fixed chunk order, so results are byte-identical for any
+grouping and worker count (``feynman_kac``'s data act elementwise) and
 reproducible from (seed, config).  ``exit_pass`` reads two functionals of
 one set of killed paths: the occupation time up to a horizon
 (``mc_green`` with f = 1) and the survival curve with its exit-rate fit;
 ``survival_lambda1`` is its survival half.  ``trace_rows`` records one
-batch of at most 1000 paths as path-major ``(path, t, x)`` columns;
-``simulate_killed_path`` is its one-path view.  Every horizon and
+group of one chunk, at most 1000 paths, as path-major ``(path, t, x)``
+columns; ``simulate_killed_path`` is its one-path view.  Every horizon and
 survival time is a whole number of ``dt_path`` steps (``grid.time_steps``,
 which ``load_config`` also runs).
 """
@@ -46,35 +53,91 @@ from .errors import ConfigurationError, SamplerError, StatisticalPowerError
 from .grid import horizon_steps, time_steps
 
 CHUNK = 8192
+GROUP = 8  # chunks stepped together: at most GROUP * CHUNK paths held at once
 REJECTION_CAP = 1_000_000
 TRACE_PATHS = 1000  # paths recorded by trace_rows
 
 _SAMPLER_KINDS = {"fractional", "sum_fractional", "relativistic"}
 
 
-def _stable_oneside(rho: float, size: int, rng: np.random.Generator) -> np.ndarray:
+class _Streams:
+    """Generator-like draws whose segment j comes from generator j alone.
+
+    An output of ``bounds[-1]`` values takes its slice
+    ``bounds[j]:bounds[j + 1]`` from ``rngs[j]``, filled in place through
+    ``out=``, so each generator makes the call, with the size and in the
+    order, that it would make drawing its own segment alone.  An empty
+    segment draws nothing.  Only the three draw methods the samplers use
+    exist.
+    """
+
+    __slots__ = ("rngs", "bounds")
+
+    def __init__(self, rngs, bounds):
+        self.rngs = rngs
+        self.bounds = bounds
+
+    def _fill(self, method: str, size: int) -> np.ndarray:
+        out = np.empty(size)
+        b = self.bounds
+        for j, rng in enumerate(self.rngs):
+            if b[j] < b[j + 1]:
+                getattr(rng, method)(out=out[b[j]:b[j + 1]])
+        return out
+
+    def random(self, size: int) -> np.ndarray:
+        return self._fill("random", size)
+
+    def standard_exponential(self, size: int) -> np.ndarray:
+        return self._fill("standard_exponential", size)
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return self._fill("standard_normal", size)
+
+    def restricted(self, positions: np.ndarray) -> "_Streams":
+        """The streams drawing only for ``positions`` (increasing) of this layout."""
+        return _Streams(self.rngs, np.searchsorted(positions, self.bounds).tolist())
+
+
+def _stable_oneside(rho: float, size: int, rng) -> np.ndarray:
     """Draws with Laplace transform exp(-x^rho), rho in (0, 1].
 
     Kanter's representation: S = (sin(rho U) / sin(U)^(1/rho))
     * (sin((1-rho) U) / W)^((1-rho)/rho) with U uniform on (0, pi) and W
-    unit exponential.  At rho = 1/2 (every alpha = 1 symbol) that is
-    exactly the Levy law (1 + tan(U/2)^2) / (4 W), drawn from the same
-    uniforms as U/2 (the same bits as halving U) and the same exponentials.
-    rho = 1 degenerates to the unit drift.
+    unit exponential.  Two values of rho have exact closed forms in
+    V = U/2, drawn from the same uniforms (the same bits as halving U) and
+    the same exponentials.  At rho = 1/2 (every alpha = 1 symbol) S is the
+    Levy law (1 + tan(V)^2) / (4 W).  At rho = 3/4 (alpha = 3/2), with
+    r = sec(V) = sqrt(1 + tan(V)^2), S = r (r + 2) / (4 cbrt((r + 1)^2 W)).
+    rho = 1 degenerates to the unit drift.  A uniform on (lo, hi) is drawn as
+    ``lo + (hi - lo) * random``, the same bits as ``rng.uniform``.
     """
     if rho >= 1.0:
         return np.ones(size)
-    if rho == 0.5:
-        out = rng.uniform(0.0, 0.5 * np.pi, size)
-        w = rng.exponential(1.0, size)
-        np.tan(out, out=out)
-        out *= out
-        out += 1.0
-        w *= 4.0
-        out /= w
+    if rho == 0.5 or rho == 0.75:
+        v = rng.random(size)
+        v *= 0.5 * np.pi
+        w = rng.standard_exponential(size)
+        np.tan(v, out=v)
+        v *= v
+        v += 1.0
+        if rho == 0.5:
+            w *= 4.0
+            v /= w
+            return v
+        np.sqrt(v, out=v)  # r
+        out = v + 2.0
+        out *= v
+        v += 1.0
+        v *= v
+        v *= w
+        np.cbrt(v, out=v)
+        v *= 4.0
+        out /= v
         return out
-    u = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
+    u = rng.random(size)
+    u *= np.pi
+    w = rng.standard_exponential(size)
     # elementwise the same operations as the formula, on fresh temporaries
     sin_rho = np.sin(rho * u)
     sin_rest = np.sin((1.0 - rho) * u)
@@ -87,7 +150,7 @@ def _stable_oneside(rho: float, size: int, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def _symmetric_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+def _symmetric_stable(alpha: float, size: int, rng) -> np.ndarray:
     """Draws with characteristic function exp(-|xi|^alpha), alpha in (0, 2).
 
     Chambers, Mallows & Stuck: X = sin(alpha V) / cos(V)^(1/alpha)
@@ -95,10 +158,12 @@ def _symmetric_stable(alpha: float, size: int, rng: np.random.Generator) -> np.n
     (-pi/2, pi/2) and W unit exponential.  alpha = 1 is the Cauchy draw
     tan(V), one uniform per draw.
     """
-    v = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
+    v = rng.random(size)
+    v *= np.pi  # (pi/2) - (-pi/2)
+    v += -0.5 * np.pi
     if alpha == 1.0:
         return np.tan(v, out=v)
-    w = rng.exponential(1.0, size)
+    w = rng.standard_exponential(size)
     out = np.sin(alpha * v)
     cos_v = np.cos(v)
     cos_v **= 1.0 / alpha
@@ -110,13 +175,25 @@ def _symmetric_stable(alpha: float, size: int, rng: np.random.Generator) -> np.n
     return out
 
 
+def _stable_part(alpha: float, dt: float, size: int, rng) -> np.ndarray:
+    """Increments over dt of the subordinator with Laplace exponent x^(alpha/2)."""
+    rho = alpha / 2.0
+    if rho >= 1.0:
+        return np.full(size, dt)
+    out = _stable_oneside(rho, size, rng)
+    out *= dt ** (1.0 / rho)
+    return out
+
+
 @dataclass
 class SubordinatorSampler:
     """Increment and move sampler for the subordinator of a catalog symbol.
 
     Supports the stable, sum-of-stables, and relativistic (exponentially
     tilted stable with rejection) subordinators; the log-perturbed symbols
-    have no sampler and must use the deterministic solvers.
+    have no sampler and must use the deterministic solvers.  ``rng`` is a
+    numpy Generator or the path engine's :class:`_Streams`: every draw goes
+    through ``random``, ``standard_exponential`` or ``standard_normal``.
     """
 
     symbol: BernsteinSymbol
@@ -138,10 +215,10 @@ class SubordinatorSampler:
             raise ConfigurationError("increment step dt must be positive")
         s = self.symbol
         if s.kind == "fractional":
-            return self._stable_part(s.alpha, dt, size)
+            return _stable_part(s.alpha, dt, size, self.rng)
         if s.kind == "sum_fractional":
-            out = self._stable_part(s.alpha, dt, size)
-            out += self._stable_part(s.beta, dt, size)
+            out = _stable_part(s.alpha, dt, size, self.rng)
+            out += _stable_part(s.beta, dt, size, self.rng)
             return out
         return self._relativistic(dt, size)
 
@@ -166,31 +243,25 @@ class SubordinatorSampler:
         out *= np.sqrt(scale, out=scale)
         return out
 
-    def _stable_part(self, alpha: float, dt: float, size: int) -> np.ndarray:
-        rho = alpha / 2.0
-        if rho >= 1.0:
-            return np.full(size, dt)
-        out = _stable_oneside(rho, size, self.rng)
-        out *= dt ** (1.0 / rho)
-        return out
-
     def _relativistic(self, dt: float, size: int) -> np.ndarray:
         """Tilted stable: accept a stable draw S with probability e^(-theta S).
 
         The first round's draws stay in place; each later round redraws
-        only the rejected positions.
+        only the rejected positions, on :class:`_Streams` restricted to them,
+        so every generator runs the rounds it would run on its segment alone.
         """
         alpha = self.symbol.alpha
         theta = self.symbol.m ** (2.0 / alpha)
-        out = self._stable_part(alpha, dt, size)
-        pending = np.flatnonzero(~(self.rng.uniform(size=size) < np.exp(-theta * out)))
+        out = _stable_part(alpha, dt, size, self.rng)
+        pending = (~(self.rng.random(size) < np.exp(-theta * out))).nonzero()[0]
         rounds = 1
         while pending.size:
             rounds += 1
             if rounds > REJECTION_CAP:
                 raise SamplerError("relativistic rejection sampler exceeded its cap")
-            cand = self._stable_part(alpha, dt, pending.size)
-            accept = self.rng.uniform(size=pending.size) < np.exp(-theta * cand)
+            rng = self.rng.restricted(pending) if isinstance(self.rng, _Streams) else self.rng
+            cand = _stable_part(alpha, dt, pending.size, rng)
+            accept = rng.random(pending.size) < np.exp(-theta * cand)
             out[pending[accept]] = cand[accept]
             pending = pending[~accept]
         return out
@@ -227,18 +298,34 @@ class McEstimate:
         return asdict(self)
 
 
-def _run_chunks(chunk_fn, n_paths: int, seed: int, n_workers: int) -> list:
+def _run_chunks(group_fn, n_paths: int, seed: int, n_workers: int) -> list:
+    """``group_fn(rngs, sizes)`` on contiguous groups of chunks, results in chunk order.
+
+    The paths are cut into chunks of ``CHUNK``, each with its own substream
+    spawned from ``seed``.  The chunks are split into as few contiguous
+    groups of at most ``GROUP`` as give every worker one, near equal in
+    size.  A group's paths are stepped together, but every chunk draws from
+    its own substream only, so no result depends on the grouping.
+    """
     full, rem = divmod(n_paths, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = [(np.random.default_rng(s), m) for s, m in zip(seeds, sizes)]
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(sizes))]
+    n_groups = max(-(-len(sizes) // GROUP), min(n_workers, len(sizes)))
+    cuts = [len(sizes) * g // n_groups for g in range(n_groups + 1)]
+    jobs = [(rngs[a:b], sizes[a:b]) for a, b in zip(cuts, cuts[1:])]
     if n_workers <= 1:
-        return [chunk_fn(rng, m) for rng, m in jobs]
+        return [group_fn(rngs, sizes) for rngs, sizes in jobs]
     from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs the pool
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(chunk_fn, rng, m) for rng, m in jobs]
+        futures = [pool.submit(group_fn, rngs, sizes) for rngs, sizes in jobs]
         return [f.result() for f in futures]  # fixed chunk order
+
+
+def _chunk_moments(values: np.ndarray, sizes) -> list[tuple[float, float, int]]:
+    """Sum, sum of squares and count of each chunk's slice of a group's values."""
+    return [(float(v.sum()), float((v ** 2).sum()), v.size)
+            for v in np.split(values, np.cumsum(sizes)[:-1])]
 
 
 def _combine(moments: list[tuple[float, float, int]], n_paths, seed, dt_path) -> McEstimate:
@@ -259,28 +346,37 @@ def _combine(moments: list[tuple[float, float, int]], n_paths, seed, dt_path) ->
     )
 
 
-def _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
-    """Advance m paths from x0 together, killing each on leaving the domain.
+def _killed_steps(sampler, rngs, sizes, x0, domain, dt, n_steps):
+    """Advance a group of chunks of paths from x0 together, killing each on leaving the domain.
 
-    Yields ``(k, idx, x, inside)`` for k = 0..n_steps while any path is
-    alive: ``idx`` holds the paths alive at time (k - 1) dt (all m at
-    k = 0), ``x`` their positions at time k dt and ``inside`` which of them
-    are still in the domain.  The step kills the others, so each path shows
-    up one last time at its first position outside.  The alive paths are
-    kept compact, ids and positions, and each step draws their moves from
-    ``rng`` with :meth:`SubordinatorSampler.moves`.  Consumers must not
-    change ``idx`` or ``x``.
+    Chunk j holds ``sizes[j]`` paths with the consecutive ids after those of
+    chunk j - 1, and draws its moves from ``rngs[j]`` alone.  Yields
+    ``(k, idx, x, inside)`` for k = 0..n_steps while any path is alive:
+    ``idx`` holds the ids of the paths alive at time (k - 1) dt (all of them
+    at k = 0), increasing, ``x`` their positions at time k dt and ``inside``
+    which of them are still in the domain.  The step kills the others, so
+    each path shows up one last time at its first position outside.  The
+    alive paths are kept compact, in id order, so each chunk's alive paths
+    are one segment, and each step draws all their moves with one
+    :meth:`SubordinatorSampler.moves` call on :class:`_Streams`: every
+    generator sees the calls it would see stepping its chunk alone, and
+    every chunk's positions and kills are those of its own stream.  Every
+    yielded array is fresh, never reused or changed by a later step, so a
+    consumer may keep them; consumers must not change ``idx`` or ``x``.
     """
     xl, xr = domain
-    samp = sampler.with_rng(rng)
-    idx = np.arange(m)
-    x = np.full(m, float(x0))
-    inside = np.full(m, xl < x0 < xr)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    streams = _Streams(rngs, starts.tolist())
+    samp = sampler.with_rng(streams)
+    idx = np.arange(starts[-1])
+    x = np.full(idx.size, float(x0))
+    inside = np.full(idx.size, xl < x0 < xr)
     yield 0, idx, x, inside
     for k in range(1, n_steps + 1):
-        idx, x = idx[inside], x[inside]
+        idx, x = idx[inside], x[inside]  # fresh arrays even when no path died
         if idx.size == 0:
             return
+        streams.bounds = np.searchsorted(idx, starts).tolist()
         x += samp.moves(dt, idx.size)
         inside = (x > xl) & (x < xr)
         yield k, idx, x, inside
@@ -298,7 +394,7 @@ def trace_rows(sampler: SubordinatorSampler, x0: float, dt_path: float, horizon:
     """
     n_steps = horizon_steps(horizon, dt_path, step="dt_path")
     paths, steps, xs = [], [], []
-    for k, idx, x, _ in _killed_steps(sampler, sampler.rng, min(TRACE_PATHS, n_paths), x0,
+    for k, idx, x, _ in _killed_steps(sampler, [sampler.rng], [min(TRACE_PATHS, n_paths)], x0,
                                       domain, dt_path, n_steps):
         paths.append(idx)
         steps.append(np.full(idx.size, k, dtype=np.int64))
@@ -344,7 +440,8 @@ def feynman_kac(
 
     with all path-time integrals by the left-endpoint rule on the dt_path
     grid and g evaluated as 0 on exited endpoints (zero exterior data).
-    ``g`` maps positions to values; ``ell``/``vpot`` map (positions, time).
+    ``g`` maps positions to values; ``ell``/``vpot`` map (positions, time),
+    elementwise: each call sees the positions of a whole group of chunks.
     Any of them may be None (treated as identically zero).  ``T - t`` must
     be a whole number of ``dt_path`` steps.
     """
@@ -356,10 +453,10 @@ def feynman_kac(
     n_steps = horizon_steps(span, dt_path, step="dt_path")
     dt = span / n_steps
 
-    def chunk(rng: np.random.Generator, m: int):
-        vals = np.zeros(m)
-        exp_pot = np.ones(m)
-        for k, idx, x, inside in _killed_steps(sampler, rng, m, x0, domain, dt, n_steps):
+    def group(rngs, sizes):
+        vals = np.zeros(sum(sizes))
+        exp_pot = np.ones(sum(sizes))
+        for k, idx, x, inside in _killed_steps(sampler, rngs, sizes, x0, domain, dt, n_steps):
             idx, x = idx[inside], x[inside]
             if k == n_steps:  # alive at the horizon: terminal datum
                 if g is not None:
@@ -370,9 +467,9 @@ def feynman_kac(
                 vals[idx] += exp_pot[idx] * np.asarray(ell(x, s_k), dtype=float) * dt
             if vpot is not None:
                 exp_pot[idx] *= np.exp(np.asarray(vpot(x, s_k), dtype=float) * dt)
-        return float(vals.sum()), float((vals ** 2).sum()), vals.size
+        return _chunk_moments(vals, sizes)
 
-    moments = _run_chunks(chunk, n_paths, seed, n_workers)
+    moments = [m for ms in _run_chunks(group, n_paths, seed, n_workers) for m in ms]
     return _combine(moments, n_paths, seed, dt_path)
 
 
@@ -495,22 +592,23 @@ def exit_pass(
     # occupied[j]: the occupation time of a path alive at steps 0..j-1
     occupied = np.concatenate(([0.0], np.cumsum(np.full(green_steps, dt_path))))
 
-    def chunk(rng: np.random.Generator, m: int):
+    def group(rngs, sizes):
         counts = np.zeros(t_grid.size, dtype=np.int64)
-        exits = np.full(m, green_steps)  # a later exit occupies every step below the horizon
+        # a later exit occupies every step below the horizon
+        exits = np.full(sum(sizes), green_steps)
         moves = 0
-        for k, idx, _, inside in _killed_steps(sampler, rng, m, x0, domain, dt_path, n_steps):
+        for k, idx, _, inside in _killed_steps(sampler, rngs, sizes, x0, domain, dt_path,
+                                               n_steps):
             if k:
                 moves += idx.size
             if k in check:
                 counts[check[k]] = np.count_nonzero(inside)
             if k < green_steps:
                 exits[idx[~inside]] = k
-        occupation = occupied[exits]
-        return counts, (float(occupation.sum()), float((occupation ** 2).sum()), m), moves
+        return counts, _chunk_moments(occupied[exits], sizes), moves
 
-    counts, moments, moves = zip(*_run_chunks(chunk, n_paths, seed, n_workers))
-    return (_combine(list(moments), n_paths, seed, dt_path),
+    counts, moments, moves = zip(*_run_chunks(group, n_paths, seed, n_workers))
+    return (_combine([m for ms in moments for m in ms], n_paths, seed, dt_path),
             _survival_fit(sum(counts), t_grid, n_paths, sum(moves)))
 
 

@@ -9,9 +9,10 @@ the maximal steady state by the monotone iteration between a sub- and a
 supersolution, written as a plain loop over the dense matrix with one
 scipy Cholesky factor; a solution near a given state is refined by full
 Newton steps with numpy's dense solver.  Killed paths are stepped one at a time by a scalar
-loop instead of the batched path engine, and path traces are built as
-sorted row tuples.  Toeplitz solves apply the Gohberg-Semencul formula with
-six separate FFTs, and CSV text is formatted row by row.  No function here
+loop instead of the batched path engine, an exit pass one chunk at a time
+on full-length arrays, and path traces are built as sorted row tuples.
+Toeplitz solves apply the Gohberg-Semencul formula with six separate FFTs,
+and CSV text is formatted row by row.  No function here
 calls the package's descent, factorizations, Toeplitz solvers, FFT
 products, eigensolver, path engine or CSV writer.
 """
@@ -33,6 +34,7 @@ from nonlocal_logistic import (
     SteadyState,
     hopf_ratio,
 )
+from nonlocal_logistic.stochastic import CHUNK, _combine, _survival_fit
 
 
 def symbol_from_kernel(kernel, xi: float) -> float:
@@ -143,11 +145,13 @@ def trace_rows_reference(sampler, x0: float, dt_path: float, horizon: float, dom
 def kanter_reference(rho: float, size: int, rng) -> np.ndarray:
     """One-sided stable draws by Kanter's formula written out as one expression.
 
-    Draws ``size`` uniforms on (0, pi), then ``size`` unit exponentials, from
-    ``rng``, as the package's sampler does for 0 < rho < 1.
+    Draws ``size`` uniforms on (0, pi), as ``pi * rng.random`` (the bits of
+    ``rng.uniform(0, pi)``), then ``size`` unit exponentials, from ``rng``,
+    as the package's sampler does for 0 < rho < 1; it needs only the draw
+    methods of the path engine's per-chunk streams.
     """
-    u = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
+    u = rng.random(size) * np.pi
+    w = rng.standard_exponential(size)
     return (np.sin(rho * u) / np.sin(u) ** (1.0 / rho)) * (
         np.sin((1.0 - rho) * u) / w
     ) ** ((1.0 - rho) / rho)
@@ -162,6 +166,59 @@ def levy_reference(size: int, rng) -> np.ndarray:
     return (1.0 + np.tan(rng.uniform(0.0, 0.5 * np.pi, size)) ** 2) / (
         4.0 * rng.exponential(1.0, size)
     )
+
+
+def three_quarter_reference(size: int, rng) -> np.ndarray:
+    """One-sided 3/4-stable draws r (r + 2) / (4 cbrt((r + 1)^2 W)), r = sec(V).
+
+    Draws ``size`` uniforms V on (0, pi/2), then ``size`` unit exponentials W,
+    from ``rng``: Kanter's formula at rho = 3/4 with V = U/2, where
+    sec(V) = sqrt(1 + tan(V)^2).
+    """
+    r = np.sqrt(1.0 + np.tan(rng.uniform(0.0, 0.5 * np.pi, size)) ** 2)
+    return r * (r + 2.0) / (4.0 * np.cbrt((r + 1.0) ** 2 * rng.exponential(1.0, size)))
+
+
+def exit_pass_reference(sampler, domain, x0: float, t_grid, n_paths: int, dt_path: float,
+                        seed: int, horizon: float):
+    """``exit_pass`` with each chunk of ``CHUNK`` paths stepped alone, on its own substream.
+
+    Chunk j draws from the j-th substream spawned from ``seed``; each step
+    moves its alive paths, in path order, with one ``sampler.moves`` call and
+    updates their positions in a full-length array.  A path's exit step
+    (the horizon step if it exits at or after it) and the alive counts at
+    the ``t_grid`` steps are tallied per chunk; the occupation moments and
+    the fit are then reduced by the package's ``_combine`` and
+    ``_survival_fit`` in chunk order.
+    """
+    xl, xr = domain
+    check = {int(k): j for j, k in enumerate(np.rint(np.asarray(t_grid) / dt_path))}
+    green_steps = int(round(horizon / dt_path))
+    occupied = np.concatenate(([0.0], np.cumsum(np.full(green_steps, dt_path))))
+    full, rem = divmod(n_paths, CHUNK)
+    sizes = [CHUNK] * full + ([rem] if rem else [])
+    counts = np.zeros(len(check), dtype=np.int64)
+    moments, moves = [], 0
+    for ss, m in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes):
+        samp = sampler.with_rng(np.random.default_rng(ss))
+        x = np.full(m, float(x0))
+        exits = np.full(m, green_steps if xl < x0 < xr else 0)
+        alive = np.arange(m) if xl < x0 < xr else np.arange(0)
+        for k in range(1, max(max(check), green_steps) + 1):
+            if alive.size == 0:
+                break
+            x[alive] += samp.moves(dt_path, alive.size)
+            moves += alive.size
+            inside = (x[alive] > xl) & (x[alive] < xr)
+            if k in check:
+                counts[check[k]] += np.count_nonzero(inside)
+            if k < green_steps:
+                exits[alive[~inside]] = k
+            alive = alive[inside]
+        occupation = occupied[exits]
+        moments.append((float(occupation.sum()), float((occupation ** 2).sum()), m))
+    return (_combine(moments, n_paths, seed, dt_path),
+            _survival_fit(counts, np.asarray(t_grid, dtype=float), n_paths, moves))
 
 
 def csv_reference(header, rows) -> str:

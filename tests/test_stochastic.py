@@ -24,9 +24,11 @@ from nonlocal_logistic import (
 )
 from nonlocal_logistic.stochastic import _stable_oneside
 from oracles import (
+    exit_pass_reference,
     kanter_reference,
     levy_reference,
     scalar_killed_path,
+    three_quarter_reference,
     trace_rows_reference,
 )
 
@@ -81,13 +83,23 @@ class TestIncrements:
 
     @pytest.mark.parametrize("rho", [0.5, 0.75, 0.3])
     def test_kanter_draws_match_the_formula_bytes(self, rho):
-        # rho = 1/2 (every alpha = 1 symbol) is Kanter's formula in closed Levy form
+        # rho = 1/2 (every alpha = 1 symbol) and rho = 3/4 are Kanter's formula
+        # in closed form
         draws = _stable_oneside(rho, 4096, np.random.default_rng(17))
         if rho == 0.5:
             ref = levy_reference(4096, np.random.default_rng(17))
+        elif rho == 0.75:
+            ref = three_quarter_reference(4096, np.random.default_rng(17))
         else:
             ref = kanter_reference(rho, 4096, np.random.default_rng(17))
         assert draws.tobytes() == ref.tobytes()
+
+    def test_three_quarter_form_is_kanter_to_rounding(self):
+        # the same uniforms and exponentials; at most 1.5e-15 relative was measured
+        # on 10 x 2e6 draws, all near U = pi, where the sines lose the digits
+        draws = _stable_oneside(0.75, 200_000, np.random.default_rng(37))
+        ref = kanter_reference(0.75, 200_000, np.random.default_rng(37))
+        assert np.max(np.abs(draws - ref) / ref) <= 2e-15
 
     def test_levy_form_is_kanter_to_rounding(self):
         # the same uniforms and exponentials; 8.1e-16 relative was measured on 1e6 draws
@@ -102,11 +114,11 @@ class TestIncrements:
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
 
-            def uniform(self, low, high, size):
-                return np.full(size, float(low))
+            def random(self, size):
+                return np.zeros(size)
 
-            def exponential(self, scale, size):
-                return self.rng.exponential(scale, size)
+            def standard_exponential(self, size):
+                return self.rng.standard_exponential(size)
 
         w = np.random.default_rng(5).exponential(1.0, 64)
         draws = _stable_oneside(0.5, 64, ZeroUniform(5))
@@ -148,6 +160,41 @@ class TestIncrements:
     def test_unsupported_symbol(self):
         with pytest.raises(SamplerError, match="deterministic"):
             sampler_for("log_damped", alpha=1.0, beta=0.5)
+
+
+DRAWS = ("random", "standard_exponential", "standard_normal")
+
+
+class TestStreams:
+    SEEDS = (3, 4, 5)
+
+    @pytest.mark.parametrize("method", DRAWS)
+    def test_segments_are_their_generators_sized_draws(self, method):
+        # segment 1 is empty; the restricted view draws 2, 0 and 3 values
+        rngs = [np.random.default_rng(s) for s in self.SEEDS]
+        twins = [np.random.default_rng(s) for s in self.SEEDS]
+        streams = stochastic._Streams(rngs, [0, 5, 5, 12])
+        subset = streams.restricted(np.array([1, 3, 6, 7, 11]))
+        for view, sizes in ((streams, (5, 0, 7)), (subset, (2, 0, 3))):
+            got = getattr(view, method)(sum(sizes))
+            want = [getattr(twin, method)(m) for twin, m in zip(twins, sizes) if m]
+            assert got.tobytes() == np.concatenate(want).tobytes()
+        for rng, twin in zip(rngs, twins):
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("low, high", [
+        (0.0, 0.5 * np.pi), (0.0, np.pi), (-0.5 * np.pi, 0.5 * np.pi), (0.0, 1.0),
+    ])
+    def test_scaled_random_is_the_uniform_bits(self, low, high):
+        # every uniform range the samplers draw
+        got = np.random.default_rng(29).random(200_000)
+        got *= high - low
+        got += low
+        assert got.tobytes() == np.random.default_rng(29).uniform(low, high, 200_000).tobytes()
+
+    def test_standard_exponential_is_the_unit_exponential_bits(self):
+        got = np.random.default_rng(31).standard_exponential(200_000)
+        assert got.tobytes() == np.random.default_rng(31).exponential(1.0, 200_000).tobytes()
 
 
 class TestMoves:
@@ -429,6 +476,59 @@ class TestEngineIdentity:
                                n, dt, seed, n_workers=workers)
         counts = np.rint(fit.survival * n)
         assert est.value * n == pytest.approx(dt * (n + counts.sum()), rel=1e-12)
+
+
+class TestLockstepGroups:
+    # (kind, parameters, t_max): survival below 0.1 at t_max with enough survivors
+    KINDS = [
+        ("fractional", {"alpha": 1.0}, 3.2),
+        ("relativistic", {"alpha": 1.0, "m": 1.0}, 5.2),
+        ("sum_fractional", {"alpha": 1.0, "beta": 1.5}, 1.2),
+    ]
+
+    @pytest.mark.parametrize("n_chunks, n_paths, horizon_share", [
+        (1, 6000, 0.5), (2, stochastic.CHUNK + 4000, 2.0),
+        (9, 8 * stochastic.CHUNK + 1000, 1.0),  # two groups
+    ])
+    @pytest.mark.parametrize("kind, kw, t_max", KINDS)
+    def test_exit_pass_is_each_chunk_stepped_alone(self, kind, kw, t_max, n_chunks, n_paths,
+                                                   horizon_share):
+        assert -(-n_paths // stochastic.CHUNK) == n_chunks
+        dt = 0.04
+        t_grid = np.linspace(t_max / 10, t_max, 10)  # whole steps of dt
+        args = (sampler_for(kind, **kw), DOMAIN, 0.1, t_grid, n_paths, dt, 17)
+        est, fit = exit_pass(*args, horizon=horizon_share * t_max)
+        ref_est, ref_fit = exit_pass_reference(*args, horizon=horizon_share * t_max)
+        assert est == ref_est
+        assert fit.survival.tobytes() == ref_fit.survival.tobytes()
+        assert fit.lambda1_hat == ref_fit.lambda1_hat
+        assert fit.survivors_at_end == ref_fit.survivors_at_end
+        assert fit.path_steps == ref_fit.path_steps
+
+    def test_worker_counts_split_the_groups_without_changing_results(self):
+        # 5 chunks: one group for 1 worker, groups of 2 + 3 and 1 + 2 + 2 for 2 and 3
+        n, dt, seed = 4 * stochastic.CHUNK + 500, 0.02, 19
+        sampler = sampler_for("relativistic", alpha=1.0, m=1.0)
+        t_grid = np.linspace(0.6, 6.0, 10)
+        results = []
+        for workers in (1, 2, 3):
+            est, fit = exit_pass(sampler, DOMAIN, 0.0, t_grid, n, dt, seed, horizon=2.0,
+                                 n_workers=workers)
+            fk = feynman_kac(sampler, DOMAIN, np.cos, lambda x, s: x * x + s,
+                             lambda x, s: np.sin(x), 0.0, 1.0, 0.2, n, dt, seed,
+                             n_workers=workers)
+            results.append((est, fit.survival.tobytes(), fit.lambda1_hat, fit.path_steps, fk))
+        assert results[0] == results[1] == results[2]
+
+    def test_every_step_yields_fresh_arrays(self):
+        # no path leaves the wide domain, so no step's compaction drops a path
+        steps = list(stochastic._killed_steps(
+            sampler_for("fractional", alpha=1.0), [np.random.default_rng(3)], [50], 0.0,
+            (-1e9, 1e9), 0.01, 20))
+        assert len(steps) == 21 and all(inside.all() for *_, inside in steps)
+        arrays = [a for _, idx, x, _ in steps for a in (idx, x)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 class TestExitPass:
