@@ -249,17 +249,21 @@ class SubordinatorSampler:
         The first round's draws stay in place; each later round redraws
         only the rejected positions, on :class:`_Streams` restricted to them,
         so every generator runs the rounds it would run on its segment alone.
+        A plain Generator is drawn as the one segment of a :class:`_Streams`.
         """
         alpha = self.symbol.alpha
         theta = self.symbol.m ** (2.0 / alpha)
-        out = _stable_part(alpha, dt, size, self.rng)
-        pending = (~(self.rng.random(size) < np.exp(-theta * out))).nonzero()[0]
+        streams = self.rng
+        if not isinstance(streams, _Streams):
+            streams = _Streams([streams], [0, size])
+        out = _stable_part(alpha, dt, size, streams)
+        pending = (~(streams.random(size) < np.exp(-theta * out))).nonzero()[0]
         rounds = 1
         while pending.size:
             rounds += 1
             if rounds > REJECTION_CAP:
                 raise SamplerError("relativistic rejection sampler exceeded its cap")
-            rng = self.rng.restricted(pending) if isinstance(self.rng, _Streams) else self.rng
+            rng = streams.restricted(pending)
             cand = _stable_part(alpha, dt, pending.size, rng)
             accept = rng.random(pending.size) < np.exp(-theta * cand)
             out[pending[accept]] = cand[accept]
@@ -302,22 +306,24 @@ def _run_chunks(group_fn, n_paths: int, seed: int, n_workers: int) -> list:
     """``group_fn(rngs, sizes)`` on contiguous groups of chunks, results in chunk order.
 
     The paths are cut into chunks of ``CHUNK``, each with its own substream
-    spawned from ``seed``.  The chunks are split into as few contiguous
-    groups of at most ``GROUP`` as give every worker one, near equal in
-    size.  A group's paths are stepped together, but every chunk draws from
-    its own substream only, so no result depends on the grouping.
+    spawned from ``seed``.  The chunks are split into the fewest contiguous
+    groups of at most ``GROUP``, near equal in size, and the workers run
+    whole groups: a run of at most ``GROUP`` chunks is one group on the
+    calling thread for any worker count.  A group's paths are stepped
+    together, but every chunk draws from its own substream only, so no
+    result depends on the grouping.
     """
     full, rem = divmod(n_paths, CHUNK)
     sizes = [CHUNK] * full + ([rem] if rem else [])
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(sizes))]
-    n_groups = max(-(-len(sizes) // GROUP), min(n_workers, len(sizes)))
+    n_groups = -(-len(sizes) // GROUP)
     cuts = [len(sizes) * g // n_groups for g in range(n_groups + 1)]
     jobs = [(rngs[a:b], sizes[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if n_workers <= 1:
+    if min(n_workers, n_groups) <= 1:
         return [group_fn(rngs, sizes) for rngs, sizes in jobs]
     from concurrent.futures import ThreadPoolExecutor  # only a threaded run needs the pool
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(n_workers, n_groups)) as pool:
         futures = [pool.submit(group_fn, rngs, sizes) for rngs, sizes in jobs]
         return [f.result() for f in futures]  # fixed chunk order
 

@@ -505,9 +505,9 @@ class TestLockstepGroups:
         assert fit.survivors_at_end == ref_fit.survivors_at_end
         assert fit.path_steps == ref_fit.path_steps
 
-    def test_worker_counts_split_the_groups_without_changing_results(self):
-        # 5 chunks: one group for 1 worker, groups of 2 + 3 and 1 + 2 + 2 for 2 and 3
-        n, dt, seed = 4 * stochastic.CHUNK + 500, 0.02, 19
+    def test_worker_counts_run_whole_groups_without_changing_results(self):
+        # 9 chunks: groups of 4 + 5 for every worker count, on one or two threads
+        n, dt, seed = 8 * stochastic.CHUNK + 500, 0.02, 19
         sampler = sampler_for("relativistic", alpha=1.0, m=1.0)
         t_grid = np.linspace(0.6, 6.0, 10)
         results = []
@@ -519,6 +519,14 @@ class TestLockstepGroups:
                              n_workers=workers)
             results.append((est, fit.survival.tobytes(), fit.lambda1_hat, fit.path_steps, fk))
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n_chunks, groups", [(5, [5]), (8, [8]), (9, [4, 5]),
+                                                  (17, [5, 6, 6])])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_groups_are_the_fewest_for_any_worker_count(self, n_chunks, groups, workers):
+        got = stochastic._run_chunks(lambda rngs, sizes: len(sizes),
+                                     n_chunks * stochastic.CHUNK, 5, workers)
+        assert got == groups
 
     def test_every_step_yields_fresh_arrays(self):
         # no path leaves the wide domain, so no step's compaction drops a path
